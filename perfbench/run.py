@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build the perfbench harness from this checkout and run one workload.
 
-    python3 perfbench/run.py --workload eval_search --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload eval_search --seed 1 --seconds 30 --trace 0
     python3 perfbench/run.py --selftest
 
 Run from the root of a checkout. The harness and the autophase library are
@@ -63,7 +63,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload")
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--selftest", action="store_true")
     args = parser.parse_args()

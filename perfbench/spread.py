@@ -55,7 +55,7 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", default="1-5")
-    parser.add_argument("--seconds", type=float, default=20)
+    parser.add_argument("--seconds", type=float, default=30)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--repeat", action="store_true")
     args = parser.parse_args()

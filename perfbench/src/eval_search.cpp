@@ -1,18 +1,18 @@
 // eval_search: the paper's random-search / sample-collection traffic. Cold
 // runtime::EvalService::evaluate_batch calls over a thread pool, each on a
 // fresh service, evaluating seeded random 45-pass sequences on one of the
-// nine CHStone-like kernels. No policy, queue or socket runs.
+// nine CHStone-like kernels. No policy, queue or socket runs. A traced run
+// times each EvalService::evaluate_sequence call live and splits one into
+// clone, passes, fingerprint, interpreter and scheduler by replaying the
+// count set.
 #include <algorithm>
 #include <numeric>
-#include <stdexcept>
+#include <optional>
 
-#include "hls/cycle_estimator.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
 #include "passes/pass.hpp"
-#include "passes/pipelines.hpp"
-#include "progen/chstone_like.hpp"
 #include "replay.hpp"
 #include "runtime/eval_service.hpp"
 #include "support/rng.hpp"
@@ -35,13 +35,6 @@ constexpr std::size_t kReplayPerKernel = 16;
 /// EvalService's answer when the simulator failed on a module.
 constexpr std::uint64_t kPenaltyCycles = 1ull << 40;
 
-struct Kernel {
-  std::unique_ptr<Module> module;
-  std::uint64_t o3_cycles = 0;
-  std::int64_t return_value = 0;
-  std::uint64_t checksum = 0;
-};
-
 struct Setup {
   std::vector<Kernel> kernels;
   std::unique_ptr<ap::ThreadPool> pool;
@@ -49,20 +42,7 @@ struct Setup {
 
 Setup set_up(std::size_t threads) {
   Setup setup;
-  for (const std::string& name : ap::progen::chstone_benchmark_names()) {
-    Kernel kernel;
-    kernel.module = ap::progen::build_chstone_like(name);
-    const auto reference = ap::interp::run_module(*kernel.module);
-    if (!reference.is_ok()) throw std::runtime_error(name + " does not run: " + reference.message());
-    kernel.return_value = reference.value().return_value;
-    kernel.checksum = reference.value().memory_checksum;
-    auto o3 = ap::ir::clone_module(*kernel.module);
-    ap::passes::run_o3(*o3);
-    const auto o3_cycles = ap::hls::profile_cycles(*o3);
-    if (!o3_cycles.is_ok()) throw std::runtime_error(name + " -O3 does not run");
-    kernel.o3_cycles = o3_cycles.value().cycles;
-    setup.kernels.push_back(std::move(kernel));
-  }
+  setup.kernels = load_kernels();
   setup.pool = std::make_unique<ap::ThreadPool>(threads);
   return setup;
 }
@@ -109,70 +89,51 @@ struct LoopStats {
   std::vector<std::vector<std::uint64_t>> first_cycles;
 };
 
-/// The measured path: evaluate_batch on a fresh pooled service per batch.
-void run_batches(const Setup& setup, BatchSource& source, double seconds, Report& report,
-                 LoopStats& out) {
+/// How a loop evaluates a batch. Untraced runs measure evaluate_batch. A
+/// traced run makes the same evaluation from the public calls evaluate_batch
+/// is made of, one evaluate_sequence per sequence on the pool against the
+/// program's fingerprint, in both of its phases, so the traced phase can
+/// wrap each call in a runtime.evaluate span and its overhead compares one
+/// code path with and without spans.
+enum class Path { kBatch, kSequences };
+
+std::vector<std::uint64_t> evaluate(const Setup& setup, const Batch& batch, Path path,
+                                    ap::runtime::EvalService& service, LayerTrace* trace) {
+  const Module& program = *setup.kernels[batch.kernel].module;
+  if (path == Path::kBatch) return service.evaluate_batch(program, batch.sequences).cycles;
+  std::optional<obs::ScopedSpan> root;
+  if (trace != nullptr) root.emplace(trace->live, trace->live.begin_trace(), "bench.batch");
+  std::vector<std::uint64_t> cycles(batch.sequences.size());
+  const std::uint64_t fingerprint = ap::ir::module_fingerprint(program);
+  setup.pool->parallel_for(batch.sequences.size(), [&](std::size_t i) {
+    std::optional<obs::ScopedSpan> span;
+    if (trace != nullptr) span.emplace(trace->live, root->context(), "runtime.evaluate");
+    cycles[i] = service.evaluate_sequence(program, fingerprint, batch.sequences[i]);
+  });
+  return cycles;
+}
+
+/// The measured loop: each batch on a fresh pooled service, for `seconds`
+/// and at least one batch per kernel (a traced phase stops early when the
+/// live ring is nearly full).
+void run_batches(const Setup& setup, BatchSource& source, double seconds, Path path,
+                 LayerTrace* trace, Report& report, LoopStats& out) {
   const auto start = Clock::now();
   while (out.batch_ms.size() < setup.kernels.size() || seconds_since(start) < seconds) {
+    if (trace != nullptr && trace->live_nearly_full()) break;
     const Batch batch = source.next();
     ap::runtime::EvalServiceConfig config;
     config.pool = setup.pool.get();
     ap::runtime::EvalService service(config);
     const auto t0 = Clock::now();
-    const auto result = service.evaluate_batch(*setup.kernels[batch.kernel].module, batch.sequences);
+    const std::vector<std::uint64_t> cycles = evaluate(setup, batch, path, service, trace);
     const auto t1 = Clock::now();
     out.batch_ms.push_back(ms_between(t0, t1));
     out.busy_s += ms_between(t0, t1) / 1e3;
     out.sequences += batch.sequences.size();
     out.profile_nanos += service.stats().eval_nanos;
-    for (const std::uint64_t cycles : result.cycles) report.ops.record(cycles < kPenaltyCycles);
-    if (out.first_cycles.size() < setup.kernels.size()) out.first_cycles.push_back(result.cycles);
-  }
-}
-
-/// The traced path: the same evaluation, made of the public calls
-/// evaluate_sequence is made of, one span each.
-void evaluate_traced(const Module& program, const std::vector<int>& sequence,
-                     ap::runtime::EvalService& service, obs::Tracer& tracer,
-                     const obs::TraceContext& ctx) {
-  std::unique_ptr<Module> module;
-  {
-    const obs::ScopedSpan span(tracer, ctx, "ir.clone");
-    module = ap::ir::clone_module_for_rollout(program);
-  }
-  for (const int pass : sequence) {
-    const obs::ScopedSpan span(tracer, ctx, "passes.apply");
-    ap::passes::apply_pass(*module, pass);
-  }
-  std::uint64_t fingerprint = 0;
-  {
-    const obs::ScopedSpan span(tracer, ctx, "ir.fingerprint");
-    fingerprint = ap::ir::module_fingerprint(*module);
-  }
-  const obs::ScopedSpan span(tracer, ctx, "runtime.measure");
-  (void)service.measure(*module, fingerprint);
-}
-
-void run_traced_batches(const Setup& setup, BatchSource& source, double seconds,
-                        LayerTrace& trace, LoopStats& out) {
-  const auto start = Clock::now();
-  while (seconds_since(start) < seconds && !trace.live_nearly_full()) {
-    const Batch batch = source.next();
-    const Module& program = *setup.kernels[batch.kernel].module;
-    ap::runtime::EvalServiceConfig config;
-    config.pool = setup.pool.get();
-    ap::runtime::EvalService service(config);
-    const auto t0 = Clock::now();
-    {
-      const obs::ScopedSpan root(trace.live, trace.live.begin_trace(), "bench.batch");
-      const obs::TraceContext ctx = root.context();
-      setup.pool->parallel_for(batch.sequences.size(), [&](std::size_t i) {
-        evaluate_traced(program, batch.sequences[i], service, trace.live, ctx);
-      });
-    }
-    out.busy_s += seconds_since(t0);
-    out.sequences += batch.sequences.size();
-    out.profile_nanos += service.stats().eval_nanos;
+    for (const std::uint64_t c : cycles) report.ops.record(c < kPenaltyCycles);
+    if (out.first_cycles.size() < setup.kernels.size()) out.first_cycles.push_back(cycles);
   }
 }
 
@@ -232,18 +193,17 @@ Report run_eval_search(const Options& options, LayerTrace* trace) {
 
   LoopStats loop;
   LoopStats traced;
-  std::pair<std::uint64_t, std::uint64_t> window_ns;
   double cpu_s = 0.0;
   if (trace == nullptr) {
     const double cpu0 = process_cpu_s();
-    run_batches(setup, source, options.seconds, report, loop);
+    run_batches(setup, source, options.seconds, Path::kBatch, nullptr, report, loop);
     cpu_s = process_cpu_s() - cpu0;
+    report.metrics["peak_rss_mb"] = peak_rss_mb();  // before the checks allocate
   } else {
-    run_batches(setup, source, options.seconds * kUntracedShare, report, loop);
-    const std::uint64_t begin_ns = obs::trace_now_ns();
-    run_traced_batches(setup, source, options.seconds * (1.0 - kUntracedShare), *trace, traced);
-    window_ns = {begin_ns, obs::trace_now_ns()};
-    report.ops.attempted += traced.sequences;
+    run_batches(setup, source, options.seconds * kUntracedShare, Path::kSequences, nullptr,
+                report, loop);
+    run_batches(setup, source, options.seconds * (1.0 - kUntracedShare), Path::kSequences, trace,
+                report, traced);
   }
 
   ap::runtime::EvalStats count_set;
@@ -259,7 +219,6 @@ Report run_eval_search(const Options& options, LayerTrace* trace) {
         "median over 1 s windows of sequences per second inside evaluate_batch (" +
         std::to_string(loop.sequences) + " sequences)";
     report_latency(loop.batch_ms, 0.9, "evaluate_batch calls", report);
-    report.metrics["peak_rss_mb"] = peak_rss_mb();
     report.metrics["cpu_ms_per_op"] = cpu_s * 1e3 / static_cast<double>(loop.sequences);
     report.provenance["cpu_ms_per_op"] = "process CPU time per sequence over the measured loop";
     return report;
@@ -270,7 +229,7 @@ Report run_eval_search(const Options& options, LayerTrace* trace) {
                 static_cast<double>(traced.profile_nanos) / 1e9, report);
   finish_trace(options, *trace, loop.busy_s / static_cast<double>(loop.sequences),
                traced.busy_s / static_cast<double>(std::max<std::size_t>(1, traced.sequences)),
-               window_ns.first, window_ns.second, report);
+               report);
   return report;
 }
 

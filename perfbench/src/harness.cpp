@@ -6,12 +6,18 @@
 #include <atomic>
 #include <cstdio>
 #include <fstream>
+#include <stdexcept>
 #include <thread>
 
+#include "hls/cycle_estimator.hpp"
 #include "interp/interpreter.hpp"
+#include "ir/clone.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "passes/pipelines.hpp"
+#include "progen/chstone_like.hpp"
 #include "progen/random_program.hpp"
+#include "support/rng.hpp"
 
 namespace perfbench {
 
@@ -118,13 +124,12 @@ void LayerTrace::record(obs::Tracer& tracer, const obs::TraceContext& self, std:
 
 namespace {
 
-/// Per-span-name durations and per-layer self time from one tracer.
+/// Per-span-name durations and per-layer self time from one tracer (spans
+/// named "bench.*" are the benchmark's own roots, not layers).
 struct SpanTable {
   std::map<std::string, std::vector<double>> duration_us;  // by span name
   std::map<std::string, double> self_s;                    // by layer
-  /// Union of every layer span's interval (spans named "bench.*" are the
-  /// benchmark's own roots, not layers).
-  std::uint64_t layer_covered_ns = 0;
+  double unattributed_share = 0.0;
 };
 
 SpanTable tabulate(const obs::Tracer& tracer) {
@@ -137,16 +142,13 @@ SpanTable tabulate(const obs::Tracer& tracer) {
   const std::vector<std::uint64_t> self = self_times(times);
 
   SpanTable table;
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> layer_intervals;
   for (std::size_t i = 0; i < spans.size(); ++i) {
     const obs::SpanRecord& s = spans[i];
     table.duration_us[s.name].push_back(static_cast<double>(s.duration_ns) / 1e3);
     const std::string layer = layer_of(s.name);
-    if (layer == "bench") continue;
-    table.self_s[layer] += static_cast<double>(self[i]) / 1e9;
-    layer_intervals.emplace_back(s.start_ns, s.start_ns + s.duration_ns);
+    if (layer != "bench") table.self_s[layer] += static_cast<double>(self[i]) / 1e9;
   }
-  table.layer_covered_ns = covered_ns(std::move(layer_intervals));
+  table.unattributed_share = unattributed_share(times);
   return table;
 }
 
@@ -201,27 +203,22 @@ Summary layer_summary(const SpanTable& live, const SpanTable& replay, const std:
 }  // namespace
 
 void finish_trace(const Options& options, LayerTrace& trace, double untraced_s_per_op,
-                  double traced_s_per_op, std::uint64_t window_begin_ns,
-                  std::uint64_t window_end_ns, Report& report) {
+                  double traced_s_per_op, Report& report) {
   const SpanTable live = tabulate(trace.live);
   const SpanTable replay = tabulate(trace.replay);
   for (const SpanMetric& m : kSpanMetrics) {
     const Summary s = layer_summary(live, replay, m.span, m.metric, report);
     if (s.n > 0) report.metrics[m.metric] = s.p50 * m.per_us;
   }
-  const bool passes_live = live.self_s.count("passes") != 0;
-  const SpanTable& passes_source = passes_live ? live : replay;
-  if (passes_source.self_s.count("passes") != 0) {
-    report.metrics["passes.busy_s"] = passes_source.self_s.at("passes");
-    report.provenance["passes.busy_s"] =
-        passes_live ? "live: passes self time" : "replayed: passes self time in the replay";
+  if (replay.self_s.count("passes") != 0) {
+    report.metrics["passes.busy_s"] = replay.self_s.at("passes");
+    report.provenance["passes.busy_s"] = "replayed: passes self time over the count set";
   }
   report.metrics["obs.trace_overhead"] =
       untraced_s_per_op > 0.0 ? traced_s_per_op / untraced_s_per_op - 1.0 : 0.0;
-  const double window = static_cast<double>(window_end_ns - window_begin_ns);
-  report.metrics["obs.unattributed_share"] =
-      window > 0.0 ? std::max(0.0, 1.0 - static_cast<double>(live.layer_covered_ns) / window)
-                   : 0.0;
+  report.metrics["obs.unattributed_share"] = live.unattributed_share;
+  report.provenance["obs.unattributed_share"] =
+      "live: share of root-span time that no leaf span covers";
   report.metrics["obs.trace_dropped"] =
       static_cast<double>(trace.live.dropped() + trace.replay.dropped());
 
@@ -252,16 +249,38 @@ void finish_trace(const Options& options, LayerTrace& trace, double untraced_s_p
                                          : "trace not written: " + written.message());
 }
 
+std::vector<Kernel> load_kernels() {
+  namespace ap = autophase;
+  std::vector<Kernel> kernels;
+  for (const std::string& name : ap::progen::chstone_benchmark_names()) {
+    Kernel kernel;
+    kernel.module = ap::progen::build_chstone_like(name);
+    const auto reference = ap::interp::run_module(*kernel.module);
+    if (!reference.is_ok()) throw std::runtime_error(name + " does not run: " + reference.message());
+    kernel.return_value = reference.value().return_value;
+    kernel.checksum = reference.value().memory_checksum;
+    auto o3 = ap::ir::clone_module(*kernel.module);
+    ap::passes::run_o3(*o3);
+    const auto o3_cycles = ap::hls::profile_cycles(*o3);
+    if (!o3_cycles.is_ok()) throw std::runtime_error(name + " -O3 does not run");
+    kernel.o3_cycles = o3_cycles.value().cycles;
+    kernels.push_back(std::move(kernel));
+  }
+  return kernels;
+}
+
+autophase::rl::EnvConfig paper_env_config() {
+  autophase::rl::EnvConfig config;
+  config.episode_length = 45;
+  config.observation = autophase::rl::ObservationMode::kBoth;
+  return config;
+}
+
 std::unique_ptr<autophase::ir::Module> banded_random_program(std::uint64_t seed) {
-  std::uint64_t state = seed;
+  autophase::SplitMix64 candidates(seed);
   while (true) {
-    // SplitMix64 step: the candidate seed stream.
-    state += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = state;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
     autophase::progen::GeneratorConfig config;
-    config.seed = z ^ (z >> 31);
+    config.seed = candidates.next();
     auto program = autophase::progen::generate_random_program(config);
     const std::uint64_t size = autophase::ir::module_ir_size(*program);
     if (size < 1500 || size > 3000) continue;
@@ -275,7 +294,7 @@ std::unique_ptr<autophase::ir::Module> banded_random_program(std::uint64_t seed)
   }
 }
 
-std::vector<double> spin_speedups(std::size_t max_threads) {
+HostRecord probe_host(std::size_t max_threads) {
   constexpr std::uint64_t kIterations = 20'000'000;
   const auto spin = [] {
     std::uint64_t x = 88172645463325252ull;
@@ -294,12 +313,28 @@ std::vector<double> spin_speedups(std::size_t max_threads) {
     for (std::thread& w : workers) w.join();
     return seconds_since(t0);
   };
+  HostRecord host;
   const double one = wall(1);
-  std::vector<double> speedups;
+  host.spin_ns_per_iter = one * 1e9 / static_cast<double>(kIterations);
   for (std::size_t t = 1; t <= max_threads; ++t) {
-    speedups.push_back(static_cast<double>(t) * one / wall(t));
+    host.spin_speedups.push_back(static_cast<double>(t) * one / wall(t));
   }
-  return speedups;
+  return host;
+}
+
+CpuTicks read_cpu_ticks() {
+  // First line: "cpu  user nice system idle iowait irq softirq steal ...".
+  std::ifstream stat("/proc/stat");
+  std::string label;
+  stat >> label;
+  CpuTicks ticks;
+  if (label != "cpu") return ticks;
+  std::uint64_t value = 0;
+  for (int column = 0; column < 8 && stat >> value; ++column) {
+    ticks.total += value;
+    if (column == 7) ticks.steal = value;
+  }
+  return ticks;
 }
 
 double peak_rss_mb() {
@@ -317,8 +352,7 @@ double process_cpu_s() {
   return seconds(usage.ru_utime) + seconds(usage.ru_stime);
 }
 
-void print_report(const Options& options, const Report& report,
-                  const std::vector<double>& calibration) {
+void print_report(const Options& options, const Report& report, const HostRecord& host) {
   const std::vector<MetricSpec>& specs =
       options.trace ? per_layer_specs() : end_to_end_specs();
   const auto value_of = [&report](const char* name) {
@@ -327,10 +361,12 @@ void print_report(const Options& options, const Report& report,
   };
 
   for (const std::string& line : report.lines) std::printf("%s\n", line.c_str());
-  std::string host = "host spin-probe speedup at 1.." + std::to_string(calibration.size()) +
-                     " threads:";
-  for (const double s : calibration) host += " " + json_number(s).substr(0, 5);
-  std::printf("%s\n", host.c_str());
+  std::string spin = "host spin probe: " + json_number(host.spin_ns_per_iter).substr(0, 5) +
+                     " ns per iteration on one thread, speedup at 1.." +
+                     std::to_string(host.spin_speedups.size()) + " threads:";
+  for (const double s : host.spin_speedups) spin += " " + json_number(s).substr(0, 5);
+  std::printf("%s\nhost CPU time stolen by other guests during the run: %.1f%%\n", spin.c_str(),
+              100.0 * host.steal_share);
   std::printf("error_rate %s (%llu failed of %llu attempted)\n",
               json_number(report.ops.rate()).c_str(),
               static_cast<unsigned long long>(report.ops.failed),
@@ -355,7 +391,9 @@ void print_report(const Options& options, const Report& report,
                 json_string(source == report.provenance.end() ? "" : source->second) + "}";
   }
   std::string speedups;
-  for (const double s : calibration) speedups += (speedups.empty() ? "" : ", ") + json_number(s);
+  for (const double s : host.spin_speedups) {
+    speedups += (speedups.empty() ? "" : ", ") + json_number(s);
+  }
 
   const std::string path = options.out_dir + "/report-" + options.workload + "-seed" +
                            std::to_string(options.seed) + "-trace" +
@@ -364,7 +402,9 @@ void print_report(const Options& options, const Report& report,
                       << ", \"seed\": " << options.seed
                       << ", \"seconds\": " << json_number(options.seconds)
                       << ", \"threads\": " << options.threads
+                      << ", \"host_spin_ns_per_iter\": " << json_number(host.spin_ns_per_iter)
                       << ", \"host_spin_speedup\": [" << speedups << "]"
+                      << ", \"host_steal_share\": " << json_number(host.steal_share)
                       << ", \"correct\": " << (report.correct ? "true" : "false")
                       << ", \"attempted\": " << report.ops.attempted
                       << ", \"failed\": " << report.ops.failed

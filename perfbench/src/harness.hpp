@@ -12,6 +12,7 @@
 
 #include "ir/module.hpp"
 #include "obs/trace.hpp"
+#include "rl/env.hpp"
 #include "stats.hpp"
 
 namespace perfbench {
@@ -101,13 +102,29 @@ class LayerTrace {
 
 /// Traced-run bookkeeping shared by the workloads, run after any replay:
 /// every per-layer metric read from spans (the p50 of a span's durations,
-/// live spans preferred over replayed ones), trace overhead from an
-/// untraced and a traced phase of the same work, the unattributed share of
-/// the traced window, the drop count, the layer self-time breakdown, and
-/// the trace file.
+/// live spans preferred over replayed ones), passes self time over the
+/// replayed count set, trace overhead from an untraced and a traced phase
+/// of the same code path, the unattributed share of the live roots, the
+/// drop count, the layer self-time breakdown, and the trace file.
 void finish_trace(const Options& options, LayerTrace& trace, double untraced_s_per_op,
-                  double traced_s_per_op, std::uint64_t window_begin_ns,
-                  std::uint64_t window_end_ns, Report& report);
+                  double traced_s_per_op, Report& report);
+
+/// One of the nine CHStone-like kernels with its reference run (return
+/// value and memory checksum) and the cycles of its -O3 build.
+struct Kernel {
+  std::unique_ptr<autophase::ir::Module> module;
+  std::uint64_t o3_cycles = 0;
+  std::int64_t return_value = 0;
+  std::uint64_t checksum = 0;
+};
+
+/// The nine kernels in progen::chstone_benchmark_names order; throws when
+/// one does not run.
+std::vector<Kernel> load_kernels();
+
+/// The paper's environment settings: 45-pass episodes, features plus
+/// histogram observation.
+autophase::rl::EnvConfig paper_env_config();
 
 /// A seeded random program (progen::generate_random_program, filtered like
 /// generate_filtered_program) whose size and run length fall in a fixed
@@ -117,8 +134,28 @@ void finish_trace(const Options& options, LayerTrace& trace, double untraced_s_p
 /// deterministic.
 std::unique_ptr<autophase::ir::Module> banded_random_program(std::uint64_t seed);
 
-/// Spin-probe parallel speedup at 1..max_threads threads (index t-1).
-std::vector<double> spin_speedups(std::size_t max_threads);
+/// Cumulative CPU time of the whole machine from /proc/stat, in ticks: all
+/// of it, and the part the hypervisor gave to other guests (steal). Both 0
+/// where /proc/stat cannot be read.
+struct CpuTicks {
+  std::uint64_t steal = 0;
+  std::uint64_t total = 0;
+};
+CpuTicks read_cpu_ticks();
+
+/// What a run records about its host, next to its metrics but not gated:
+/// a spin probe taken before the workload (one thread's time per loop
+/// iteration, which shows a slower core, and the parallel speedup at
+/// 1..max_threads threads, index t-1), and the share of CPU time stolen by
+/// other guests while the workload ran (0 when unknown).
+struct HostRecord {
+  double spin_ns_per_iter = 0.0;
+  std::vector<double> spin_speedups;
+  double steal_share = 0.0;
+};
+
+/// Runs the spin probe; leaves steal_share to the caller.
+HostRecord probe_host(std::size_t max_threads);
 
 /// Peak resident set of this process so far, MiB.
 double peak_rss_mb();
@@ -128,8 +165,7 @@ double process_cpu_s();
 
 /// Prints the report: the human-readable lines, then (last) the one-line
 /// JSON result with the end-to-end or per-layer metric set. Also writes the
-/// full report, with metric kinds and host calibration, to `out_dir`.
-void print_report(const Options& options, const Report& report,
-                  const std::vector<double>& calibration);
+/// full report, with metric kinds and the host record, to `out_dir`.
+void print_report(const Options& options, const Report& report, const HostRecord& host);
 
 }  // namespace perfbench

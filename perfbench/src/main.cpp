@@ -56,7 +56,8 @@ int main(int argc, char** argv) {
   options.threads = std::clamp<std::size_t>(hardware == 0 ? 1 : hardware, 1, 4);
 
   try {
-    const std::vector<double> calibration = perfbench::spin_speedups(options.threads);
+    perfbench::HostRecord host = perfbench::probe_host(options.threads);
+    const perfbench::CpuTicks ticks0 = perfbench::read_cpu_ticks();
     perfbench::LayerTrace trace_storage;
     perfbench::LayerTrace* trace = options.trace ? &trace_storage : nullptr;
     perfbench::Report report;
@@ -70,7 +71,12 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "unknown workload %s\n", options.workload.c_str());
       return 2;
     }
-    perfbench::print_report(options, report, calibration);
+    const perfbench::CpuTicks ticks1 = perfbench::read_cpu_ticks();
+    if (ticks1.total > ticks0.total) {
+      host.steal_share = static_cast<double>(ticks1.steal - ticks0.steal) /
+                         static_cast<double>(ticks1.total - ticks0.total);
+    }
+    perfbench::print_report(options, report, host);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench %s failed: %s\n", options.workload.c_str(), e.what());
     return 1;

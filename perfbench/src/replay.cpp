@@ -43,12 +43,16 @@ ReplayCounts replay_decode(const std::vector<ReplayItem>& items, const ap::ml::M
         const obs::ScopedSpan span(tracer, ctx, "passes.apply");
         counts.changed += ap::passes::apply_pass(*module, pass) ? 1 : 0;
       }
-      {
+      if (policy != nullptr) {
         const obs::ScopedSpan span(tracer, ctx, "ir.fingerprint");
         (void)ap::ir::module_fingerprint(*module);
       }
       ++counts.applied;
       if (pass >= 0 && pass < ap::passes::kNumPasses) histogram[static_cast<std::size_t>(pass)] += 1.0;
+    }
+    if (policy == nullptr) {
+      const obs::ScopedSpan span(tracer, ctx, "ir.fingerprint");
+      (void)ap::ir::module_fingerprint(*module);
     }
     counts.size_after += ap::ir::module_ir_size(*module);
     ++counts.items;
@@ -92,7 +96,8 @@ void report_counts(const ReplayCounts& counts, const ap::runtime::EvalStats& cou
   report.metrics["ir.size_after"] =
       counts.items == 0 ? 0.0
                         : static_cast<double>(counts.size_after) / static_cast<double>(counts.items);
-  report.provenance["passes.applied"] = "count set, replayed";
+  report.provenance["passes.applied"] =
+      "count set, replayed: total length of the count set's sequences";
   report.provenance["passes.changed_ratio"] = "count set, replayed";
   report.provenance["ir.size_after"] = "count set, replayed: mean ir_size of final modules";
   report.metrics["interp.insts_per_us"] =

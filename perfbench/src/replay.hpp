@@ -1,6 +1,6 @@
 // Replay of a decode through public layer functions. The serve decoder, the
-// RL environment and EvalService::measure call feature extraction, policy
-// forward, pass application, the interpreter and the scheduler with no
+// RL environment and EvalService::measure_sequence call feature extraction,
+// policy forward, pass application, the interpreter and the scheduler with no
 // public seam in between, so a traced run times those layers by re-running
 // the same functions on the same inputs here, one span per call, into the
 // trace's `replay` ring. Every number derived from these spans is labelled
@@ -35,10 +35,12 @@ struct ReplayCounts {
   double hls_s = 0.0;            // summed hls.schedule span time
 };
 
-/// Replays each item: ir.clone, then per pass (features.extract and
-/// ml.forward when `policy` is set, as the greedy decode observes before
-/// each step) passes.apply and ir.fingerprint, then interp.run and
-/// hls.schedule on the final module. `env` shapes the observation.
+/// Replays each item: ir.clone, then passes.apply per pass, then interp.run
+/// and hls.schedule on the final module. With a `policy` it replays a
+/// decode, which observes and measures every step: features.extract and
+/// ml.forward before each pass and ir.fingerprint after it (`env` shapes
+/// the observation). Without one it replays EvalService::measure_sequence,
+/// which fingerprints the final module once.
 ReplayCounts replay_decode(const std::vector<ReplayItem>& items,
                            const autophase::ml::Mlp* policy,
                            const autophase::rl::EnvConfig& env, obs::Tracer& tracer);

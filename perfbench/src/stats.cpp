@@ -98,6 +98,43 @@ std::vector<std::uint64_t> self_times(const std::vector<SpanTime>& spans) {
   return out;
 }
 
+double unattributed_share(const std::vector<SpanTime>& spans) {
+  std::unordered_map<std::uint64_t, std::size_t> index_of;
+  index_of.reserve(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) index_of.emplace(spans[i].id, i);
+  const auto parent_of = [&](std::size_t i) -> std::ptrdiff_t {
+    const auto it = spans[i].parent == 0 ? index_of.end() : index_of.find(spans[i].parent);
+    return it == index_of.end() ? -1 : static_cast<std::ptrdiff_t>(it->second);
+  };
+
+  std::vector<bool> has_child(spans.size(), false);
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (const std::ptrdiff_t p = parent_of(i); p >= 0) has_child[static_cast<std::size_t>(p)] = true;
+  }
+  std::vector<std::vector<std::pair<std::uint64_t, std::uint64_t>>> leaf_intervals(spans.size());
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (has_child[i] || parent_of(i) < 0) continue;
+    std::size_t root = i;
+    for (std::size_t depth = 0; depth < spans.size() && parent_of(root) >= 0; ++depth) {
+      root = static_cast<std::size_t>(parent_of(root));
+    }
+    const SpanTime& r = spans[root];
+    const std::uint64_t begin = std::max(spans[i].start_ns, r.start_ns);
+    const std::uint64_t end =
+        std::min(spans[i].start_ns + spans[i].duration_ns, r.start_ns + r.duration_ns);
+    if (end > begin) leaf_intervals[root].emplace_back(begin, end);
+  }
+
+  double total = 0.0;
+  double covered = 0.0;
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    if (parent_of(i) >= 0) continue;
+    total += static_cast<double>(spans[i].duration_ns);
+    covered += static_cast<double>(covered_ns(std::move(leaf_intervals[i])));
+  }
+  return total > 0.0 ? (total - covered) / total : 0.0;
+}
+
 std::string json_number(double value) {
   if (!std::isfinite(value)) return "0";
   char buf[64];

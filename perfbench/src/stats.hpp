@@ -51,6 +51,13 @@ struct SpanTime {
 /// parent's interval is ignored). Result i belongs to spans[i].
 std::vector<std::uint64_t> self_times(const std::vector<SpanTime>& spans);
 
+/// Share of the root spans' time (roots: spans with no recorded parent) that
+/// none of their leaf descendants (spans with no children) covers. A span
+/// that only encloses other spans covers nothing itself, so wrapping a call
+/// cannot hide time that no layer accounts for; a root with no descendants
+/// is wholly unattributed. 0 when there are no roots.
+double unattributed_share(const std::vector<SpanTime>& spans);
+
 /// Operations attempted and failed; a failed output check counts as a
 /// failed operation.
 struct ErrorLedger {

@@ -8,11 +8,10 @@
 #include <stdexcept>
 #include <utility>
 
+#include "features/features.hpp"
 #include "hls/cycle_estimator.hpp"
 #include "ir/clone.hpp"
-#include "passes/pipelines.hpp"
-#include "features/features.hpp"
-#include "progen/chstone_like.hpp"
+#include "passes/pass.hpp"
 #include "replay.hpp"
 #include "rl/env.hpp"
 #include "rl/ppo.hpp"
@@ -103,32 +102,18 @@ class TimedEnv final : public ap::rl::Env {
   bool after_final_step_ = false;
 };
 
-ap::rl::EnvConfig env_config() {
-  ap::rl::EnvConfig config;
-  config.episode_length = 45;
-  config.observation = ap::rl::ObservationMode::kBoth;
-  return config;
-}
-
 std::vector<std::unique_ptr<Module>> make_corpus(std::uint64_t seed) {
   std::vector<std::unique_ptr<Module>> corpus;
   for (std::size_t i = 0; i < kCorpus; ++i) corpus.push_back(banded_random_program(seed * 7919 + i));
   return corpus;
 }
 
-/// The nine CHStone-like kernels with their -O3 cycles: the fixed set the
-/// trainer's greedy policy is scored on (cycles_vs_o3).
-struct Kernels {
-  std::vector<std::unique_ptr<Module>> modules;
-  std::vector<std::uint64_t> o3_cycles;
-};
-
 /// One set-up: the scoring kernels, a shared EvalService primed with the
 /// corpus baselines, the four timed lanes (each resets round-robin through
 /// the corpus, so the lanes of a step batch work on one program), the
 /// VecEnv and the trainer.
 struct Trainer {
-  Kernels kernels;
+  std::vector<Kernel> kernels;  // scored for cycles_vs_o3
   std::unique_ptr<Probe> probe = std::make_unique<Probe>();
   std::unique_ptr<ap::ThreadPool> pool;
   std::shared_ptr<ap::runtime::EvalService> eval;
@@ -139,18 +124,11 @@ struct Trainer {
 
 Trainer set_up(const std::vector<std::unique_ptr<Module>>& corpus, std::size_t threads) {
   Trainer t;
-  for (const std::string& name : ap::progen::chstone_benchmark_names()) {
-    t.kernels.modules.push_back(ap::progen::build_chstone_like(name));
-    auto o3 = ap::ir::clone_module(*t.kernels.modules.back());
-    ap::passes::run_o3(*o3);
-    const auto cycles = ap::hls::profile_cycles(*o3);
-    if (!cycles.is_ok()) throw std::runtime_error(name + " -O3 does not run");
-    t.kernels.o3_cycles.push_back(cycles.value().cycles);
-  }
+  t.kernels = load_kernels();
   if (threads > 1) t.pool = std::make_unique<ap::ThreadPool>(threads);
   t.eval = std::make_shared<ap::runtime::EvalService>();
   for (const auto& program : corpus) (void)t.eval->measure(*program);
-  ap::rl::EnvConfig config = env_config();
+  ap::rl::EnvConfig config = paper_env_config();
   config.eval_service = t.eval;
   t.lanes.resize(kLanes);
   std::vector<const Module*> programs;
@@ -252,10 +230,10 @@ void run_iterations(Trainer& t, double seconds, std::size_t min_iterations, Laye
 double initial_policy_quality(const Trainer& t) {
   std::vector<int> all_features(ap::features::kNumFeatures);
   std::iota(all_features.begin(), all_features.end(), 0);
-  const ap::rl::EnvConfig config = env_config();
+  const ap::rl::EnvConfig config = paper_env_config();
   std::vector<double> ratios;
-  for (std::size_t k = 0; k < t.kernels.modules.size(); ++k) {
-    auto module = ap::ir::clone_module(*t.kernels.modules[k]);
+  for (const Kernel& kernel : t.kernels) {
+    auto module = ap::ir::clone_module(*kernel.module);
     std::vector<double> histogram(ap::passes::kNumPasses, 0.0);
     for (int step = 0; step < config.episode_length; ++step) {
       const std::size_t action = t.trainer->act_greedy(
@@ -266,7 +244,7 @@ double initial_policy_quality(const Trainer& t) {
     const auto cycles = ap::hls::profile_cycles(*module);
     if (!cycles.is_ok()) throw std::runtime_error("a decoded kernel does not run");
     ratios.push_back(static_cast<double>(cycles.value().cycles) /
-                     static_cast<double>(t.kernels.o3_cycles[k]));
+                     static_cast<double>(kernel.o3_cycles));
   }
   return geomean(ratios);
 }
@@ -297,20 +275,18 @@ Report run_train_ppo(const Options& options, LayerTrace* trace) {
 
   IterationLoop untraced;
   IterationLoop traced;
-  std::pair<std::uint64_t, std::uint64_t> window_ns;
   std::uint64_t profile_nanos = 0;
   double cpu_s = 0.0;
   if (trace == nullptr) {
     const double cpu0 = process_cpu_s();
     run_iterations(t, options.seconds - first_loop.busy_s, 1, nullptr, untraced, stats);
     cpu_s = process_cpu_s() - cpu0;
+    report.metrics["peak_rss_mb"] = peak_rss_mb();  // before the check's second set-up
   } else {
     run_iterations(t, options.seconds * kUntracedShare - first_loop.busy_s, 1, nullptr, untraced,
                    stats);
     const std::uint64_t nanos0 = t.eval->stats().eval_nanos;
-    window_ns.first = obs::trace_now_ns();
     run_iterations(t, options.seconds * (1.0 - kUntracedShare), 1, trace, traced, stats);
-    window_ns.second = obs::trace_now_ns();
     profile_nanos = t.eval->stats().eval_nanos - nanos0;
   }
   report.ops.attempted += first_loop.transitions + untraced.transitions + traced.transitions;
@@ -336,13 +312,13 @@ Report run_train_ppo(const Options& options, LayerTrace* trace) {
     report.provenance["latency_ms_tail"] =
         "p90 of " + std::to_string(untraced.step_batch_ms.size()) +
         " VecEnv step batches (first lane start to slowest lane end)";
-    report.metrics["peak_rss_mb"] = peak_rss_mb();
     report.metrics["cpu_ms_per_op"] = cpu_s * 1e3 / static_cast<double>(untraced.transitions);
     report.provenance["cpu_ms_per_op"] = "process CPU time per env transition, update included";
     return report;
   }
 
-  const ReplayCounts counts = replay_decode(items, &t.trainer->policy(), env_config(), trace->replay);
+  const ReplayCounts counts = replay_decode(items, &t.trainer->policy(), paper_env_config(),
+                                                trace->replay);
   report_counts(counts, first_eval, "set-up and the first iteration of a fresh set-up",
                 static_cast<double>(profile_nanos) / 1e9, report);
   report.metrics["rl.samples_per_iter"] = static_cast<double>(first.env_samples);
@@ -355,7 +331,7 @@ Report run_train_ppo(const Options& options, LayerTrace* trace) {
   finish_trace(options, *trace,
                untraced.busy_s / static_cast<double>(untraced.transitions),
                traced.busy_s / static_cast<double>(std::max<std::size_t>(1, traced.transitions)),
-               window_ns.first, window_ns.second, report);
+               report);
   return report;
 }
 

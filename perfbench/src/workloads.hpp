@@ -19,8 +19,12 @@ Report run_eval_search(const Options& options, LayerTrace* trace);
 Report run_serve_mix(const Options& options, LayerTrace* trace);
 Report run_train_ppo(const Options& options, LayerTrace* trace);
 
-/// Set-ups per run; setup_s reports their median.
-inline constexpr int kSetupRepeats = 5;
+/// Set-ups per run: at least kMinSetups, then more while they have taken
+/// less than kSetupBudgetS in all, up to kMaxSetups. setup_s reports their
+/// median, so a cheap set-up is sampled more often than a costly one.
+inline constexpr std::size_t kMinSetups = 5;
+inline constexpr std::size_t kMaxSetups = 25;
+inline constexpr double kSetupBudgetS = 2.0;
 /// Median over consecutive windows of at least `window_s` busy seconds of
 /// (operations / busy seconds): a throughput that a burst of interference
 /// from other tenants moves less than one total would.
@@ -44,21 +48,22 @@ inline double windowed_rate(const std::vector<double>& ops, const std::vector<do
 /// Share of a traced run's time spent in its untraced phase.
 inline constexpr double kUntracedShare = 0.4;
 
-/// Runs `make` kSetupRepeats times, keeps the last result, and stores the
-/// median set-up time in `median_s`.
+/// Runs `make` as often as the set-up rule above says, keeps the last
+/// result, and stores the median set-up time in `median_s`.
 template <class Make>
 auto timed_setup(Make make, double& median_s) {
   std::vector<double> times;
-  auto setup = [&] {
+  double total_s = 0.0;
+  const auto once = [&] {
     const auto t0 = Clock::now();
     auto made = make();
     times.push_back(seconds_since(t0));
+    total_s += times.back();
     return made;
-  }();
-  for (int i = 1; i < kSetupRepeats; ++i) {
-    const auto t0 = Clock::now();
-    setup = make();
-    times.push_back(seconds_since(t0));
+  };
+  auto setup = once();
+  while (times.size() < kMinSetups || (times.size() < kMaxSetups && total_s < kSetupBudgetS)) {
+    setup = once();
   }
   median_s = quantile(times, 0.5);
   return setup;

@@ -75,6 +75,20 @@ void self_time() {
   EXPECT(perfbench::covered_ns({{5, 5}, {9, 3}}) == 0);
 }
 
+void unattributed() {
+  // Root 1 [0,100) is wholly wrapped by span 2, which covers nothing itself;
+  // its leaves 3 [10,30) and 4 [20,50) cover 40. Root 5 [200,300) has no
+  // descendants. Root 6 [400,500) has leaf 7 [450,600), clipped to 50.
+  const std::vector<perfbench::SpanTime> spans = {
+      {1, 0, 0, 100},   {2, 1, 0, 100},   {3, 2, 10, 20}, {4, 2, 20, 30},
+      {5, 0, 200, 100}, {6, 0, 400, 100}, {7, 6, 450, 150},
+  };
+  EXPECT(std::fabs(perfbench::unattributed_share(spans) - 210.0 / 300.0) < 1e-12);
+  EXPECT(perfbench::unattributed_share({}) == 0.0);
+  // A span whose parent was never recorded is a root.
+  EXPECT(perfbench::unattributed_share({{9, 42, 0, 10}, {10, 9, 0, 10}}) == 0.0);
+}
+
 void error_accounting() {
   perfbench::ErrorLedger ledger;
   EXPECT(ledger.rate() == 0.0);
@@ -106,6 +120,7 @@ void formatting() {
 int main() {
   percentile_rule();
   self_time();
+  unattributed();
   error_accounting();
   formatting();
   if (g_failures == 0) std::printf("perfbench selftest: all checks passed\n");
