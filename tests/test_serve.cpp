@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "serve/compile_service.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/serialization.hpp"
+#include "support/hash.hpp"
+#include "support/str.hpp"
 #include "support/thread_pool.hpp"
 
 namespace autophase::serve {
@@ -1063,6 +1067,161 @@ TEST(ServePareto, WidthOneSingleObjectiveDegeneratesToScalarGreedy) {
             scalar_response.value().provenance.measured_cycles);
   EXPECT_EQ(ir::module_fingerprint(*pareto_response.value().module),
             ir::module_fingerprint(*scalar_response.value().module));
+}
+
+// ---------------------------------------------------------------------------
+// Decode characterization: every request shape's observable answer, pinned
+// ---------------------------------------------------------------------------
+
+/// Feature + histogram observations, an exposed terminate action and a value
+/// net under log-reward shaping: every branch of the decode is reachable.
+rl::EnvConfig characterization_env_config() {
+  rl::EnvConfig cfg;
+  cfg.episode_length = 4;
+  cfg.observation = rl::ObservationMode::kBoth;
+  cfg.normalization = rl::NormalizationMode::kInstCountRatio;
+  cfg.include_terminate = true;
+  cfg.log_reward = true;
+  // mem2reg, instcombine, gvn, simplifycfg, licm, unroll, rotate, adce: every
+  // action moves cycles or area, so beams and fronts genuinely diverge.
+  cfg.action_subset = {38, 30, 7, 31, 36, 33, 23, 28};
+  return cfg;
+}
+
+/// FNV-1a over everything a caller can observe of one response: sequence,
+/// baseline/predicted/measured cycles, area bits, beams_evaluated, every
+/// front point, hypervolume bits and the response module's fingerprint.
+std::uint64_t response_digest(const CompileResponse& r) {
+  std::string bytes;
+  const auto put = [&bytes](std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(v >> (8 * i)));
+  };
+  const auto put_sequence = [&](const std::vector<int>& sequence) {
+    put(sequence.size());
+    for (const int pass : sequence) put(static_cast<std::uint64_t>(pass));
+  };
+  const Provenance& p = r.provenance;
+  put_sequence(p.sequence);
+  put(p.baseline_cycles);
+  put(p.predicted_cycles);
+  put(p.measured_cycles);
+  put(std::bit_cast<std::uint64_t>(p.measured_area));
+  put(static_cast<std::uint64_t>(p.beams_evaluated));
+  put(r.front.size());
+  for (const ParetoPoint& point : r.front) {
+    put_sequence(point.sequence);
+    put(point.cycles);
+    put(std::bit_cast<std::uint64_t>(point.area));
+    put(point.ir_size);
+    put(point.fingerprint);
+  }
+  put(std::bit_cast<std::uint64_t>(r.front_hypervolume));
+  put(ir::module_fingerprint(*r.module));
+  return fnv1a(bytes);
+}
+
+/// The five decode shapes the service serves: greedy, scalar beam, fixed
+/// budget beam, weighted Pareto, and the width-1 single-objective Pareto.
+CompileRequest characterization_request(const ir::Module* module, int shape) {
+  CompileRequest request;
+  request.module = module;
+  request.model = "agent";
+  switch (shape) {
+    case 0: break;  // greedy kCycles
+    case 1:
+      request.objective = Objective::kCyclesTimesArea;
+      request.beam_width = 4;
+      break;
+    case 2:
+      request.objective = Objective::kFixedBudget;
+      request.pass_budget = 5;
+      request.beam_width = 2;
+      break;
+    case 3:
+      request.weights = {1.0, 0.5, 0.25};
+      request.front_width = 4;
+      break;
+    default:
+      request.weights = {1.0, 0.0, 0.0};
+      request.front_width = 1;
+      break;
+  }
+  return request;
+}
+
+struct PinnedDecode {
+  const char* kernel;
+  int shape;
+  std::uint64_t digest;
+  std::size_t lookups;  // EvalService hits + sequence hits + misses
+  std::size_t misses;   // simulator runs
+};
+
+// Generated on the code before the scalar and Pareto decodes shared a core;
+// a mismatch prints the full regenerated table.
+constexpr PinnedDecode kPinnedDecodes[] = {
+    {"sha", 0, 0x516d39b5d18c8604ULL, 2, 2},
+    {"sha", 1, 0x2a5d6c7ee9719847ULL, 5, 0},
+    {"sha", 2, 0xf9bcb1c107dacdfcULL, 3, 0},
+    {"sha", 3, 0xc4322973bf9067e1ULL, 14, 0},
+    {"sha", 4, 0xe54a86ea66e8d51cULL, 5, 0},
+    {"qsort", 0, 0x12902145df947abfULL, 2, 1},
+    {"qsort", 1, 0xe2e5ef9a32f5df63ULL, 5, 1},
+    {"qsort", 2, 0x2b58b596cf95ffe0ULL, 3, 0},
+    {"qsort", 3, 0x0da15109cb8d7267ULL, 13, 4},
+    {"qsort", 4, 0xa97498e3eda5fbecULL, 3, 0},
+    {"adpcm", 0, 0x42f05fc8602caaf3ULL, 2, 2},
+    {"adpcm", 1, 0xd0af575642c07ba9ULL, 5, 0},
+    {"adpcm", 2, 0xb5db3600eed1d1ddULL, 3, 0},
+    {"adpcm", 3, 0xc3819d8aff48d1d0ULL, 16, 1},
+    {"adpcm", 4, 0x0e3f4b7bb49859c2ULL, 5, 0},
+};
+
+TEST(ServeCharacterization, EveryDecodeShapeAnswersAsPinned) {
+  const std::vector<const char*> kernels = {"sha", "qsort", "adpcm"};
+  std::vector<std::unique_ptr<ir::Module>> modules;
+  for (const std::string& kernel : kernels) modules.push_back(progen::build_chstone_like(kernel));
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish("agent",
+                    make_test_artifact(modules[0].get(), characterization_env_config(), 16));
+  auto eval = std::make_shared<runtime::EvalService>();
+  CompileService service(registry, eval, {.workers = 1});
+
+  std::vector<PinnedDecode> got;
+  for (std::size_t k = 0; k < kernels.size(); ++k) {
+    for (int shape = 0; shape < 5; ++shape) {
+      const CompileRequest request = characterization_request(modules[k].get(), shape);
+      const runtime::EvalStats before = eval->stats();
+      auto response = service.compile_sync(request);
+      ASSERT_TRUE(response.is_ok()) << response.message();
+      const runtime::EvalStats after = eval->stats();
+      const std::uint64_t digest = response_digest(response.value());
+      got.push_back({kernels[k], shape, digest,
+                     (after.hits + after.sequence_hits + after.misses) -
+                         (before.hits + before.sequence_hits + before.misses),
+                     after.misses - before.misses});
+      // The queued batcher path answers the same request identically.
+      auto queued = service.submit(request).get();
+      ASSERT_TRUE(queued.is_ok()) << queued.message();
+      EXPECT_EQ(response_digest(queued.value()), digest) << kernels[k] << " shape " << shape;
+    }
+  }
+
+  std::string table;
+  for (const PinnedDecode& p : got) {
+    table += strf("    {\"%s\", %d, 0x%016llxULL, %zu, %zu},\n", p.kernel, p.shape,
+                  static_cast<unsigned long long>(p.digest), p.lookups, p.misses);
+  }
+  ASSERT_EQ(std::size(kPinnedDecodes), got.size()) << table;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const PinnedDecode& want = kPinnedDecodes[i];
+    SCOPED_TRACE(strf("%s shape %d", want.kernel, want.shape));
+    EXPECT_STREQ(got[i].kernel, want.kernel);
+    EXPECT_EQ(got[i].shape, want.shape);
+    EXPECT_EQ(got[i].digest, want.digest) << table;
+    EXPECT_EQ(got[i].lookups, want.lookups);
+    EXPECT_EQ(got[i].misses, want.misses);
+  }
 }
 
 }  // namespace
