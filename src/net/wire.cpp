@@ -73,7 +73,7 @@ bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights
 }
 
 /// Pareto-front field body (kCompileTagFront): hypervolume + the point set
-/// in the canonical order serve_pareto returned it in.
+/// in the canonical order the Pareto decode returned it in.
 std::string front_field(const serve::CompileResponse& response) {
   ByteWriter field;
   field.f64(response.front_hypervolume);

@@ -32,6 +32,11 @@ struct FeatureNormalizer {
   static FeatureNormalizer fit(const std::vector<std::vector<double>>& observations);
 };
 
+/// Longest pass sequence one decode may walk: the bound on an artifact's
+/// episode_length and on a kFixedBudget request's pass_budget (policies have
+/// no terminate action by default, so the step count is the whole cost).
+inline constexpr int kMaxDecodeSteps = 4096;
+
 /// The subset of rl::EnvConfig a served policy depends on: enough to
 /// reproduce the observations (and the action indexing) the policy was
 /// trained on. Everything else about EnvConfig is a training concern.

@@ -6,11 +6,6 @@
 
 namespace autophase::serve {
 
-std::vector<double> PolicyBatcher::infer(const PolicyArtifact& artifact,
-                                         const std::vector<double>& observation) {
-  return infer_many(artifact, {observation})[0];
-}
-
 std::vector<std::vector<double>> PolicyBatcher::infer_many(
     const PolicyArtifact& artifact, const std::vector<std::vector<double>>& observations,
     std::size_t* batch_rows, std::uint64_t group_key,

@@ -1,5 +1,5 @@
 // Cross-request policy-inference batching. Serving workers blocked in
-// infer()/infer_many() are collected by a leader (the first arrival), their
+// infer_many() are collected by a leader (the first arrival), their
 // observations stacked per model into one matrix and pushed through a single
 // ml::Mlp::forward_batch — concurrent requests share one matmul. Because each
 // output row of a forward pass is an independent dot-product chain, the
@@ -42,16 +42,13 @@ class PolicyBatcher {
   PolicyBatcher(const PolicyBatcher&) = delete;
   PolicyBatcher& operator=(const PolicyBatcher&) = delete;
 
-  /// Policy logits for one observation (blocking; may ride a shared batch).
-  std::vector<double> infer(const PolicyArtifact& artifact,
-                            const std::vector<double>& observation);
-
-  /// Logits for several observations of one model (a beam front submits all
-  /// its rows at once so they batch with each other as well as with other
-  /// requests). Result i corresponds to observations[i]. When `batch_rows` is
-  /// non-null it reports the largest same-model batch any of these rows rode
-  /// in — the trace attribute that shows whether a request actually shared a
-  /// matmul or ran alone. `group_key` partitions batches beyond the model:
+  /// Policy logits for observations of one model (blocking; a beam front
+  /// submits all its rows at once so they batch with each other as well as
+  /// with other requests; one row is the single-observation case). Result i
+  /// corresponds to observations[i]. When `batch_rows` is non-null it
+  /// reports the largest same-model batch any of these rows rode in — the
+  /// trace attribute that shows whether a request actually shared a matmul
+  /// or ran alone. `group_key` partitions batches beyond the model:
   /// rows only fold with rows of the same (artifact, group_key) — the serve
   /// path passes weights_key(request.weights), so objective mixes never share
   /// a batch (today that changes nothing numerically; it is the seam where

@@ -25,13 +25,23 @@ std::uint64_t nanos_between(Clock::time_point a, Clock::time_point b) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count());
 }
 
+/// Widest beam (scalar) or front (Pareto) any request decodes with, whatever
+/// the wire carried: the candidate cut keeps at most this many children per
+/// step.
+constexpr int kMaxBeamWidth = 64;
+
+constexpr std::size_t kNoBeam = static_cast<std::size_t>(-1);
+
 /// One decode hypothesis: the materialised module plus the state the
-/// observation builder needs.
+/// observation builder needs. `measure` and `fingerprint` are known for the
+/// root and, in a Pareto decode, for every beam.
 struct Beam {
   std::unique_ptr<ir::Module> module;
   std::vector<int> sequence;
   std::vector<double> histogram;
   double score = 0.0;  // cumulative policy log-probability
+  runtime::Measure measure{};
+  std::uint64_t fingerprint = 0;
 };
 
 ml::Matrix row_matrix(const std::vector<double>& v) {
@@ -46,280 +56,188 @@ double predicted_improvement(double value, bool log_reward) {
   return value >= 0 ? std::expm1(value) : -std::expm1(-value);
 }
 
-/// Pareto-decode hypothesis: a Beam that additionally knows its measured
-/// objectives and fingerprint (every materialised beam is measured up front —
-/// dominance pruning needs real objective values, and the eval cache makes
-/// re-visits free).
-struct ParetoBeam {
-  std::unique_ptr<ir::Module> module;
-  std::vector<int> sequence;
-  std::vector<double> histogram;
-  double score = 0.0;  // cumulative policy log-probability (expansion order)
-  runtime::Measure measure{};
-  std::uint64_t fingerprint = 0;
+ParetoPoint point_of(const Beam& beam) {
+  return {beam.sequence, beam.measure.cycles, beam.measure.area, beam.measure.ir_size,
+          beam.fingerprint};
+}
+
+/// The request's measurements through the shared service, with its own
+/// cache hits and misses counted for the span attributes.
+struct Meter {
+  runtime::EvalService& eval;
+  std::uint64_t hits = 0;
+  std::uint64_t misses = 0;
+
+  void measure(Beam& beam) {
+    beam.fingerprint = ir::module_fingerprint(*beam.module);
+    bool ran_simulator = false;  // eval's "was this call the one that measured"
+    beam.measure = eval.measure(*beam.module, beam.fingerprint, &ran_simulator);
+    ran_simulator ? ++misses : ++hits;
+  }
 };
 
-ParetoPoint point_of(const std::vector<int>& sequence, const runtime::Measure& measure,
-                     std::uint64_t fingerprint) {
-  return {sequence, measure.cycles, measure.area, measure.ir_size, fingerprint};
-}
+/// What a selection policy makes of the finalists.
+struct Selection {
+  std::unique_ptr<ir::Module> module;  // fully materialised
+  std::vector<int> sequence;
+  runtime::Measure measure{};
+  int beams_evaluated = 0;
+  std::vector<ParetoPoint> front;
+  double front_hypervolume = 0.0;
+};
 
-/// The multi-objective decode (request.weights is active). Beam expansion is
-/// the scalar algorithm with beam_width == front_width — per beam its top-k
-/// actions by logit, globally the top-k candidates by cumulative
-/// log-probability — but every materialised beam is measured, the live set
-/// is dominance-pruned per step (nondominated among the step's children,
-/// bounded, deterministic tie-break by fingerprint), and the finalists form
-/// the returned front. With front_width == 1 and one active objective this
-/// degenerates exactly — same candidate, vacuous pruning — to the scalar
-/// greedy walk, which the degeneration test pins bit-for-bit.
-Result<CompileResponse> serve_pareto(const PolicyArtifact& artifact,
-                                     const CompileRequest& request, runtime::EvalService& eval,
-                                     PolicyBatcher* batcher, const std::vector<int>& actions,
-                                     bool has_terminate, std::size_t arity,
-                                     const std::vector<int>& features,
-                                     const rl::EnvConfig& obs_config, int budget) {
-  const ObjectiveWeights& weights = request.weights;
-  const std::size_t width = static_cast<std::size_t>(std::clamp(request.front_width, 1, 64));
-  const std::uint64_t group_key = weights_key(weights);
+/// The parts of the decode that differ between scalar and Pareto serving.
+/// The beam core (serve_compile) owns everything else: the root, the
+/// batched observation and forward, top-k expansion, the candidate cut,
+/// child materialisation, the value-net prediction and the response.
+class SelectionPolicy {
+ public:
+  /// Whether the policy-greedy chain is exempt from the candidate cut.
+  [[nodiscard]] virtual bool pins_greedy() const = 0;
+  /// Called on every child once its pass has run.
+  virtual void on_child(Beam& child) = 0;
+  /// The step's children into the next live set. `greedy` indexes the
+  /// pinned child on entry and its survivor on exit (kNoBeam: none).
+  virtual std::vector<Beam> prune(std::vector<Beam> children, std::size_t& greedy,
+                                  obs::ScopedSpan& step_span) = 0;
+  /// The finalists — early terminations in order, then the last live set —
+  /// into the answer. `root` is the unoptimised program's point.
+  virtual Selection select(std::vector<Beam> finalists, const ParetoPoint& root,
+                           obs::ScopedSpan& serve_span) = 0;
 
-  const auto t0 = Clock::now();
-  AP_SPAN(serve_span, request.trace, "serve");
-  serve_span.attr("model", artifact.name);
-  serve_span.attr("version", static_cast<std::uint64_t>(artifact.version));
-  serve_span.attr("objective", "pareto");
-  serve_span.attr("front_width", static_cast<std::uint64_t>(width));
+ protected:
+  ~SelectionPolicy() = default;
+};
 
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  bool ran_simulator = false;
-  const auto count_lookup = [&] { ran_simulator ? ++cache_misses : ++cache_hits; };
+/// Scalar serving: beams ride on cumulative log-probability alone. The
+/// `width` most probable finalists are measured after the walk and the best
+/// by the request's objective answers with its own module.
+class ScalarSelection final : public SelectionPolicy {
+ public:
+  ScalarSelection(Objective objective, std::size_t width, Meter& meter)
+      : objective_(objective), width_(width), meter_(meter) {}
 
-  ParetoBeam root;
-  root.module = ir::clone_module_for_rollout(*request.module);
-  root.histogram.assign(arity, 0.0);
-  root.fingerprint = ir::module_fingerprint(*root.module);
-  root.measure = eval.measure(*root.module, root.fingerprint, &ran_simulator);
-  count_lookup();
-  // The unoptimised program is the hypervolume reference point, not a front
-  // member: the front reports what the decode produced, exactly like the
-  // scalar path never answers with the un-compiled module.
-  const runtime::Measure baseline = root.measure;
-  const ParetoPoint baseline_point = point_of({}, baseline, root.fingerprint);
-
-  const auto observe = [&](const ParetoBeam& beam) {
-    std::vector<double> obs =
-        rl::build_observation(*beam.module, beam.histogram, obs_config, features);
-    artifact.normalizer.apply(obs);
-    return obs;
-  };
-  const std::vector<double> root_observation = observe(root);
-  if (root_observation.size() != artifact.policy.config().input) {
-    return Status::error(strf("observation size %zu does not match policy input %zu",
-                              root_observation.size(), artifact.policy.config().input));
+  [[nodiscard]] bool pins_greedy() const override { return false; }
+  void on_child(Beam&) override {}
+  std::vector<Beam> prune(std::vector<Beam> children, std::size_t&, obs::ScopedSpan&) override {
+    return children;
   }
 
-  struct Finalist {
-    std::vector<int> sequence;
-    runtime::Measure measure;
-    std::uint64_t fingerprint = 0;
-  };
-  std::vector<Finalist> finalists;
-  std::vector<ParetoBeam> live;
-  live.push_back(std::move(root));
+  Selection select(std::vector<Beam> finalists, const ParetoPoint&,
+                   obs::ScopedSpan& serve_span) override {
+    // Early terminations can pile up finalists beyond the beam width.
+    std::stable_sort(finalists.begin(), finalists.end(),
+                     [](const Beam& a, const Beam& b) { return a.score > b.score; });
+    if (finalists.size() > width_) finalists.resize(width_);
 
-  // The policy-greedy chain (argmax action from the greedy parent, every
-  // step) is pinned: exempt from the candidate cut and from dominance
-  // pruning. It is exactly the walk the scalar decode takes, so its endpoint
-  // always reaches the finalists — which is what guarantees every front
-  // scalarises at least as well as the scalar response to the same request
-  // (the bench gate `front_dominates_scalar`). Dominance pruning alone can't
-  // promise that: a sibling may dominate the greedy child mid-decode and
-  // still land on a worse endpoint.
-  constexpr std::size_t kNoBeam = static_cast<std::size_t>(-1);
-  std::size_t greedy = 0;  // index into `live` of the pinned beam
-  bool greedy_alive = true;
-
-  for (int step = 0; step < budget && !live.empty(); ++step) {
-    AP_SPAN(step_span, serve_span.context(), "decode_step");
-    step_span.attr("step", static_cast<std::uint64_t>(step));
-    step_span.attr("beams", static_cast<std::uint64_t>(live.size()));
-    std::vector<std::vector<double>> observations;
-    observations.reserve(live.size());
-    if (step == 0) {
-      observations.push_back(root_observation);
-    } else {
-      std::vector<const ir::Module*> front_modules;
-      std::vector<std::vector<double>> histograms;
-      front_modules.reserve(live.size());
-      histograms.reserve(live.size());
-      for (const ParetoBeam& beam : live) {
-        front_modules.push_back(beam.module.get());
-        histograms.push_back(beam.histogram);
-      }
-      observations = rl::build_observation_batch(front_modules, histograms, obs_config, features);
-      for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
-    }
-    std::vector<std::vector<double>> logits;
-    if (batcher != nullptr) {
-      std::size_t batch_rows = 0;
-      logits = batcher->infer_many(artifact, observations, &batch_rows, group_key,
-                                   request.deadline_at);
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
-    } else {
-      const ml::Matrix out = artifact.policy.forward_batch(observations);
-      for (std::size_t r = 0; r < out.rows(); ++r) {
-        logits.emplace_back(out.row(r), out.row(r) + out.cols());
-      }
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(observations.size()));
-    }
-
-    struct Candidate {
-      std::size_t parent;
-      std::size_t action;
-      double score;
-    };
-    std::vector<Candidate> candidates;
-    std::size_t greedy_action = 0;
-    for (std::size_t b = 0; b < live.size(); ++b) {
-      std::vector<std::size_t> order(arity);
-      std::iota(order.begin(), order.end(), 0u);
-      std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-        if (logits[b][x] != logits[b][y]) return logits[b][x] > logits[b][y];
-        return x < y;
-      });
-      if (greedy_alive && b == greedy) greedy_action = order[0];
-      const std::size_t expand = std::min(width, arity);
-      for (std::size_t k = 0; k < expand; ++k) {
-        const std::size_t a = order[k];
-        candidates.push_back({b, a, live[b].score + ml::log_prob(logits[b].data(), arity, a)});
+    AP_SPAN(measure_span, serve_span.context(), "measure");
+    std::size_t best = 0;
+    double best_score = 0.0;
+    for (std::size_t i = 0; i < finalists.size(); ++i) {
+      meter_.measure(finalists[i]);
+      const runtime::Measure& m = finalists[i].measure;
+      const double score = objective_ == Objective::kCyclesTimesArea
+                               ? static_cast<double>(m.cycles) * m.area
+                               : static_cast<double>(m.cycles);
+      if (i == 0 || score < best_score) {
+        best = i;
+        best_score = score;
       }
     }
-    std::sort(candidates.begin(), candidates.end(), [](const Candidate& x, const Candidate& y) {
-      if (x.score != y.score) return x.score > y.score;
-      if (x.parent != y.parent) return x.parent < y.parent;
-      return x.action < y.action;
-    });
-    if (candidates.size() > width) candidates.resize(width);
-    if (greedy_alive) {
-      // Cumulative log-prob can rank the greedy child below the cut (greedy
-      // is only locally optimal); swap it in over the weakest survivor.
-      const bool present =
-          std::any_of(candidates.begin(), candidates.end(), [&](const Candidate& c) {
-            return c.parent == greedy && c.action == greedy_action;
-          });
-      if (!present) {
-        const double score =
-            live[greedy].score + ml::log_prob(logits[greedy].data(), arity, greedy_action);
-        candidates.back() = {greedy, greedy_action, score};
-      }
-    }
+    measure_span.attr("finalists", static_cast<std::uint64_t>(finalists.size()));
+    measure_span.attr("cache_hits", meter_.hits);
+    measure_span.attr("cache_misses", meter_.misses);
 
-    // Materialise + measure the survivors; terminate freezes the parent (its
-    // measurement happened when it was created, so this costs nothing).
-    std::vector<int> uses(live.size(), 0);
-    for (const Candidate& c : candidates) ++uses[c.parent];
-    std::vector<ParetoBeam> children;
-    std::size_t greedy_child = kNoBeam;  // index into `children` of the pinned child
-    for (const Candidate& c : candidates) {
-      const bool pinned = greedy_alive && c.parent == greedy && c.action == greedy_action;
-      if (has_terminate && c.action + 1 == arity) {
-        --uses[c.parent];  // keep steal accounting exact for later siblings
-        finalists.push_back(
-            {live[c.parent].sequence, live[c.parent].measure, live[c.parent].fingerprint});
-        if (pinned) greedy_alive = false;  // the chain's endpoint is now a finalist
-        continue;
-      }
-      if (pinned) greedy_child = children.size();
-      ParetoBeam child;
-      child.sequence = live[c.parent].sequence;
-      child.histogram = live[c.parent].histogram;
-      child.score = c.score;
-      child.module = --uses[c.parent] == 0 ? std::move(live[c.parent].module)
-                                           : ir::clone_module(*live[c.parent].module);
-      const int pass_index = actions[c.action];
-      passes::apply_pass(*child.module, pass_index);
-      child.histogram[c.action] += 1.0;
-      child.sequence.push_back(pass_index);
-      child.fingerprint = ir::module_fingerprint(*child.module);
-      child.measure = eval.measure(*child.module, child.fingerprint, &ran_simulator);
-      count_lookup();
-      children.push_back(std::move(child));
-    }
+    // The winner can still be CoW-lazy (an empty winning sequence never ran
+    // a pass); the response outlives the request it borrows from, so cut the
+    // tie before the module escapes.
+    Beam& winner = finalists[best];
+    winner.module->materialize_all();
+    return {std::move(winner.module), std::move(winner.sequence), winner.measure,
+            static_cast<int>(finalists.size()), {}, 0.0};
+  }
 
-    // The nondominated live set: dominance-prune the step's children against
-    // each other (duplicates collapse by fingerprint, width-bounded by
-    // scalarised eviction), then carry the surviving beams — in candidate
-    // order — into the next step.
+ private:
+  Objective objective_;
+  std::size_t width_;
+  Meter& meter_;
+};
+
+/// Multi-objective serving (POSET-RL style): every child is measured, the
+/// live set is dominance-pruned each step (duplicates collapse by
+/// fingerprint, width-bounded by scalarised eviction) and the finalists
+/// form the returned front. The policy-greedy chain is pinned — exempt from
+/// the cut and from pruning. It is exactly the scalar greedy walk, so its
+/// endpoint always reaches the finalists, which guarantees every front
+/// scalarises at least as well as the scalar response to the same request
+/// (the bench gate `front_dominates_scalar`); dominance alone can't promise
+/// that, since a sibling may dominate the greedy child mid-decode and still
+/// land on a worse endpoint. With width 1 and one active objective this
+/// degenerates exactly to scalar greedy, which a test pins bit-for-bit.
+class ParetoSelection final : public SelectionPolicy {
+ public:
+  ParetoSelection(const ObjectiveWeights& weights, std::size_t width, Meter& meter,
+                  const ir::Module& program)
+      : weights_(weights), width_(width), meter_(meter), program_(program) {}
+
+  [[nodiscard]] bool pins_greedy() const override { return true; }
+  void on_child(Beam& child) override { meter_.measure(child); }
+
+  std::vector<Beam> prune(std::vector<Beam> children, std::size_t& greedy,
+                          obs::ScopedSpan& step_span) override {
     std::vector<ParetoPoint> step_front;
-    for (const ParetoBeam& child : children) {
-      front_insert(step_front, point_of(child.sequence, child.measure, child.fingerprint),
-                   weights, width);
-    }
-    std::vector<ParetoBeam> next;
+    for (const Beam& child : children) front_insert(step_front, point_of(child), weights_, width_);
+    // Surviving beams carry on in candidate order, one per surviving point.
+    std::vector<Beam> next;
     std::size_t next_greedy = kNoBeam;
     for (std::size_t i = 0; i < children.size(); ++i) {
-      ParetoBeam& child = children[i];
-      const auto it =
-          std::find_if(step_front.begin(), step_front.end(), [&](const ParetoPoint& p) {
-            return p.fingerprint == child.fingerprint;
-          });
-      const bool pinned = greedy_alive && i == greedy_child;
-      if (it == step_front.end() && !pinned) continue;
-      if (it != step_front.end()) step_front.erase(it);  // one beam per surviving point
-      if (pinned) next_greedy = next.size();
-      next.push_back(std::move(child));
+      const auto it = std::find_if(step_front.begin(), step_front.end(), [&](const ParetoPoint& p) {
+        return p.fingerprint == children[i].fingerprint;
+      });
+      if (it == step_front.end() && i != greedy) continue;
+      if (it != step_front.end()) step_front.erase(it);
+      if (i == greedy) next_greedy = next.size();
+      next.push_back(std::move(children[i]));
     }
-    greedy = next_greedy;
-    greedy_alive = greedy_alive && greedy != kNoBeam;
     step_span.attr("pruned", static_cast<std::uint64_t>(children.size() - next.size()));
-    live = std::move(next);
-  }
-  for (ParetoBeam& beam : live) {
-    finalists.push_back({std::move(beam.sequence), beam.measure, beam.fingerprint});
+    greedy = next_greedy;
+    return next;
   }
 
-  std::vector<ParetoPoint> front;
-  for (const Finalist& f : finalists) {
-    front_insert(front, point_of(f.sequence, f.measure, f.fingerprint), weights, width);
+  Selection select(std::vector<Beam> finalists, const ParetoPoint& root,
+                   obs::ScopedSpan& serve_span) override {
+    std::vector<ParetoPoint> front;
+    for (const Beam& beam : finalists) front_insert(front, point_of(beam), weights_, width_);
+    sort_front(front, weights_);
+    serve_span.attr("finalists", static_cast<std::uint64_t>(finalists.size()));
+    serve_span.attr("front_size", static_cast<std::uint64_t>(front.size()));
+    serve_span.attr("cache_hits", meter_.hits);
+    serve_span.attr("cache_misses", meter_.misses);
+
+    // front[0] is the representative (best scalarised) point; its module is
+    // re-derived by replaying the sequence — passes are deterministic, so
+    // this is the module that was measured, and the clone is fully
+    // materialised. The unoptimised program is the hypervolume reference,
+    // never a front member.
+    const ParetoPoint& representative = front.front();
+    Selection selection;
+    selection.module = ir::clone_module_for_rollout(program_);
+    passes::apply_pass_sequence(*selection.module, representative.sequence);
+    selection.module->materialize_all();
+    selection.sequence = representative.sequence;
+    selection.measure = {representative.cycles, representative.area, representative.ir_size};
+    selection.beams_evaluated = static_cast<int>(finalists.size());
+    selection.front_hypervolume = hypervolume(front, root, weights_);
+    selection.front = std::move(front);
+    return selection;
   }
-  sort_front(front, weights);
-  serve_span.attr("finalists", static_cast<std::uint64_t>(finalists.size()));
-  serve_span.attr("front_size", static_cast<std::uint64_t>(front.size()));
-  serve_span.attr("cache_hits", cache_hits);
-  serve_span.attr("cache_misses", cache_misses);
 
-  // front[0] is the representative (best scalarised) point; its module is
-  // re-derived by replaying the sequence — passes are deterministic, so this
-  // is the module that was measured, and the clone is fully materialised.
-  const ParetoPoint& representative = front.front();
-  auto module = ir::clone_module_for_rollout(*request.module);
-  passes::apply_pass_sequence(*module, representative.sequence);
-  module->materialize_all();
-
-  std::uint64_t predicted = baseline.cycles;
-  if (artifact.value.has_value()) {
-    const double value = artifact.value->forward(row_matrix(root_observation)).at(0, 0);
-    const double improvement = predicted_improvement(value, artifact.spec.log_reward);
-    const double estimate = std::max(0.0, static_cast<double>(baseline.cycles) - improvement);
-    predicted = static_cast<std::uint64_t>(estimate);
-  }
-
-  CompileResponse response;
-  response.module = std::move(module);
-  response.provenance = {artifact.name,
-                         artifact.version,
-                         representative.sequence,
-                         baseline.cycles,
-                         predicted,
-                         representative.cycles,
-                         representative.area,
-                         static_cast<int>(finalists.size())};
-  response.front_hypervolume = hypervolume(front, baseline_point, weights);
-  response.front = std::move(front);
-  response.serve_nanos = nanos_between(t0, Clock::now());
-  return response;
-}
+ private:
+  const ObjectiveWeights& weights_;
+  std::size_t width_;
+  Meter& meter_;
+  const ir::Module& program_;
+};
 
 }  // namespace
 
@@ -377,52 +295,63 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
   }
   const rl::EnvConfig obs_config = env_config_of(artifact.spec);
 
+  if (request.objective == Objective::kFixedBudget && request.pass_budget > kMaxDecodeSteps) {
+    return Status::error(strf("pass_budget %d exceeds the %d-step decode limit",
+                              request.pass_budget, kMaxDecodeSteps));
+  }
   const int budget = request.objective == Objective::kFixedBudget
                          ? std::max(1, request.pass_budget)
                          : std::max(1, artifact.spec.episode_length);
-  const std::size_t beam_width = static_cast<std::size_t>(std::max(1, request.beam_width));
 
   if (!artifact.normalizer.identity() &&
       artifact.normalizer.mean.size() != artifact.policy.config().input) {
     return Status::error("artifact normalizer length does not match policy input");
   }
 
-  if (request.weights.active()) {
-    // Multi-objective opt-in: the Pareto decode replaces the scalar walk
-    // below (beam_width is superseded by front_width). Weightless requests
-    // never reach it, which is the bit-identity guarantee.
-    return serve_pareto(artifact, request, eval, batcher, actions, has_terminate, arity, features,
-                        obs_config, budget);
-  }
+  // Any active weight opts into the Pareto policy (front_width replaces
+  // beam_width); weightless requests never reach it, which keeps scalar
+  // answers bit-identical to the pre-Pareto service.
+  const bool pareto = request.weights.active();
+  const std::size_t width = static_cast<std::size_t>(
+      std::clamp(pareto ? request.front_width : request.beam_width, 1, kMaxBeamWidth));
+  Meter meter{eval};
+  ScalarSelection scalar(request.objective, width, meter);
+  ParetoSelection multi(request.weights, width, meter, *request.module);
+  SelectionPolicy& policy = pareto ? static_cast<SelectionPolicy&>(multi) : scalar;
+  // Rows of different objective mixes never share a batcher matmul.
+  const std::uint64_t group_key = pareto ? weights_key(request.weights) : 0;
 
   const auto t0 = Clock::now();
   AP_SPAN(serve_span, request.trace, "serve");
   serve_span.attr("model", artifact.name);
   serve_span.attr("version", static_cast<std::uint64_t>(artifact.version));
-  serve_span.attr("objective", objective_name(request.objective));
-  serve_span.attr("beam_width", static_cast<std::uint64_t>(beam_width));
-  const auto observe = [&](const Beam& beam) {
-    std::vector<double> obs =
-        rl::build_observation(*beam.module, beam.histogram, obs_config, features);
-    artifact.normalizer.apply(obs);
-    return obs;
-  };
+  serve_span.attr("objective", pareto ? "pareto" : objective_name(request.objective));
+  serve_span.attr(pareto ? "front_width" : "beam_width", static_cast<std::uint64_t>(width));
 
-  std::vector<Beam> live;
   // CoW rollout clone of the request program: the root's observation and
   // fingerprint read through to the source; bodies deep-copy only once a
   // pass mutates a beam. (Beam *children* use plain arena-backed
   // clone_module — their parents die at the end of the step, so they may
   // not hold lazy references into them.)
-  live.push_back(
-      {ir::clone_module_for_rollout(*request.module), {}, std::vector<double>(arity, 0.0), 0.0});
-  const std::vector<double> root_observation = observe(live[0]);
+  Beam root;
+  root.module = ir::clone_module_for_rollout(*request.module);
+  root.histogram.assign(arity, 0.0);
+  std::vector<double> root_observation =
+      rl::build_observation(*root.module, root.histogram, obs_config, features);
+  artifact.normalizer.apply(root_observation);
   if (root_observation.size() != artifact.policy.config().input) {
     return Status::error(strf("observation size %zu does not match policy input %zu",
                               root_observation.size(), artifact.policy.config().input));
   }
+  meter.measure(root);  // the baseline, and the hypervolume reference point
+  const ParetoPoint baseline = point_of(root);
 
-  std::vector<Beam> finished;
+  std::vector<Beam> finalists;
+  std::vector<Beam> live;
+  live.push_back(std::move(root));
+  std::size_t greedy = 0;  // index into `live` of the pinned beam
+  bool greedy_alive = policy.pins_greedy();
+
   for (int step = 0; step < budget && !live.empty(); ++step) {
     AP_SPAN(step_span, serve_span.context(), "decode_step");
     step_span.attr("step", static_cast<std::uint64_t>(step));
@@ -430,27 +359,26 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     // One stacked forward for the whole beam front; through the batcher the
     // rows additionally fold with other requests in flight.
     std::vector<std::vector<double>> observations;
-    observations.reserve(live.size());
     if (step == 0) {
       observations.push_back(root_observation);  // only the root beam exists
     } else {
       // Batched SoA feature extraction over the whole beam front; rows are
-      // bit-identical to per-beam observe() (same extractor, same order).
-      std::vector<const ir::Module*> front;
+      // bit-identical to the per-beam builder (same extractor, same order).
+      std::vector<const ir::Module*> modules;
       std::vector<std::vector<double>> histograms;
-      front.reserve(live.size());
+      modules.reserve(live.size());
       histograms.reserve(live.size());
       for (const Beam& beam : live) {
-        front.push_back(beam.module.get());
+        modules.push_back(beam.module.get());
         histograms.push_back(beam.histogram);
       }
-      observations = rl::build_observation_batch(front, histograms, obs_config, features);
+      observations = rl::build_observation_batch(modules, histograms, obs_config, features);
       for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
     std::vector<std::vector<double>> logits;
     if (batcher != nullptr) {
       std::size_t batch_rows = 0;
-      logits = batcher->infer_many(artifact, observations, &batch_rows, 0,
+      logits = batcher->infer_many(artifact, observations, &batch_rows, group_key,
                                    request.deadline_at);
       step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
     } else {
@@ -470,6 +398,7 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       double score;
     };
     std::vector<Candidate> candidates;
+    std::size_t greedy_action = 0;
     for (std::size_t b = 0; b < live.size(); ++b) {
       std::vector<std::size_t> order(arity);
       std::iota(order.begin(), order.end(), 0u);
@@ -477,8 +406,8 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
         if (logits[b][x] != logits[b][y]) return logits[b][x] > logits[b][y];
         return x < y;
       });
-      const std::size_t expand = std::min(beam_width, arity);
-      for (std::size_t k = 0; k < expand; ++k) {
+      if (greedy_alive && b == greedy) greedy_action = order[0];
+      for (std::size_t k = 0; k < std::min(width, arity); ++k) {
         const std::size_t a = order[k];
         candidates.push_back({b, a, live[b].score + ml::log_prob(logits[b].data(), arity, a)});
       }
@@ -488,65 +417,59 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       if (x.parent != y.parent) return x.parent < y.parent;
       return x.action < y.action;
     });
-    if (candidates.size() > beam_width) candidates.resize(beam_width);
+    if (candidates.size() > width) candidates.resize(width);
+    if (greedy_alive) {
+      // Cumulative log-prob can rank the greedy child below the cut (greedy
+      // is only locally optimal); swap it in over the weakest survivor.
+      const bool present =
+          std::any_of(candidates.begin(), candidates.end(), [&](const Candidate& c) {
+            return c.parent == greedy && c.action == greedy_action;
+          });
+      if (!present) {
+        const double score =
+            live[greedy].score + ml::log_prob(logits[greedy].data(), arity, greedy_action);
+        candidates.back() = {greedy, greedy_action, score};
+      }
+    }
 
     // Materialise survivors. The last candidate to use a parent steals its
     // module instead of cloning — greedy decoding never clones after step 0.
+    // Terminate freezes the parent as a finalist.
     std::vector<int> uses(live.size(), 0);
     for (const Candidate& c : candidates) ++uses[c.parent];
-    std::vector<Beam> next;
+    std::vector<Beam> children;
+    std::size_t greedy_child = kNoBeam;  // index into `children` of the pinned child
     for (const Candidate& c : candidates) {
+      const Beam& parent = live[c.parent];
+      const bool pinned = greedy_alive && c.parent == greedy && c.action == greedy_action;
       Beam child;
-      child.sequence = live[c.parent].sequence;
-      child.histogram = live[c.parent].histogram;
+      child.sequence = parent.sequence;
+      child.histogram = parent.histogram;
       child.score = c.score;
+      child.measure = parent.measure;
+      child.fingerprint = parent.fingerprint;
       child.module = --uses[c.parent] == 0 ? std::move(live[c.parent].module)
-                                           : ir::clone_module(*live[c.parent].module);
+                                           : ir::clone_module(*parent.module);
       if (has_terminate && c.action + 1 == arity) {
-        finished.push_back(std::move(child));
+        finalists.push_back(std::move(child));
+        if (pinned) greedy_alive = false;  // the chain's endpoint is now a finalist
         continue;
       }
       const int pass_index = actions[c.action];
       passes::apply_pass(*child.module, pass_index);
       child.histogram[c.action] += 1.0;
       child.sequence.push_back(pass_index);
-      next.push_back(std::move(child));
+      policy.on_child(child);
+      if (pinned) greedy_child = children.size();
+      children.push_back(std::move(child));
     }
-    live = std::move(next);
+    live = policy.prune(std::move(children), greedy_child, step_span);
+    greedy = greedy_child;
+    greedy_alive = greedy_alive && greedy != kNoBeam;
   }
-  for (Beam& beam : live) finished.push_back(std::move(beam));
-  // Keep only the beam_width most probable finalists for measurement (early
-  // terminations can otherwise pile up finalists beyond the beam width).
-  std::stable_sort(finished.begin(), finished.end(),
-                   [](const Beam& a, const Beam& b) { return a.score > b.score; });
-  if (finished.size() > beam_width) finished.resize(beam_width);
+  for (Beam& beam : live) finalists.push_back(std::move(beam));
 
-  // Rank finalists by the *measured* objective through the shared service.
-  AP_SPAN(measure_span, serve_span.context(), "measure");
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  bool ran_simulator = false;  // eval's "was this call the one that measured"
-  const auto count_lookup = [&] { ran_simulator ? ++cache_misses : ++cache_hits; };
-  const runtime::Measure baseline = eval.measure(*request.module, &ran_simulator);
-  count_lookup();
-  std::size_t best = 0;
-  double best_score = 0.0;
-  runtime::Measure best_measure;
-  for (std::size_t i = 0; i < finished.size(); ++i) {
-    const runtime::Measure m = eval.measure(*finished[i].module, &ran_simulator);
-    count_lookup();
-    const double score = request.objective == Objective::kCyclesTimesArea
-                             ? static_cast<double>(m.cycles) * m.area
-                             : static_cast<double>(m.cycles);
-    if (i == 0 || score < best_score) {
-      best = i;
-      best_score = score;
-      best_measure = m;
-    }
-  }
-  measure_span.attr("finalists", static_cast<std::uint64_t>(finished.size()));
-  measure_span.attr("cache_hits", cache_hits);
-  measure_span.attr("cache_misses", cache_misses);
+  Selection selection = policy.select(std::move(finalists), baseline, serve_span);
 
   std::uint64_t predicted = baseline.cycles;
   if (artifact.value.has_value()) {
@@ -556,20 +479,18 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     predicted = static_cast<std::uint64_t>(estimate);
   }
 
-  // The winner can still be CoW-lazy (an empty winning sequence never ran a
-  // pass); the response outlives the request it borrows from, so cut the
-  // tie before the module escapes.
-  finished[best].module->materialize_all();
   CompileResponse response;
-  response.module = std::move(finished[best].module);
+  response.module = std::move(selection.module);
   response.provenance = {artifact.name,
                          artifact.version,
-                         std::move(finished[best].sequence),
+                         std::move(selection.sequence),
                          baseline.cycles,
                          predicted,
-                         best_measure.cycles,
-                         best_measure.area,
-                         static_cast<int>(finished.size())};
+                         selection.measure.cycles,
+                         selection.measure.area,
+                         selection.beams_evaluated};
+  response.front = std::move(selection.front);
+  response.front_hypervolume = selection.front_hypervolume;
   response.serve_nanos = nanos_between(t0, Clock::now());
   return response;
 }

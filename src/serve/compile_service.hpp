@@ -53,10 +53,12 @@ struct CompileRequest {
   const ir::Module* module = nullptr;
   Objective objective = Objective::kCycles;
   /// Sequence-length cap for kFixedBudget; the other objectives decode for
-  /// the model's trained episode length.
+  /// the model's trained episode length. Above kMaxDecodeSteps the request
+  /// fails with an error status before any decoding; below 1 it serves as 1.
   int pass_budget = 8;
   /// 1 = greedy decode; >1 = beam of this width scored by cumulative policy
-  /// log-probability, finalists ranked by the measured objective.
+  /// log-probability, finalists ranked by the measured objective. The decode
+  /// clamps it to [1, 64].
   int beam_width = 1;
   std::string model;
   std::int64_t version = 0;  // <= 0 selects the latest
@@ -67,7 +69,8 @@ struct CompileRequest {
   /// responses to the pre-Pareto service.
   ObjectiveWeights weights{};
   /// Bound on the nondominated set: live beams per step and points in the
-  /// returned front. Only read when `weights` is active.
+  /// returned front. Only read when `weights` is active; the wire accepts
+  /// 1..4096 and the decode clamps it to [1, 64].
   int front_width = 8;
   /// Request deadline in milliseconds from admission; 0 = none. Travels on
   /// the wire as kCompileTagDeadline (relative, so clock skew between client
@@ -214,8 +217,10 @@ struct TrafficSplit {
 [[nodiscard]] bool is_overloaded(const Status& status) noexcept;
 
 /// Decodes and measures one request against a resolved artifact — the shared
-/// core of the worker path and compile_sync. `batcher` is optional; without
-/// one, policy forwards run inline (still via forward_batch for beam fronts).
+/// core of the worker path and compile_sync. One beam decode serves scalar
+/// and Pareto requests alike; the request's weights pick its selection
+/// policy. `batcher` is optional; without one, policy forwards run inline
+/// (still via forward_batch for beam fronts).
 Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
                                       const CompileRequest& request,
                                       runtime::EvalService& eval, PolicyBatcher* batcher);

@@ -21,7 +21,7 @@ constexpr char kMagic[4] = {'A', 'P', 'S', 'B'};  // AutoPhase Serve Blob
 /// used as an index is bounded here, at the trust boundary, instead of in
 /// each consumer.
 Status validate_artifact(const PolicyArtifact& a) {
-  if (a.spec.episode_length < 1 || a.spec.episode_length > 4096) {
+  if (a.spec.episode_length < 1 || a.spec.episode_length > kMaxDecodeSteps) {
     return Status::error("artifact: episode length out of range");
   }
   for (const int f : a.spec.feature_subset) {

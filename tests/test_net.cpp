@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -575,6 +576,38 @@ TEST(RemoteServe, UnknownModelIsARemoteErrorAndConnectionIsReused) {
   auto response = client.compile(good);
   ASSERT_TRUE(response.is_ok()) << response.message();
   // The application error did not poison the transport: one connection total.
+  EXPECT_EQ(client.stats().connects, 1u);
+}
+
+TEST(RemoteServe, HostileDecodeBoundsFailCleanAndKeepTheConnection) {
+  auto sha = progen::build_chstone_like("sha");
+  NodeHarness harness;
+  harness.registry->publish("agent", make_test_artifact(sha.get(), 3));
+  serve::RemoteCompileClient client({harness.node->endpoint()});
+
+  // A fixed budget of 2^31 steps is refused at the door, not decoded.
+  serve::CompileRequest budget;
+  budget.module = sha.get();
+  budget.model = "agent";
+  budget.objective = serve::Objective::kFixedBudget;
+  budget.pass_budget = std::numeric_limits<std::int32_t>::max();
+  auto refused = client.compile(budget);
+  EXPECT_FALSE(refused.is_ok());
+  EXPECT_NE(refused.message().find("pass_budget"), std::string::npos) << refused.message();
+
+  // A beam of 2^31 is served, cut to the decode core's bound.
+  serve::CompileRequest wide;
+  wide.module = sha.get();
+  wide.model = "agent";
+  wide.beam_width = std::numeric_limits<std::int32_t>::max();
+  auto served = client.compile(wide);
+  ASSERT_TRUE(served.is_ok()) << served.message();
+  EXPECT_LE(served.value().provenance.beams_evaluated, 64);
+
+  // Neither request poisoned the transport: one connection total.
+  serve::CompileRequest good = wide;
+  good.beam_width = 1;
+  ASSERT_TRUE(client.compile(good).is_ok());
   EXPECT_EQ(client.stats().connects, 1u);
 }
 

@@ -4,6 +4,7 @@
 #include <bit>
 #include <filesystem>
 #include <future>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
@@ -281,7 +282,7 @@ TEST(ServeBatcher, BatchedLogitsBitIdenticalToSingleRow) {
   std::vector<std::vector<double>> got(rows.size());
   ThreadPool pool(4);
   pool.parallel_for(rows.size(),
-                    [&](std::size_t i) { got[i] = batcher.infer(artifact, rows[i]); });
+                    [&](std::size_t i) { got[i] = batcher.infer_many(artifact, {rows[i]})[0]; });
   for (std::size_t i = 0; i < rows.size(); ++i) EXPECT_EQ(got[i], expected[i]) << "row " << i;
   const BatcherStats stats = batcher.stats();
   EXPECT_EQ(stats.rows, rows.size());
@@ -333,6 +334,49 @@ TEST(ServeCompile, CyclesTimesAreaObjectiveReportsArea) {
   ASSERT_TRUE(response.is_ok()) << response.message();
   EXPECT_GT(response.value().provenance.measured_area, 0.0);
   EXPECT_GE(response.value().provenance.beams_evaluated, 1);
+}
+
+TEST(ServeCompile, HostileBeamWidthIsClampedByTheDecodeCore) {
+  auto m = progen::build_chstone_like("sha");
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish("agent", make_test_artifact(m.get(), tiny_env_config(), 31));
+  CompileService service(registry, nullptr, {.workers = 0});
+
+  // Unclamped, the third step of a 45-action policy would clone 91,125
+  // modules; the core cuts every step to 64 candidates.
+  CompileRequest request;
+  request.module = m.get();
+  request.model = "agent";
+  request.beam_width = std::numeric_limits<int>::max();
+  const auto response = service.compile_sync(request);
+  ASSERT_TRUE(response.is_ok()) << response.message();
+  EXPECT_GE(response.value().provenance.beams_evaluated, 1);
+  EXPECT_LE(response.value().provenance.beams_evaluated, 64);
+}
+
+TEST(ServeCompile, OversizedPassBudgetFailsBeforeDecoding) {
+  auto m = progen::build_chstone_like("sha");
+  auto registry = std::make_shared<ModelRegistry>();
+  registry->publish("agent", make_test_artifact(m.get(), tiny_env_config(), 31));
+  auto eval = std::make_shared<runtime::EvalService>();
+  CompileService service(registry, eval, {.workers = 0});
+
+  CompileRequest request;
+  request.module = m.get();
+  request.model = "agent";
+  request.objective = Objective::kFixedBudget;
+  for (const int budget : {kMaxDecodeSteps + 1, std::numeric_limits<int>::max()}) {
+    request.pass_budget = budget;
+    const auto response = service.compile_sync(request);
+    ASSERT_FALSE(response.is_ok()) << budget;
+    EXPECT_NE(response.message().find("pass_budget"), std::string::npos) << response.message();
+  }
+  // Rejected up front: not one measurement ran.
+  EXPECT_EQ(eval->stats().hits + eval->stats().misses, 0u);
+
+  // Only the budget objective reads the field, so other objectives still serve.
+  request.objective = Objective::kCycles;
+  EXPECT_TRUE(service.compile_sync(request).is_ok());
 }
 
 TEST(ServeCompile, ConcurrentServingMatchesSingleThreadedBitExactly) {
@@ -1180,7 +1224,7 @@ constexpr PinnedDecode kPinnedDecodes[] = {
 TEST(ServeCharacterization, EveryDecodeShapeAnswersAsPinned) {
   const std::vector<const char*> kernels = {"sha", "qsort", "adpcm"};
   std::vector<std::unique_ptr<ir::Module>> modules;
-  for (const std::string& kernel : kernels) modules.push_back(progen::build_chstone_like(kernel));
+  for (const char* kernel : kernels) modules.push_back(progen::build_chstone_like(kernel));
   auto registry = std::make_shared<ModelRegistry>();
   registry->publish("agent",
                     make_test_artifact(modules[0].get(), characterization_env_config(), 16));
@@ -1196,10 +1240,9 @@ TEST(ServeCharacterization, EveryDecodeShapeAnswersAsPinned) {
       ASSERT_TRUE(response.is_ok()) << response.message();
       const runtime::EvalStats after = eval->stats();
       const std::uint64_t digest = response_digest(response.value());
-      got.push_back({kernels[k], shape, digest,
-                     (after.hits + after.sequence_hits + after.misses) -
-                         (before.hits + before.sequence_hits + before.misses),
-                     after.misses - before.misses});
+      const std::size_t lookups = (after.hits + after.sequence_hits + after.misses) -
+                                  (before.hits + before.sequence_hits + before.misses);
+      got.push_back({kernels[k], shape, digest, lookups, after.misses - before.misses});
       // The queued batcher path answers the same request identically.
       auto queued = service.submit(request).get();
       ASSERT_TRUE(queued.is_ok()) << queued.message();
