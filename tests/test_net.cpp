@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -1510,6 +1511,202 @@ TEST(FleetMonitorTest, ReportsUnreachableNodesWithoutFailingTheSnapshot) {
   EXPECT_FALSE(fleet.per_node[1].error.empty());
   EXPECT_EQ(fleet.models_min, 1u);  // merged view covers the live node only
   EXPECT_EQ(fleet.models_max, 1u);
+}
+
+
+// ---------------------------------------------------------------------------
+// Fleet characterization: every FleetStats field against in-process state
+// ---------------------------------------------------------------------------
+
+/// The fleet view a monitor should report, computed from each node's own
+/// in-process state: serve metrics, eval counters, registry size, learn
+/// counters and provenance log. Gossip is off in the fleet this checks, so
+/// membership is a fleet of one per node and gossip rounds stay 0.
+void expect_fleet_matches_nodes(const serve::FleetStats& fleet,
+                                const std::vector<NodeHarness*>& nodes,
+                                std::uint64_t gossip_fetched) {
+  ASSERT_EQ(fleet.nodes, nodes.size());
+  EXPECT_EQ(fleet.reachable, nodes.size());
+  EXPECT_EQ(fleet.nodes_unreachable, 0u);
+  ASSERT_EQ(fleet.per_node.size(), nodes.size());
+
+  std::uint64_t completed = 0, failed = 0, rejected = 0, queue_depth = 0;
+  std::uint64_t shed_overload = 0, shed_deadline = 0;
+  std::uint64_t hits = 0, misses = 0, sequence_hits = 0, primed = 0;
+  std::uint64_t models_min = ~0ull, models_max = 0;
+  std::uint64_t promoted = 0, rolled_back = 0, pending = 0, dropped = 0;
+  obs::HistogramSnapshot latency;
+  std::map<std::pair<std::string, std::uint32_t>, std::pair<std::uint64_t, std::uint64_t>>
+      per_model;
+  std::array<std::uint64_t, serve::kNumObjectives> objectives{};
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    net::ServeNode& node = *nodes[i]->node;
+    EXPECT_TRUE(fleet.per_node[i].reachable) << fleet.per_node[i].error;
+    EXPECT_TRUE(fleet.per_node[i].error.empty());
+    EXPECT_EQ(fleet.per_node[i].endpoint.port, node.port());
+    const serve::ServeMetrics m = node.service().metrics();
+    completed += m.completed;
+    failed += m.failed;
+    rejected += m.rejected;
+    queue_depth += m.queue_depth;
+    shed_overload += m.shed_overload;
+    shed_deadline += m.shed_deadline;
+    const runtime::EvalStats eval = node.service().eval_service()->stats();
+    hits += eval.hits;
+    misses += eval.misses;
+    sequence_hits += eval.sequence_hits;
+    primed += eval.primed;
+    const std::uint64_t models = nodes[i]->registry->size();
+    models_min = std::min(models_min, models);
+    models_max = std::max(models_max, models);
+    promoted += node.service().metrics_registry()->counter("learn_promoted").value();
+    rolled_back += node.service().metrics_registry()->counter("learn_rolled_back").value();
+    if (node.provenance_log() != nullptr) {
+      pending += node.provenance_log()->size();
+      dropped += node.provenance_log()->dropped();
+    }
+    if (i == 0) {
+      latency = m.latency_hist;
+    } else {
+      latency += m.latency_hist;
+    }
+    for (const serve::ModelVersionStats& row : m.per_model) {
+      per_model[{row.model, row.version}].first += row.completed;
+      per_model[{row.model, row.version}].second += row.failed;
+    }
+    for (std::size_t o = 0; o < serve::kNumObjectives; ++o) {
+      objectives[o] += m.objective_completed[o];
+    }
+  }
+
+  EXPECT_EQ(fleet.completed, completed);
+  EXPECT_EQ(fleet.failed, failed);
+  EXPECT_EQ(fleet.rejected, rejected);
+  EXPECT_EQ(fleet.queue_depth, queue_depth);
+  EXPECT_EQ(fleet.shed_overload, shed_overload);
+  EXPECT_EQ(fleet.shed_deadline, shed_deadline);
+  EXPECT_DOUBLE_EQ(fleet.completed_per_reachable,
+                   static_cast<double>(completed) / static_cast<double>(nodes.size()));
+  EXPECT_EQ(fleet.eval_hits, hits);
+  EXPECT_EQ(fleet.eval_misses, misses);
+  EXPECT_EQ(fleet.eval_sequence_hits, sequence_hits);
+  EXPECT_EQ(fleet.eval_primed, primed);
+  EXPECT_EQ(fleet.models_min, models_min);
+  EXPECT_EQ(fleet.models_max, models_max);
+  EXPECT_EQ(fleet.gossip_rounds, 0u);
+  EXPECT_EQ(fleet.gossip_fetched, gossip_fetched);
+  EXPECT_EQ(fleet.members_alive_min, 1u);
+  EXPECT_EQ(fleet.members_suspect_max, 0u);
+  EXPECT_EQ(fleet.members_dead_max, 0u);
+  EXPECT_EQ(fleet.learn_promoted, promoted);
+  EXPECT_EQ(fleet.learn_rolled_back, rolled_back);
+  EXPECT_EQ(fleet.provenance_pending, pending);
+  EXPECT_EQ(fleet.provenance_dropped, dropped);
+
+  EXPECT_EQ(fleet.latency_hist.spec, obs::HistogramSpec{});
+  EXPECT_EQ(fleet.latency_hist.counts, latency.counts);
+  EXPECT_EQ(fleet.latency_hist.count, latency.count);
+  EXPECT_DOUBLE_EQ(fleet.latency_hist.sum, latency.sum);
+  EXPECT_DOUBLE_EQ(fleet.latency_hist.min, latency.min);
+  EXPECT_DOUBLE_EQ(fleet.latency_hist.max, latency.max);
+  EXPECT_EQ(fleet.latency_samples, latency.count);
+  const serve::LatencyQuantiles quantiles = serve::latency_view(latency);
+  EXPECT_DOUBLE_EQ(fleet.latency.p50_ms, quantiles.p50_ms);
+  EXPECT_DOUBLE_EQ(fleet.latency.p95_ms, quantiles.p95_ms);
+  EXPECT_DOUBLE_EQ(fleet.latency.mean_ms, quantiles.mean_ms);
+  EXPECT_DOUBLE_EQ(fleet.latency.max_ms, quantiles.max_ms);
+
+  ASSERT_EQ(fleet.per_model.size(), per_model.size());
+  std::size_t row = 0;
+  for (const auto& [key, counts] : per_model) {
+    EXPECT_EQ(fleet.per_model[row].model, key.first);
+    EXPECT_EQ(fleet.per_model[row].version, key.second);
+    EXPECT_EQ(fleet.per_model[row].completed, counts.first) << key.first << " v" << key.second;
+    EXPECT_EQ(fleet.per_model[row].failed, counts.second) << key.first << " v" << key.second;
+    ++row;
+  }
+  EXPECT_EQ(fleet.objective_completed, objectives);
+}
+
+TEST(FleetCharacterization, EveryFleetFieldMatchesTheNodesInProcessState) {
+  auto sha = progen::build_chstone_like("sha");
+  net::ServeNodeConfig small_log;
+  small_log.provenance_capacity = 2;  // overflows: provenance_dropped > 0
+  net::ServeNodeConfig no_log;
+  no_log.provenance_capacity = 0;  // no provenance log at all
+  NodeHarness a;
+  NodeHarness b(small_log);
+  NodeHarness c(no_log);
+  const std::vector<NodeHarness*> nodes = {&a, &b, &c};
+  a.node->add_peer(b.node->endpoint());
+  a.node->add_peer(c.node->endpoint());
+  ASSERT_TRUE(a.node->publish("agent", make_test_artifact(sha.get(), 21)).is_ok());
+  ASSERT_TRUE(a.node->publish("agent", make_test_artifact(sha.get(), 22)).is_ok());
+  a.registry->publish("solo", make_test_artifact(sha.get(), 23));  // node a only
+
+  auto client = std::make_shared<serve::RemoteCompileClient>(std::vector<net::RemoteEndpoint>{
+      a.node->endpoint(), b.node->endpoint(), c.node->endpoint()});
+  for (const char* name : {"sha", "gsm", "qsort", "adpcm", "aes"}) {
+    auto program = progen::build_chstone_like(name);
+    serve::CompileRequest request;
+    request.module = program.get();
+    request.model = "agent";
+    request.version = 1;
+    request.objective = serve::Objective::kCycles;
+    auto pinned = client->compile(request);
+    ASSERT_TRUE(pinned.is_ok()) << name << ": " << pinned.message();
+    request.version = 0;
+    request.objective = serve::Objective::kCyclesTimesArea;
+    auto latest = client->compile(request);
+    ASSERT_TRUE(latest.is_ok()) << name << ": " << latest.message();
+  }
+  serve::CompileRequest unknown;
+  unknown.module = sha.get();
+  unknown.model = "ghost";
+  EXPECT_FALSE(client->compile(unknown).is_ok());
+  // Ring placement varies with the ephemeral ports, so node b's small log
+  // is overflowed in-process: three more served requests than it can hold.
+  for (int i = 0; i < 3; ++i) {
+    serve::CompileRequest local;
+    local.module = sha.get();
+    local.model = "agent";
+    ASSERT_TRUE(b.node->service().submit(local).get().is_ok());
+  }
+  net::CanaryControl rollback;
+  rollback.action = net::CanaryAction::kRolledBack;
+  rollback.model = "agent";
+  ASSERT_TRUE(client->canary_control(1, rollback).is_ok());
+
+  serve::FleetMonitor monitor(client);
+  const serve::FleetStats before = monitor.poll();
+  EXPECT_EQ(before.snapshot_version, 1u);
+  EXPECT_EQ(before.last_sync_age_ms_max, net::kNeverSynced);
+  expect_fleet_matches_nodes(before, nodes, 0);
+  EXPECT_EQ(before.completed, 13u);
+  EXPECT_EQ(before.failed, 1u);
+  EXPECT_EQ(before.learn_rolled_back, 1u);
+  EXPECT_GT(before.provenance_dropped, 0u);
+
+  const auto first_sync = std::chrono::steady_clock::now();
+  std::uint64_t fetched = 0;
+  for (const auto& [to, from] : {std::pair{&b, &a}, std::pair{&c, &b}, std::pair{&a, &c}}) {
+    auto report = to->node->sync_from(from->node->endpoint());
+    ASSERT_TRUE(report.is_ok()) << report.message();
+    fetched += report.value().fetched;
+  }
+  c.registry->publish("c-only", make_test_artifact(sha.get(), 24));
+
+  const serve::FleetStats after = monitor.poll();
+  const auto since_first_sync = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - first_sync);
+  EXPECT_EQ(after.snapshot_version, 2u);
+  EXPECT_NE(after.last_sync_age_ms_max, net::kNeverSynced);
+  EXPECT_LE(after.last_sync_age_ms_max, static_cast<std::uint64_t>(since_first_sync.count()));
+  expect_fleet_matches_nodes(after, nodes, fetched);
+  EXPECT_GT(fetched, 0u);
+  EXPECT_EQ(after.models_min, 3u);
+  EXPECT_EQ(after.models_max, 4u);
+  EXPECT_NE(serve::fleet_summary(after).find("nodes 3/3"), std::string::npos);
 }
 
 }  // namespace
