@@ -128,8 +128,9 @@ int run(int argc, char** argv) {
       std::fprintf(stderr, "node unreachable during poll: %s\n", report.error.c_str());
       return 1;
     }
-    per_node_sum += report.stats.completed;
-    per_node.add_raw(strf("%llu", static_cast<unsigned long long>(report.stats.completed)));
+    const std::uint64_t completed = report.stats.counter("serve_requests_completed");
+    per_node_sum += completed;
+    per_node.add_raw(strf("%llu", static_cast<unsigned long long>(completed)));
   }
   const bool counts_consistent =
       per_node_sum == requests && fleet.completed == requests &&

@@ -137,7 +137,8 @@ int run(int argc, char** argv) {
     identical = identical && net::response_identity_bytes(results[i].value()) == expected[i];
   }
 
-  const net::NodeStats stats = node.stats();
+  const serve::ServeMetrics served = node.service().metrics();
+  const runtime::EvalStats eval = node.service().eval_service()->stats();
   const serve::RemoteClientStats client_stats = client.stats();
   bench::JsonObject out;
   out.field("bench", "remote_serve");
@@ -150,19 +151,13 @@ int run(int argc, char** argv) {
   out.field("roundtrip_p95_ms", quantile(rt_ms, 0.95));
   out.field("pipelined_rps",
             pipe_seconds > 0 ? static_cast<double>(requests) / pipe_seconds : 0.0);
-  out.field("server_p50_ms", stats.p50_ms);
-  out.field("server_p95_ms", stats.p95_ms);
-  out.field("server_completed", stats.completed);
-  out.field("server_failed", stats.failed);
-  out.field("eval_cache_hits", stats.eval_hits);
-  out.field("eval_cache_misses", stats.eval_misses);
-  {
-    runtime::EvalStats eval;
-    eval.hits = stats.eval_hits;
-    eval.sequence_hits = stats.eval_sequence_hits;
-    eval.misses = stats.eval_misses;
-    out.field("eval_cache_hit_rate", eval.hit_rate());
-  }
+  out.field("server_p50_ms", served.latency.p50_ms);
+  out.field("server_p95_ms", served.latency.p95_ms);
+  out.field("server_completed", static_cast<std::uint64_t>(served.completed));
+  out.field("server_failed", static_cast<std::uint64_t>(served.failed));
+  out.field("eval_cache_hits", eval.hits);
+  out.field("eval_cache_misses", eval.misses);
+  out.field("eval_cache_hit_rate", eval.hit_rate());
   out.field("client_connects", client_stats.connects);
   out.field("client_timeouts", client_stats.timeouts);
   out.field("serial_identical", identical ? "true" : "false");

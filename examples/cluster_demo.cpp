@@ -101,13 +101,21 @@ int main() {
 
   // --- Per-node counters show the routing split ----------------------------
   for (std::size_t n = 0; n < 2; ++n) {
+    // kStats carries the node's whole registry; read instruments by name.
     const auto stats = client.node_stats(n);
     if (!stats.is_ok()) return 1;
-    std::printf("node %c: completed=%llu p50=%.2fms p95=%.2fms eval misses=%llu hits=%llu\n",
-                n == 0 ? 'A' : 'B', static_cast<unsigned long long>(stats.value().completed),
-                stats.value().p50_ms, stats.value().p95_ms,
-                static_cast<unsigned long long>(stats.value().eval_misses),
-                static_cast<unsigned long long>(stats.value().eval_hits));
+    const obs::MetricsSnapshot& s = stats.value();
+    const obs::HistogramSnapshot* hist = s.histogram("serve_latency_ms");
+    const serve::LatencyQuantiles latency =
+        hist != nullptr ? serve::latency_view(*hist) : serve::LatencyQuantiles{};
+    const auto gauge = [&s](const char* name) {
+      return s.gauge(name) != nullptr ? s.gauge(name)->sum : 0.0;
+    };
+    std::printf("node %c: completed=%llu p50=%.2fms p95=%.2fms eval misses=%.0f hits=%.0f\n",
+                n == 0 ? 'A' : 'B',
+                static_cast<unsigned long long>(s.counter("serve_requests_completed")),
+                latency.p50_ms, latency.p95_ms, gauge("eval_cache_misses"),
+                gauge("eval_cache_hits"));
   }
   return all_identical ? 0 : 1;
 }

@@ -145,12 +145,20 @@ int main() {
       std::fprintf(stderr, "node %zu unreachable: %s\n", n, report.error.c_str());
       return 1;
     }
-    per_node_sum += report.stats.completed;
-    std::printf("  node %c: completed=%llu p50=%.2fms p95=%.2fms primed=%llu models=%llu\n",
-                static_cast<char>('A' + n),
-                static_cast<unsigned long long>(report.stats.completed), report.stats.p50_ms,
-                report.stats.p95_ms, static_cast<unsigned long long>(report.stats.eval_primed),
-                static_cast<unsigned long long>(report.stats.models));
+    // Each report is the node's registry snapshot; read instruments by name.
+    const obs::MetricsSnapshot& s = report.stats;
+    const std::uint64_t completed = s.counter("serve_requests_completed");
+    const obs::HistogramSnapshot* hist = s.histogram("serve_latency_ms");
+    const serve::LatencyQuantiles latency =
+        hist != nullptr ? serve::latency_view(*hist) : serve::LatencyQuantiles{};
+    const auto gauge = [&s](const char* name) {
+      return s.gauge(name) != nullptr ? s.gauge(name)->sum : 0.0;
+    };
+    per_node_sum += completed;
+    std::printf("  node %c: completed=%llu p50=%.2fms p95=%.2fms primed=%.0f models=%.0f\n",
+                static_cast<char>('A' + n), static_cast<unsigned long long>(completed),
+                latency.p50_ms, latency.p95_ms, gauge("eval_cache_primed"),
+                gauge("registry_artifacts"));
   }
   const bool counts_match = per_node_sum == issued && fleet.completed == issued;
   std::printf("per-node completions sum to client-observed total (%llu): %s\n",

@@ -30,6 +30,7 @@
 #include "rl/ppo.hpp"
 #include "serve/fleet_monitor.hpp"
 #include "serve/remote_client.hpp"
+#include "support/str.hpp"
 
 using namespace autophase;
 using namespace std::chrono_literals;
@@ -114,13 +115,14 @@ int main(int argc, char** argv) {
   const serve::FleetStats fleet = monitor.poll();
   std::printf("%s\n", serve::fleet_summary(fleet).c_str());
   for (std::size_t i = 0; i < fleet.per_node.size(); ++i) {
-    const net::NodeStats& s = fleet.per_node[i].stats;
-    std::printf("  node %zu: gossip rounds=%llu fetched=%llu last-sync=%s\n", i,
-                static_cast<unsigned long long>(s.gossip_rounds),
-                static_cast<unsigned long long>(s.gossip_fetched),
-                s.last_sync_age_ms == net::kNeverSynced
-                    ? "never"
-                    : (std::to_string(s.last_sync_age_ms) + "ms").c_str());
+    const obs::MetricsSnapshot& s = fleet.per_node[i].stats;
+    const auto gauge = [&s](const char* name) {
+      return s.gauge(name) != nullptr ? s.gauge(name)->sum : 0.0;
+    };
+    const double age_ms = gauge("gossip_last_sync_age_ms");  // -1 = never synced
+    std::printf("  node %zu: gossip rounds=%.0f fetched=%.0f last-sync=%s\n", i,
+                gauge("gossip_rounds"), gauge("gossip_fetched"),
+                age_ms < 0 ? "never" : strf("%.0fms", age_ms).c_str());
   }
   if (fleet.gossip_fetched < kNodes - 1) {
     std::fprintf(stderr, "expected at least %zu gossip fetches fleet-wide\n", kNodes - 1);

@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
 """Docs drift gate: keep README.md + docs/ honest against the code.
 
-Two checks, both cheap enough to run on every CI build:
+Three checks, all cheap enough to run on every CI build:
 
   * every *relative* markdown link in README.md and docs/*.md must resolve
     to an existing file (anchors are stripped; http(s)/mailto links are
     trusted — CI must not flake on the public internet), and
   * every wire verb in the `MsgType` enum of src/net/frame.hpp must appear
     by name in docs/wire-protocol.md — adding a verb without documenting it
-    is exactly the drift this gate exists to catch.
+    is exactly the drift this gate exists to catch, and
+  * the kStats payload version (kStatsPayloadVersion in src/net/wire.hpp)
+    must appear as "payload v<N>" in docs/wire-protocol.md, so a payload
+    change that is not documented fails the same way.
 
 Usage:
     check_docs.py [--repo-root DIR]
@@ -22,6 +25,7 @@ import sys
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Enum entries like "kCompile = 2," inside the MsgType block.
 MSG_TYPE_RE = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
+STATS_VERSION_RE = re.compile(r"kStatsPayloadVersion\s*=\s*(\d+)\s*;")
 
 
 def markdown_files(root):
@@ -79,6 +83,26 @@ def check_wire_verbs(root):
     return failures
 
 
+def check_stats_payload_version(root):
+    wire = root / "src" / "net" / "wire.hpp"
+    doc = root / "docs" / "wire-protocol.md"
+    if not wire.exists():
+        return [f"missing {wire.relative_to(root)}"]
+    if not doc.exists():
+        return [f"missing {doc.relative_to(root)} (the kStats payload must be documented)"]
+    match = STATS_VERSION_RE.search(wire.read_text(encoding="utf-8"))
+    if match is None:
+        return [f"{wire.relative_to(root)}: could not find kStatsPayloadVersion"]
+    version = match.group(1)
+    print(f"  stats payload: v{version} checked against docs/wire-protocol.md")
+    if re.search(rf"payload v{version}\b", doc.read_text(encoding="utf-8")) is None:
+        return [
+            f"docs/wire-protocol.md: kStats payload v{version} (src/net/wire.hpp) is "
+            f"undocumented (expected the text 'payload v{version}')"
+        ]
+    return []
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", type=pathlib.Path,
@@ -86,7 +110,7 @@ def main():
     args = parser.parse_args()
     root = args.repo_root.resolve()
 
-    failures = check_links(root) + check_wire_verbs(root)
+    failures = check_links(root) + check_wire_verbs(root) + check_stats_payload_version(root)
     if failures:
         print("\ndocs drift gate FAILED:", file=sys.stderr)
         for failure in failures:

@@ -22,8 +22,8 @@
 namespace autophase::net {
 
 inline constexpr std::uint32_t kWireMagic = 0x50575041;  // "APWP" little-endian
-/// Bumped whenever the frame header or any payload layout changes; peers
-/// reject frames from a newer protocol.
+/// Bumped whenever the frame header or a payload layout without its own
+/// version changes (kStats has kStatsPayloadVersion); peers reject newer.
 ///
 /// v2  kStats payload became versioned and grew the latency reservoir +
 ///     per-model-version / per-objective breakdowns; kSyncRequest/kSyncOffer

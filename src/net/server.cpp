@@ -416,7 +416,7 @@ void ServeNode::handle_frame(const std::shared_ptr<Connection>& conn, const Fram
     case MsgType::kPublish: reply.payload = handle_publish(frame); break;
     case MsgType::kReplicate: reply.payload = handle_replicate(frame); break;
     case MsgType::kListModels: reply.payload = handle_list(); break;
-    case MsgType::kStats: reply.payload = encode_node_stats(stats()); break;
+    case MsgType::kStats: reply.payload = encode_metrics_snapshot(stats()); break;
     case MsgType::kMetrics: reply.payload = encode_metrics_reply(metrics_text()); break;
     case MsgType::kProvenance: reply.payload = handle_provenance(frame); break;
     case MsgType::kCanary: reply.payload = handle_canary(frame); break;
@@ -661,31 +661,8 @@ Status ServeNode::dump_trace(const std::string& path) const {
       path, obs::chrome_trace_json(obs::tracer().snapshot(), strf("serve-node:%u", port_)));
 }
 
-NodeStats ServeNode::stats() const {
-  NodeStats stats = collect_node_stats(*service_);
-  stats.gossip_rounds = gossip_rounds_.load(std::memory_order_relaxed);
-  stats.gossip_fetched = gossip_fetched_.load(std::memory_order_relaxed);
-  const std::int64_t last = last_sync_ns_.load(std::memory_order_relaxed);
-  if (last >= 0) {
-    const std::int64_t age = std::max<std::int64_t>(0, steady_now_ns() - last);
-    stats.last_sync_age_ms = static_cast<std::uint64_t>(age) / 1'000'000u;
-  }
-  if (provenance_log_ != nullptr) {
-    stats.provenance_pending = provenance_log_->size();
-    stats.provenance_dropped = provenance_log_->dropped();
-  }
-  if (membership_ != nullptr) {
-    // Counts are read under separate locks; clamp so a state transition
-    // between reads can never underflow the difference.
-    const std::size_t suspect = membership_->suspect_count();
-    const std::size_t non_terminal = membership_->alive_count();
-    stats.members_alive = non_terminal > suspect ? non_terminal - suspect : 0;
-    stats.members_suspect = suspect;
-    stats.members_dead = membership_->dead_count();
-  } else {
-    stats.members_alive = 1;  // a node without membership is a fleet of one
-  }
-  return stats;
+obs::MetricsSnapshot ServeNode::stats() const {
+  return service_->metrics_registry()->snapshot();
 }
 
 }  // namespace autophase::net

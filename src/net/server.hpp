@@ -139,8 +139,9 @@ class ServeNode {
   [[nodiscard]] const std::shared_ptr<serve::ModelRegistry>& registry() const noexcept {
     return registry_;
   }
-  /// Serving counters + gossip health (rounds, blobs pulled, last-sync age).
-  [[nodiscard]] NodeStats stats() const;
+  /// The kStats payload: the service's registry snapshot, including the
+  /// gossip, membership and provenance gauges this node's ctor registers.
+  [[nodiscard]] obs::MetricsSnapshot stats() const;
 
   /// The node's SWIM membership table — null until start(), and always null
   /// when gossip is disabled. Internally synchronized; callers (tests,

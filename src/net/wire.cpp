@@ -2,6 +2,7 @@
 
 #include <bit>
 #include <cmath>
+#include <map>
 
 #include "serve/module_codec.hpp"
 #include "serve/serialization.hpp"
@@ -145,8 +146,11 @@ void write_histogram(ByteWriter& w, const obs::HistogramSnapshot& h) {
   }
 }
 
-/// False on malformed input (reader error, absurd bucket count, index out of
-/// range); the snapshot always comes back with spec.buckets dense counts.
+/// False on malformed input (reader error, a bucket spec other than the
+/// shared obs::HistogramSpec{}, index out of range); the snapshot always
+/// comes back with spec.buckets dense counts. Fleet quantiles sum buckets
+/// index by index, which only means anything when every node uses the one
+/// layout, so a foreign spec is refused before anything is allocated.
 bool read_histogram(ByteReader& r, obs::HistogramSnapshot& h) {
   h.spec.min = r.f64();
   h.spec.growth = r.f64();
@@ -156,7 +160,7 @@ bool read_histogram(ByteReader& r, obs::HistogramSnapshot& h) {
   h.min = r.f64();
   h.max = r.f64();
   const std::uint32_t nonzero = r.u32();
-  if (!r.ok() || h.spec.buckets == 0 || h.spec.buckets > (1u << 16)) return false;
+  if (!r.ok() || !(h.spec == obs::HistogramSpec{})) return false;
   // Guard in entries (u32 index + u64 count each), not bytes: a corrupt
   // count must fail before it can size an allocation.
   if (nonzero > h.spec.buckets || nonzero > r.remaining() / 12) return false;
@@ -416,127 +420,110 @@ Result<std::vector<ModelSummary>> decode_model_list(std::string_view payload) {
 // Node stats
 // ---------------------------------------------------------------------------
 
-NodeStats collect_node_stats(const serve::CompileService& service) {
-  const serve::ServeMetrics metrics = service.metrics();
-  const runtime::EvalStats eval = service.eval_service()->stats();
-  NodeStats stats;
-  stats.completed = metrics.completed;
-  stats.failed = metrics.failed;
-  stats.rejected = metrics.rejected;
-  stats.queue_depth = metrics.queue_depth;
-  stats.p50_ms = metrics.latency.p50_ms;
-  stats.p95_ms = metrics.latency.p95_ms;
-  stats.eval_hits = eval.hits;
-  stats.eval_misses = eval.misses;
-  stats.eval_sequence_hits = eval.sequence_hits;
-  stats.eval_primed = eval.primed;
-  stats.models = service.registry()->size();
-  stats.latency_hist = metrics.latency_hist;
-  stats.per_model = metrics.per_model;
-  stats.objective_completed = metrics.objective_completed;
-  // counter() creates-or-returns, so nodes that never saw a canary report 0
-  // rather than omitting the fields. The provenance-log fields are filled by
-  // ServeNode::stats(), which owns the log.
-  stats.learn_promoted = service.metrics_registry()->counter("learn_promoted").value();
-  stats.learn_rolled_back = service.metrics_registry()->counter("learn_rolled_back").value();
-  // Overload-control counters (v6); the membership fields are filled by
-  // ServeNode::stats(), which owns the table — a bare service has none.
-  stats.shed_overload = service.metrics_registry()->counter("serve_shed_overload").value();
-  stats.shed_deadline = service.metrics_registry()->counter("serve_shed_deadline").value();
-  return stats;
+namespace {
+
+void write_key(ByteWriter& w, const obs::MetricKey& key) {
+  w.str(key.name);
+  w.u32(static_cast<std::uint32_t>(key.labels.size()));
+  for (const auto& [label, value] : key.labels) {
+    w.str(label);
+    w.str(value);
+  }
 }
 
-std::string encode_node_stats(const NodeStats& stats) {
+bool read_key(ByteReader& r, obs::MetricKey& key) {
+  key.name = r.str();
+  const std::uint32_t labels = r.u32();
+  // Each label is at least two length prefixes.
+  if (!r.ok() || labels > r.remaining() / 16) return false;
+  key.labels.reserve(labels);
+  for (std::uint32_t i = 0; i < labels && r.ok(); ++i) {
+    std::string label = r.str();
+    key.labels.emplace_back(std::move(label), r.str());
+  }
+  return r.ok();
+}
+
+/// One snapshot section: a u32 entry count, then (key, value) entries.
+template <typename Value, typename WriteValue>
+void write_section(ByteWriter& w, const std::map<obs::MetricKey, Value>& entries,
+                   WriteValue write_value) {
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& [key, value] : entries) {
+    write_key(w, key);
+    write_value(w, value);
+  }
+}
+
+/// The count is checked against the bytes left — every entry takes at least
+/// a key (name length prefix + label count) and `min_value_bytes` — before
+/// it sizes anything; a truncated entry or a repeated key fails the section.
+template <typename Value, typename ReadValue>
+Status read_section(ByteReader& r, const char* what, std::size_t min_value_bytes,
+                    std::map<obs::MetricKey, Value>& entries, ReadValue read_value) {
+  const std::uint32_t count = r.u32();
+  if (!r.ok() || count > r.remaining() / (8 + 4 + min_value_bytes)) {
+    return Status::error(strf("node stats: corrupt %s count", what));
+  }
+  for (std::uint32_t i = 0; i < count; ++i) {
+    obs::MetricKey key;
+    Value value{};
+    if (!read_key(r, key) || !read_value(r, value) || !r.ok()) {
+      return Status::error(strf("node stats: corrupt %s '%s'", what, key.name.c_str()));
+    }
+    if (!entries.emplace(key, std::move(value)).second) {
+      return Status::error(strf("node stats: duplicate %s '%s'", what, key.name.c_str()));
+    }
+  }
+  return Status::ok();
+}
+
+}  // namespace
+
+std::string encode_metrics_snapshot(const obs::MetricsSnapshot& snapshot) {
   ByteWriter w;
   w.u8(1);
-  w.u32(kNodeStatsVersion);
-  w.u64(stats.completed);
-  w.u64(stats.failed);
-  w.u64(stats.rejected);
-  w.u64(stats.queue_depth);
-  w.f64(stats.p50_ms);
-  w.f64(stats.p95_ms);
-  w.u64(stats.eval_hits);
-  w.u64(stats.eval_misses);
-  w.u64(stats.eval_sequence_hits);
-  w.u64(stats.eval_primed);
-  w.u64(stats.models);
-  w.u64(stats.gossip_rounds);
-  w.u64(stats.gossip_fetched);
-  w.u64(stats.last_sync_age_ms);
-  write_histogram(w, stats.latency_hist);
-  w.u64(stats.per_model.size());
-  for (const serve::ModelVersionStats& m : stats.per_model) {
-    w.str(m.model);
-    w.u32(m.version);
-    w.u64(m.completed);
-    w.u64(m.failed);
-  }
-  for (const std::uint64_t count : stats.objective_completed) w.u64(count);
-  w.u64(stats.learn_promoted);
-  w.u64(stats.learn_rolled_back);
-  w.u64(stats.provenance_pending);
-  w.u64(stats.provenance_dropped);
-  w.u64(stats.shed_overload);
-  w.u64(stats.shed_deadline);
-  w.u64(stats.members_alive);
-  w.u64(stats.members_suspect);
-  w.u64(stats.members_dead);
+  w.u32(kStatsPayloadVersion);
+  write_section(w, snapshot.counters, [](ByteWriter& out, std::uint64_t v) { out.u64(v); });
+  write_section(w, snapshot.gauges, [](ByteWriter& out, const obs::GaugeSummary& g) {
+    out.f64(g.sum);
+    out.f64(g.min);
+    out.f64(g.max);
+  });
+  write_section(w, snapshot.histograms, write_histogram);
   return w.take();
 }
 
-Result<NodeStats> decode_node_stats(std::string_view payload) {
+Result<obs::MetricsSnapshot> decode_metrics_snapshot(std::string_view payload) {
   ByteReader r(payload);
   if (const Status prefix = read_status_prefix(r); !prefix.is_ok()) return prefix;
   const std::uint32_t version = r.u32();
-  if (!r.ok() || version != kNodeStatsVersion) {
+  if (!r.ok() || version != kStatsPayloadVersion) {
     return Status::error(strf("node stats: unsupported stats version %u (expected %u)",
-                              version, kNodeStatsVersion));
+                              version, kStatsPayloadVersion));
   }
-  NodeStats stats;
-  stats.completed = r.u64();
-  stats.failed = r.u64();
-  stats.rejected = r.u64();
-  stats.queue_depth = r.u64();
-  stats.p50_ms = r.f64();
-  stats.p95_ms = r.f64();
-  stats.eval_hits = r.u64();
-  stats.eval_misses = r.u64();
-  stats.eval_sequence_hits = r.u64();
-  stats.eval_primed = r.u64();
-  stats.models = r.u64();
-  stats.gossip_rounds = r.u64();
-  stats.gossip_fetched = r.u64();
-  stats.last_sync_age_ms = r.u64();
-  if (!read_histogram(r, stats.latency_hist)) {
-    return Status::error("node stats: corrupt latency histogram");
+  obs::MetricsSnapshot snapshot;
+  Status status = read_section(r, "counter", 8, snapshot.counters,
+                               [](ByteReader& in, std::uint64_t& v) {
+                                 v = in.u64();
+                                 return true;
+                               });
+  if (status.is_ok()) {
+    status = read_section(r, "gauge", 24, snapshot.gauges,
+                          [](ByteReader& in, obs::GaugeSummary& g) {
+                            g.sum = in.f64();
+                            g.min = in.f64();
+                            g.max = in.f64();
+                            return true;
+                          });
   }
-  const std::uint64_t models = r.u64();
-  // Each entry is at least a name length prefix (8) + u32 + 2 x u64.
-  if (!r.ok() || models > r.remaining() / 28) {
-    return Status::error("node stats: corrupt model count");
+  // Spec, totals and the bucket count: 8 + 8 + 4 + 8 + 8 + 8 + 8 + 4 bytes.
+  if (status.is_ok()) {
+    status = read_section(r, "histogram", 56, snapshot.histograms, read_histogram);
   }
-  stats.per_model.reserve(models);
-  for (std::uint64_t i = 0; i < models && r.ok(); ++i) {
-    serve::ModelVersionStats m;
-    m.model = r.str();
-    m.version = r.u32();
-    m.completed = r.u64();
-    m.failed = r.u64();
-    stats.per_model.push_back(std::move(m));
-  }
-  for (std::uint64_t& count : stats.objective_completed) count = r.u64();
-  stats.learn_promoted = r.u64();
-  stats.learn_rolled_back = r.u64();
-  stats.provenance_pending = r.u64();
-  stats.provenance_dropped = r.u64();
-  stats.shed_overload = r.u64();
-  stats.shed_deadline = r.u64();
-  stats.members_alive = r.u64();
-  stats.members_suspect = r.u64();
-  stats.members_dead = r.u64();
-  if (!r.ok() || !r.at_end()) return Status::error("node stats: truncated payload");
-  return stats;
+  if (!status.is_ok()) return status;
+  if (!r.at_end()) return Status::error("node stats: trailing bytes");
+  return snapshot;
 }
 
 // ---------------------------------------------------------------------------

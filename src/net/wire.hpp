@@ -6,7 +6,6 @@
 // remote answer is byte-identical to compile_sync on the owning node.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -16,7 +15,6 @@
 #include "learn/provenance.hpp"
 #include "net/membership.hpp"
 #include "obs/metrics.hpp"
-#include "runtime/eval_service.hpp"
 #include "serve/compile_service.hpp"
 #include "support/status.hpp"
 
@@ -117,73 +115,19 @@ Result<std::vector<ModelSummary>> decode_model_list(std::string_view payload);
 
 /// Bumped whenever the kStats payload layout changes; the payload leads
 /// with this so a fleet monitor fails a mismatched node loudly instead of
-/// misparsing its counters.
-///
-/// v3  gossip health: anti-entropy rounds, blobs pulled, last-sync age.
-/// v4  latency crosses as a mergeable bucket histogram (obs::HistogramSnapshot,
-///     sparse-encoded) instead of a raw sample reservoir.
-/// v5  online-learning loop counters: canary promotions / rollbacks applied
-///     on this node, provenance records awaiting collection, and records
-///     dropped from the bounded provenance log.
-/// v6  fleet elasticity: overload-shed counters (queue-saturation sheds and
-///     expired-deadline sheds) and SWIM membership health (alive / suspect /
-///     confirmed-dead member counts as this node sees the fleet).
-inline constexpr std::uint32_t kNodeStatsVersion = 6;
+/// misparsing it. v2-v6 were fixed field lists (see docs/wire-protocol.md);
+/// v7 is the node's whole registry snapshot, so a new instrument needs no bump.
+inline constexpr std::uint32_t kStatsPayloadVersion = 7;
 
-/// last_sync_age_ms value meaning "this node has never completed a pull".
+/// FleetStats::last_sync_age_ms_max value meaning "some node has never
+/// completed a pull" (nodes expose that as gossip_last_sync_age_ms = -1).
 inline constexpr std::uint64_t kNeverSynced = ~0ull;
 
-struct NodeStats {
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t rejected = 0;
-  std::uint64_t queue_depth = 0;
-  double p50_ms = 0.0;
-  double p95_ms = 0.0;
-  std::uint64_t eval_hits = 0;
-  std::uint64_t eval_misses = 0;      // simulator samples on this node
-  std::uint64_t eval_sequence_hits = 0;
-  std::uint64_t eval_primed = 0;      // warm-up cache entries installed
-  std::uint64_t models = 0;
-  /// Gossip health (v3): background anti-entropy rounds completed, blobs
-  /// pulled by anti-entropy (background or operator-triggered), and how
-  /// stale this node's last successful pull is (kNeverSynced = never — also
-  /// what nodes report with gossip disabled and no sync_from yet).
-  std::uint64_t gossip_rounds = 0;
-  std::uint64_t gossip_fetched = 0;
-  std::uint64_t last_sync_age_ms = kNeverSynced;
-  /// Submit -> response latency histogram (ms). Fleet quantiles are computed
-  /// from the *bucket-summed* histograms of every node — averaging per-node
-  /// percentiles would be statistically meaningless, and identically-specced
-  /// buckets make the merge exact, order-independent, and O(buckets) on the
-  /// wire regardless of how many requests the node has served.
-  obs::HistogramSnapshot latency_hist;
-  /// Per-(model, version) outcomes, sorted by (model, version).
-  std::vector<serve::ModelVersionStats> per_model;
-  /// Completed requests by serve::Objective.
-  std::array<std::uint64_t, serve::kNumObjectives> objective_completed{};
-  /// Online-learning loop (v5): promotion decisions applied on this node and
-  /// the state of its provenance log. collect_node_stats reads the counters
-  /// from the service's metrics registry; the log fields are filled by
-  /// ServeNode (a bare service has no provenance log and reports zero).
-  std::uint64_t learn_promoted = 0;
-  std::uint64_t learn_rolled_back = 0;
-  std::uint64_t provenance_pending = 0;
-  std::uint64_t provenance_dropped = 0;
-  /// Overload control (v6): requests shed because the bounded queue
-  /// saturated (answered with a typed kOverloaded reply) and queue entries
-  /// shed at dequeue because their deadline had already expired.
-  std::uint64_t shed_overload = 0;
-  std::uint64_t shed_deadline = 0;
-  /// SWIM membership health (v6): the fleet as this node's table sees it.
-  /// All-zero on nodes running without membership (the feature is opt-in).
-  std::uint64_t members_alive = 0;
-  std::uint64_t members_suspect = 0;
-  std::uint64_t members_dead = 0;
-};
-NodeStats collect_node_stats(const serve::CompileService& service);
-std::string encode_node_stats(const NodeStats& stats);
-Result<NodeStats> decode_node_stats(std::string_view payload);
+/// The kStats reply: status prefix, payload version, registry snapshot. The
+/// decoder bounds every count by the bytes left before it allocates and
+/// rejects duplicate keys and histograms not in the shared HistogramSpec{}.
+std::string encode_metrics_snapshot(const obs::MetricsSnapshot& snapshot);
+Result<obs::MetricsSnapshot> decode_metrics_snapshot(std::string_view payload);
 
 // ---- Replication catch-up (anti-entropy) ----
 

@@ -131,7 +131,7 @@ HistogramSnapshot Histogram::snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// MetricsRegistry
+// MetricsSnapshot
 // ---------------------------------------------------------------------------
 
 namespace {
@@ -170,7 +170,80 @@ std::string render_value(double v) {
   return strf("%.6g", v);
 }
 
+std::string render_snapshot(const MetricsSnapshot& snapshot) {
+  std::string out;
+  const auto gauge_lines = [&](bool polled) {
+    for (const auto& [key, g] : snapshot.gauges) {
+      if (g.polled == polled) out += render_key(key) + " " + render_value(g.sum) + "\n";
+    }
+  };
+  for (const auto& [key, value] : snapshot.counters) {
+    out += render_key(key) + " " + render_value(static_cast<double>(value)) + "\n";
+  }
+  gauge_lines(false);
+  for (const auto& [key, s] : snapshot.histograms) {
+    std::uint64_t cumulative = 0;
+    for (std::size_t i = 0; i < s.counts.size(); ++i) {
+      cumulative += s.counts[i];
+      if (s.counts[i] == 0 && i + 1 != s.counts.size()) continue;  // sparse
+      const double edge = s.spec.upper_bound(static_cast<std::uint32_t>(i));
+      out += render_key_with(key, "le", render_value(edge), "_bucket") + " " +
+             render_value(static_cast<double>(cumulative)) + "\n";
+    }
+    out += render_key(MetricKey{key.name + "_sum", key.labels}) + " " + render_value(s.sum) + "\n";
+    out += render_key(MetricKey{key.name + "_count", key.labels}) + " " +
+           render_value(static_cast<double>(s.count)) + "\n";
+  }
+  gauge_lines(true);
+  return out;
+}
+
 }  // namespace
+
+MetricsSnapshot& MetricsSnapshot::operator+=(const MetricsSnapshot& o) {
+  for (const auto& [key, value] : o.counters) counters[key] += value;
+  for (const auto& [key, g] : o.gauges) {
+    const auto [it, inserted] = gauges.try_emplace(key, g);
+    if (inserted) continue;
+    it->second.sum += g.sum;
+    it->second.min = std::min(it->second.min, g.min);
+    it->second.max = std::max(it->second.max, g.max);
+  }
+  for (const auto& [key, h] : o.histograms) {
+    const auto [it, inserted] = histograms.try_emplace(key, h);
+    if (!inserted) it->second += h;
+  }
+  return *this;
+}
+
+std::uint64_t MetricsSnapshot::counter(const std::string& name) const {
+  const auto it = counters.find(MetricKey{name, {}});
+  return it == counters.end() ? 0 : it->second;
+}
+
+const GaugeSummary* MetricsSnapshot::gauge(const std::string& name) const {
+  const auto it = gauges.find(MetricKey{name, {}});
+  return it == gauges.end() ? nullptr : &it->second;
+}
+
+const HistogramSnapshot* MetricsSnapshot::histogram(const std::string& name) const {
+  const auto it = histograms.find(MetricKey{name, {}});
+  return it == histograms.end() ? nullptr : &it->second;
+}
+
+std::vector<std::pair<MetricKey, std::uint64_t>> MetricsSnapshot::counter_family(
+    const std::string& name) const {
+  std::vector<std::pair<MetricKey, std::uint64_t>> out;
+  for (auto it = counters.lower_bound(MetricKey{name, {}});
+       it != counters.end() && it->first.name == name; ++it) {
+    out.emplace_back(*it);
+  }
+  return out;
+}
+
+// ---------------------------------------------------------------------------
+// MetricsRegistry
+// ---------------------------------------------------------------------------
 
 Counter& MetricsRegistry::counter(const std::string& name, Labels labels) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -199,79 +272,31 @@ void MetricsRegistry::gauge_fn(const std::string& name, Labels labels, GaugeFn f
   gauge_fns_[make_key(name, std::move(labels))] = std::move(fn);
 }
 
-HistogramSnapshot MetricsRegistry::merged_histogram(const std::string& name) const {
-  HistogramSnapshot merged;
-  bool first = true;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, hist] : histograms_) {
-    if (key.name != name) continue;
-    if (first) {
-      merged = hist->snapshot();
-      first = false;
-    } else {
-      merged += hist->snapshot();
-    }
-  }
-  return merged;
-}
-
-std::vector<std::pair<MetricKey, HistogramSnapshot>> MetricsRegistry::histograms(
-    const std::string& name) const {
-  std::vector<std::pair<MetricKey, HistogramSnapshot>> out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, hist] : histograms_) {
-    if (key.name == name) out.emplace_back(key, hist->snapshot());
-  }
-  return out;
-}
-
-std::vector<std::pair<MetricKey, std::uint64_t>> MetricsRegistry::counters(
-    const std::string& name) const {
-  std::vector<std::pair<MetricKey, std::uint64_t>> out;
-  const std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& [key, c] : counters_) {
-    if (key.name == name) out.emplace_back(key, c->value());
-  }
-  return out;
-}
-
-std::string MetricsRegistry::render_text() const {
+MetricsSnapshot MetricsRegistry::snapshot() const {
   // Callback gauges are evaluated outside the registry lock: a callback that
   // itself takes locks (an EvalService aggregating shards) must never nest
   // under ours.
   std::vector<std::pair<MetricKey, GaugeFn>> fns;
-  std::string out;
+  MetricsSnapshot snap;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [key, c] : counters_) {
-      out += render_key(key) + " " + render_value(static_cast<double>(c->value())) + "\n";
-    }
+    for (const auto& [key, c] : counters_) snap.counters.emplace(key, c->value());
     for (const auto& [key, g] : gauges_) {
-      out += render_key(key) + " " + render_value(g->value()) + "\n";
+      const double v = g->value();
+      snap.gauges.emplace(key, GaugeSummary{v, v, v, false});
     }
-    for (const auto& [key, h] : histograms_) {
-      const HistogramSnapshot s = h->snapshot();
-      std::uint64_t cumulative = 0;
-      for (std::size_t i = 0; i < s.counts.size(); ++i) {
-        cumulative += s.counts[i];
-        if (s.counts[i] == 0 && i + 1 != s.counts.size()) continue;  // sparse
-        const double edge = s.spec.upper_bound(static_cast<std::uint32_t>(i));
-        out += render_key_with(key, "le", render_value(edge), "_bucket") + " " +
-               render_value(static_cast<double>(cumulative)) + "\n";
-      }
-      out += render_key(MetricKey{key.name + "_sum", key.labels}) + " " +
-             render_value(s.sum) + "\n";
-      out += render_key(MetricKey{key.name + "_count", key.labels}) + " " +
-             render_value(static_cast<double>(s.count)) + "\n";
-    }
+    for (const auto& [key, h] : histograms_) snap.histograms.emplace(key, h->snapshot());
     fns.reserve(gauge_fns_.size());
     for (const auto& [key, fn] : gauge_fns_) fns.emplace_back(key, fn);
   }
   for (const auto& [key, fn] : fns) {
-    out += render_key(key) + " " + render_value(fn()) + "\n";
+    const double v = fn();
+    snap.gauges[key] = GaugeSummary{v, v, v, true};
   }
-  return out;
+  return snap;
 }
+
+std::string MetricsRegistry::render_text() const { return render_snapshot(snapshot()); }
 
 MetricsRegistry& default_registry() {
   static MetricsRegistry registry;

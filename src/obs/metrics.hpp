@@ -137,6 +137,42 @@ struct MetricKey {
   bool operator<(const MetricKey& o) const noexcept {
     return name != o.name ? name < o.name : labels < o.labels;
   }
+  bool operator==(const MetricKey& o) const = default;
+};
+
+/// One gauge across one or more registries. A single registry's snapshot
+/// has sum == min == max == the gauge's value; merging keeps all three, so
+/// a fleet view can read a total (queue depth), a floor (members alive) or
+/// a ceiling (stalest sync) from the same entry.
+struct GaugeSummary {
+  double sum = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+  /// Read from a gauge_fn callback. Only exposition order depends on it
+  /// (callbacks print after histograms); it does not cross the wire.
+  bool polled = false;
+};
+
+/// Every instrument of a registry at one instant, keyed like the exposition,
+/// or the merge of several such snapshots. This is the kStats payload: a
+/// fleet monitor merges snapshots generically, so a new instrument reaches
+/// the fleet view without any per-field code.
+struct MetricsSnapshot {
+  std::map<MetricKey, std::uint64_t> counters;
+  std::map<MetricKey, GaugeSummary> gauges;
+  std::map<MetricKey, HistogramSnapshot> histograms;
+
+  /// Counters and histograms sum; gauges keep sum, min and max. Histograms
+  /// merge only with an identical spec (see HistogramSnapshot::operator+=).
+  MetricsSnapshot& operator+=(const MetricsSnapshot& o);
+
+  /// Unlabelled lookups: 0 / nullptr when the instrument is absent.
+  [[nodiscard]] std::uint64_t counter(const std::string& name) const;
+  [[nodiscard]] const GaugeSummary* gauge(const std::string& name) const;
+  [[nodiscard]] const HistogramSnapshot* histogram(const std::string& name) const;
+  /// Every counter under `name`, ordered by label set.
+  [[nodiscard]] std::vector<std::pair<MetricKey, std::uint64_t>> counter_family(
+      const std::string& name) const;
 };
 
 /// One registry = one scrape surface. Each ServeNode (its CompileService)
@@ -158,20 +194,15 @@ class MetricsRegistry {
   /// Registers (or replaces) a callback gauge.
   void gauge_fn(const std::string& name, Labels labels, GaugeFn fn);
 
-  /// All histograms under `name`, merged bucket-wise (e.g. the per-model
-  /// cycle-error histograms folded into one fleet-regret view).
-  [[nodiscard]] HistogramSnapshot merged_histogram(const std::string& name) const;
-  [[nodiscard]] std::vector<std::pair<MetricKey, HistogramSnapshot>> histograms(
-      const std::string& name) const;
-  /// All counters under `name` with their current values, ordered by label
-  /// set — lets a labelled family (per-model request counts) be read back as
-  /// a deterministic breakdown without shadow bookkeeping.
-  [[nodiscard]] std::vector<std::pair<MetricKey, std::uint64_t>> counters(
-      const std::string& name) const;
+  /// Every instrument's current value. Callback gauges are evaluated after
+  /// the registry lock is released (a callback may take its own locks); a
+  /// callback replaces a settable gauge registered under the same key.
+  [[nodiscard]] MetricsSnapshot snapshot() const;
 
-  /// Prometheus-style text exposition: one `name{labels} value` line per
-  /// counter/gauge, `_bucket`/`_sum`/`_count` series per histogram (with
-  /// cumulative `le` buckets), deterministically ordered by (name, labels).
+  /// Prometheus-style text exposition of snapshot(): one `name{labels}
+  /// value` line per counter/gauge, `_bucket`/`_sum`/`_count` series per
+  /// histogram (cumulative `le` buckets), ordered by (name, labels) within
+  /// each section — counters, settable gauges, histograms, callback gauges.
   [[nodiscard]] std::string render_text() const;
 
   /// Cheap-instrumentation switch: scoped-timer macros and optional record

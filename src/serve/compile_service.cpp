@@ -542,7 +542,6 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
       ctr_cancelled_(metrics_registry_->counter("serve_requests_cancelled")),
       ctr_shed_overload_(metrics_registry_->counter("serve_shed_overload")),
       ctr_shed_deadline_(metrics_registry_->counter("serve_shed_deadline")),
-      gauge_queue_depth_(metrics_registry_->gauge("serve_queue_depth")),
       gauge_max_queue_depth_(metrics_registry_->gauge("serve_queue_depth_max")),
       hist_latency_ms_(metrics_registry_->histogram("serve_latency_ms")),
       pool_(std::max<std::size_t>(1, config.workers)) {
@@ -570,9 +569,13 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
       return static_cast<double>(registry_view->size());
     });
   }
-  // Batcher views capture `this`: the batcher is a member, so these gauges
-  // are valid exactly while the service (and thus its registry handle here)
-  // lives — the supported scrape pattern (ServeNode renders while serving).
+  // Queue and batcher views capture `this`: both are members, so these
+  // gauges are valid exactly while the service (and thus its registry handle
+  // here) lives — the supported scrape pattern (ServeNode renders while
+  // serving). The depth is read from the queue itself at scrape time, so no
+  // path (dequeue, cancelling shutdown, shed) can leave a stale value.
+  metrics_registry_->gauge_fn("serve_queue_depth", {},
+                              [this] { return static_cast<double>(queue_depth()); });
   metrics_registry_->gauge_fn("batcher_batches", {}, [this] {
     return static_cast<double>(batcher_.stats().batches);
   });
@@ -627,7 +630,6 @@ void CompileService::worker_loop() {
       std::pop_heap(queue_.begin(), queue_.end(), JobOrder{});
       job = std::move(queue_.back());
       queue_.pop_back();
-      gauge_queue_depth_.set(static_cast<double>(queue_.size()));
     }
     space_cv_.notify_one();
     if (job.request.deadline_at != std::chrono::steady_clock::time_point{} &&
@@ -864,7 +866,6 @@ CompileService::ResponseFuture CompileService::enqueue_locked(
   const std::size_t depth = queue_.size();
   lock.unlock();
   queue_cv_.notify_one();
-  gauge_queue_depth_.set(static_cast<double>(depth));
   gauge_max_queue_depth_.update_max(static_cast<double>(depth));
   return future;
 }
@@ -960,11 +961,18 @@ ServeMetrics CompileService::metrics() const {
   m.wall_seconds = static_cast<double>(nanos_between(started_, Clock::now())) / 1e9;
   m.throughput_rps =
       m.wall_seconds > 0 ? static_cast<double>(m.completed) / m.wall_seconds : 0.0;
-  // The per-model breakdown is the labelled counter family read back; the
-  // registry orders keys deterministically, and completed/failed rows of the
-  // same (model, version) fold into one entry.
+  const obs::MetricsSnapshot snapshot = metrics_registry_->snapshot();
+  m.per_model = per_model_breakdown(snapshot);
+  m.objective_completed = objective_breakdown(snapshot);
+  m.batcher = batcher_.stats();
+  return m;
+}
+
+std::vector<ModelVersionStats> per_model_breakdown(const obs::MetricsSnapshot& snapshot) {
+  // Completed and failed rows of the same (model, version) fold into one
+  // entry; the map orders rows deterministically.
   std::map<std::pair<std::string, std::uint32_t>, ModelVersionStats> per_model;
-  for (const auto& [key, value] : metrics_registry_->counters("serve_model_requests")) {
+  for (const auto& [key, value] : snapshot.counter_family("serve_model_requests")) {
     std::string model;
     std::uint32_t version = 0;
     bool completed = false;
@@ -980,19 +988,24 @@ ServeMetrics CompileService::metrics() const {
     row.version = version;
     (completed ? row.completed : row.failed) += value;
   }
-  m.per_model.reserve(per_model.size());
-  for (auto& [key, row] : per_model) m.per_model.push_back(std::move(row));
-  for (const auto& [key, value] :
-       metrics_registry_->counters("serve_objective_completed")) {
+  std::vector<ModelVersionStats> rows;
+  rows.reserve(per_model.size());
+  for (auto& [key, row] : per_model) rows.push_back(std::move(row));
+  return rows;
+}
+
+std::array<std::uint64_t, kNumObjectives> objective_breakdown(
+    const obs::MetricsSnapshot& snapshot) {
+  std::array<std::uint64_t, kNumObjectives> counts{};
+  for (const auto& [key, value] : snapshot.counter_family("serve_objective_completed")) {
     for (std::size_t i = 0; i < kNumObjectives; ++i) {
       if (!key.labels.empty() &&
           key.labels.front().second == objective_name(static_cast<Objective>(i))) {
-        m.objective_completed[i] = value;
+        counts[i] += value;
       }
     }
   }
-  m.batcher = batcher_.stats();
-  return m;
+  return counts;
 }
 
 }  // namespace autophase::serve

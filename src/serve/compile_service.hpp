@@ -143,6 +143,13 @@ struct ModelVersionStats {
   std::uint64_t failed = 0;
 };
 
+/// Typed views of the labelled `serve_model_requests{model,version,outcome}`
+/// (rows sorted by model, version) and `serve_objective_completed` families,
+/// shared by a node's metrics() and the fleet merge.
+std::vector<ModelVersionStats> per_model_breakdown(const obs::MetricsSnapshot& snapshot);
+std::array<std::uint64_t, kNumObjectives> objective_breakdown(
+    const obs::MetricsSnapshot& snapshot);
+
 struct ServeMetrics {
   std::size_t completed = 0;
   std::size_t failed = 0;     // resolved with an error status
@@ -370,7 +377,6 @@ class CompileService {
   obs::Counter& ctr_cancelled_;
   obs::Counter& ctr_shed_overload_;  // jobs shed because the queue saturated
   obs::Counter& ctr_shed_deadline_;  // jobs shed because their deadline passed queued
-  obs::Gauge& gauge_queue_depth_;
   obs::Gauge& gauge_max_queue_depth_;
   obs::Histogram& hist_latency_ms_;
 

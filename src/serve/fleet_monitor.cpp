@@ -1,7 +1,5 @@
 #include "serve/fleet_monitor.hpp"
 
-#include <algorithm>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -60,6 +58,66 @@ std::string fleet_summary(const FleetStats& stats) {
   return summary;
 }
 
+namespace {
+
+/// Gauges cross as doubles; the typed fields are whole counts. Clamped, since
+/// a hostile node's value must not make the conversion undefined.
+std::uint64_t whole(double v) {
+  if (!(v > 0.0)) return 0;
+  return v >= 0x1p64 ? ~0ull : static_cast<std::uint64_t>(v);
+}
+
+/// Fills FleetStats' typed fields from its merged snapshot, by instrument
+/// name. An instrument no reachable node exposes reads as zero.
+void read_typed_fields(FleetStats& fleet) {
+  const obs::MetricsSnapshot& m = fleet.metrics;
+  const auto gauge = [&m](const char* name) {
+    const obs::GaugeSummary* g = m.gauge(name);
+    return g != nullptr ? *g : obs::GaugeSummary{};
+  };
+  fleet.completed = m.counter("serve_requests_completed");
+  fleet.failed = m.counter("serve_requests_failed");
+  fleet.rejected = m.counter("serve_requests_rejected");
+  fleet.queue_depth = whole(gauge("serve_queue_depth").sum);
+  fleet.shed_overload = m.counter("serve_shed_overload");
+  fleet.shed_deadline = m.counter("serve_shed_deadline");
+  // Rates are over *responding* nodes: dividing by the configured count
+  // would make a half-dead fleet look half as loaded instead of half gone.
+  fleet.completed_per_reachable =
+      fleet.reachable == 0
+          ? 0.0
+          : static_cast<double>(fleet.completed) / static_cast<double>(fleet.reachable);
+  fleet.eval_hits = whole(gauge("eval_cache_hits").sum);
+  fleet.eval_misses = whole(gauge("eval_cache_misses").sum);
+  fleet.eval_sequence_hits = whole(gauge("eval_sequence_hits").sum);
+  fleet.eval_primed = whole(gauge("eval_cache_primed").sum);
+  fleet.models_min = whole(gauge("registry_artifacts").min);
+  fleet.models_max = whole(gauge("registry_artifacts").max);
+  fleet.gossip_rounds = whole(gauge("gossip_rounds").sum);
+  fleet.gossip_fetched = whole(gauge("gossip_fetched").sum);
+  // A never-synced node exposes -1, which keeps the fleet at kNeverSynced;
+  // so does a snapshot with no reachable node.
+  const obs::GaugeSummary* age = m.gauge("gossip_last_sync_age_ms");
+  fleet.last_sync_age_ms_max =
+      age == nullptr || age->min < 0.0 ? net::kNeverSynced : whole(age->max);
+  fleet.members_alive_min = whole(gauge("members_alive").min);
+  fleet.members_suspect_max = whole(gauge("members_suspect").max);
+  fleet.members_dead_max = whole(gauge("members_dead").max);
+  fleet.learn_promoted = m.counter("learn_promoted");
+  fleet.learn_rolled_back = m.counter("learn_rolled_back");
+  fleet.provenance_pending = whole(gauge("provenance_pending").sum);
+  fleet.provenance_dropped = whole(gauge("provenance_dropped").sum);
+  if (const obs::HistogramSnapshot* latency = m.histogram("serve_latency_ms")) {
+    fleet.latency_hist = *latency;
+  }
+  fleet.latency = latency_view(fleet.latency_hist);
+  fleet.latency_samples = static_cast<std::size_t>(fleet.latency_hist.count);
+  fleet.per_model = per_model_breakdown(m);
+  fleet.objective_completed = objective_breakdown(m);
+}
+
+}  // namespace
+
 FleetMonitor::FleetMonitor(std::shared_ptr<RemoteCompileClient> client)
     : client_(std::move(client)) {}
 
@@ -88,74 +146,13 @@ FleetStats FleetMonitor::poll() {
 
   FleetStats merged;
   merged.nodes = nodes;
-  bool first_hist = true;
-  std::map<std::pair<std::string, std::uint32_t>, std::pair<std::uint64_t, std::uint64_t>>
-      per_model;
-  bool first_reachable = true;
   for (const FleetNodeReport& report : reports) {
     if (!report.reachable) continue;
     ++merged.reachable;
-    const net::NodeStats& s = report.stats;
-    merged.completed += s.completed;
-    merged.failed += s.failed;
-    merged.rejected += s.rejected;
-    merged.queue_depth += s.queue_depth;
-    merged.shed_overload += s.shed_overload;
-    merged.shed_deadline += s.shed_deadline;
-    merged.members_alive_min = first_reachable
-                                   ? s.members_alive
-                                   : std::min(merged.members_alive_min, s.members_alive);
-    merged.members_suspect_max = std::max(merged.members_suspect_max, s.members_suspect);
-    merged.members_dead_max = std::max(merged.members_dead_max, s.members_dead);
-    merged.eval_hits += s.eval_hits;
-    merged.eval_misses += s.eval_misses;
-    merged.eval_sequence_hits += s.eval_sequence_hits;
-    merged.eval_primed += s.eval_primed;
-    merged.models_min = first_reachable ? s.models : std::min(merged.models_min, s.models);
-    merged.models_max = std::max(merged.models_max, s.models);
-    merged.learn_promoted += s.learn_promoted;
-    merged.learn_rolled_back += s.learn_rolled_back;
-    merged.provenance_pending += s.provenance_pending;
-    merged.provenance_dropped += s.provenance_dropped;
-    merged.gossip_rounds += s.gossip_rounds;
-    merged.gossip_fetched += s.gossip_fetched;
-    // Seeded from the first reachable node (the struct default is the
-    // kNeverSynced sentinel, which would otherwise absorb every max()).
-    merged.last_sync_age_ms_max = first_reachable
-                                      ? s.last_sync_age_ms
-                                      : std::max(merged.last_sync_age_ms_max, s.last_sync_age_ms);
-    first_reachable = false;
-    // The whole percentile merge: identically-specced buckets sum. Seeding
-    // from the first node keeps the spec (+= asserts the specs match).
-    if (first_hist) {
-      merged.latency_hist = s.latency_hist;
-      first_hist = false;
-    } else {
-      merged.latency_hist += s.latency_hist;
-    }
-    for (const ModelVersionStats& m : s.per_model) {
-      auto& counts = per_model[{m.model, m.version}];
-      counts.first += m.completed;
-      counts.second += m.failed;
-    }
-    for (std::size_t o = 0; o < kNumObjectives; ++o) {
-      merged.objective_completed[o] += s.objective_completed[o];
-    }
+    merged.metrics += report.stats;
   }
-
   merged.nodes_unreachable = merged.nodes - merged.reachable;
-  // Rates are over *responding* nodes: dividing by the configured count
-  // would make a half-dead fleet look half as loaded instead of half gone.
-  merged.completed_per_reachable =
-      merged.reachable == 0
-          ? 0.0
-          : static_cast<double>(merged.completed) / static_cast<double>(merged.reachable);
-  merged.latency_samples = static_cast<std::size_t>(merged.latency_hist.count);
-  merged.latency = latency_view(merged.latency_hist);
-  merged.per_model.reserve(per_model.size());
-  for (const auto& [key, counts] : per_model) {
-    merged.per_model.push_back({key.first, key.second, counts.first, counts.second});
-  }
+  read_typed_fields(merged);
   merged.per_node = std::move(reports);
 
   const std::lock_guard<std::mutex> lock(mutex_);

@@ -1,14 +1,15 @@
 // Fleet-wide observability: one place that answers "what is the cluster
 // doing?". A FleetMonitor fans kStats requests out through a
-// RemoteCompileClient, decodes every node's versioned counters, and merges
-// them into a FleetStats snapshot — counters are summed, latency percentiles
-// come from *bucket-summed* per-node histograms (averaging per-node p95s is
+// RemoteCompileClient, decodes every node's metrics-registry snapshot, and
+// merges them generically into a FleetStats snapshot — counters and
+// histograms sum, gauges keep sum, min and max. Latency percentiles come from
+// the *bucket-summed* per-node histograms (averaging per-node p95s is
 // statistically meaningless; summing identically-specced buckets is exact,
-// order-independent, and O(buckets) on the wire with no truncation), and
-// per-model-version / per-objective breakdowns are summed key-wise so a
-// rollout's traffic split is visible fleet-wide. Snapshots are versioned:
-// each poll() increments a monotonic id, so two observers can order the
-// snapshots they hold.
+// order-independent, and O(buckets) on the wire with no truncation). The
+// typed FleetStats fields are views read by name from the merged snapshot,
+// so an instrument a node adds reaches the fleet view with no wire change.
+// Snapshots are versioned: each poll() increments a monotonic id, so two
+// observers can order the snapshots they hold.
 #pragma once
 
 #include <array>
@@ -30,8 +31,8 @@ namespace autophase::serve {
 struct FleetNodeReport {
   net::RemoteEndpoint endpoint;
   bool reachable = false;
-  std::string error;     // transport/decode failure when unreachable
-  net::NodeStats stats;  // meaningful only when reachable
+  std::string error;          // transport/decode failure when unreachable
+  obs::MetricsSnapshot stats;  // the node's registry; meaningful only when reachable
 };
 
 struct FleetStats {
@@ -44,12 +45,15 @@ struct FleetStats {
   /// half-dead fleet must not report a halved per-node load as healthy.
   std::size_t nodes_unreachable = 0;
 
+  /// Every reachable node's snapshot, merged; the fields below read it by name.
+  obs::MetricsSnapshot metrics;
+
   // Summed serving counters across reachable nodes.
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
   std::uint64_t rejected = 0;
   std::uint64_t queue_depth = 0;
-  /// Overload-control sheds (v6 kStats), summed across reachable nodes:
+  /// Overload-control sheds, summed across reachable nodes:
   /// queue-saturation sheds and deadline-expired-while-queued sheds.
   std::uint64_t shed_overload = 0;
   std::uint64_t shed_deadline = 0;
@@ -77,7 +81,7 @@ struct FleetStats {
   std::uint64_t gossip_fetched = 0;
   std::uint64_t last_sync_age_ms_max = net::kNeverSynced;
 
-  /// Membership consensus across reachable nodes (v6 kStats): the minimum
+  /// Membership consensus across reachable nodes: the minimum
   /// alive count (the most pessimistic node's view) and the maximum
   /// suspect/dead counts. A converged healthy fleet reports
   /// members_alive_min == fleet size and zeros for the other two.

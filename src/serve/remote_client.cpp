@@ -471,13 +471,13 @@ Result<std::vector<net::ModelSummary>> RemoteCompileClient::list_models(std::siz
   return net::decode_model_list(reply.value().payload);
 }
 
-Result<net::NodeStats> RemoteCompileClient::node_stats(std::size_t node) {
+Result<obs::MetricsSnapshot> RemoteCompileClient::node_stats(std::size_t node) {
   net::Frame frame;
   frame.type = net::MsgType::kStats;
   frame.request_id = next_request_id();
   auto reply = exchange_op(node, frame);
   if (!reply.is_ok()) return reply.status();
-  return net::decode_node_stats(reply.value().payload);
+  return net::decode_metrics_snapshot(reply.value().payload);
 }
 
 Result<net::ProvenanceBatch> RemoteCompileClient::drain_provenance(std::size_t node,

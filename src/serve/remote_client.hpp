@@ -83,7 +83,8 @@ class RemoteCompileClient {
                                     const PolicyArtifact& artifact);
 
   Result<std::vector<net::ModelSummary>> list_models(std::size_t node);
-  Result<net::NodeStats> node_stats(std::size_t node);
+  /// `node`'s registry snapshot (MsgType::kStats), as ServeNode::stats().
+  Result<obs::MetricsSnapshot> node_stats(std::size_t node);
   /// Destructively drains up to `max_records` provenance records from
   /// `node`'s log (MsgType::kProvenance) — the learn::Collector primitive.
   Result<net::ProvenanceBatch> drain_provenance(std::size_t node,

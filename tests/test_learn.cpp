@@ -580,8 +580,8 @@ TEST(Promoter, RollbackClearsSplitsCountsAndNeverTouchesTheDefault) {
   for (std::size_t node = 0; node < 2; ++node) {
     auto stats = client->node_stats(node);
     ASSERT_TRUE(stats.is_ok());
-    EXPECT_EQ(stats.value().learn_rolled_back, 1u) << "node " << node;
-    EXPECT_EQ(stats.value().learn_promoted, 0u) << "node " << node;
+    EXPECT_EQ(stats.value().counter("learn_rolled_back"), 1u) << "node " << node;
+    EXPECT_EQ(stats.value().counter("learn_promoted"), 0u) << "node " << node;
   }
   // The rolled-back canary never became the default: "agent" still serves
   // version 1 with the incumbent's weights.
@@ -753,8 +753,8 @@ TEST(OnlineLoop, ServeCollectFineTuneCanaryPromoteAcrossAGossipingFleet) {
   for (std::size_t node = 0; node < 2; ++node) {
     auto stats = client->node_stats(node);
     ASSERT_TRUE(stats.is_ok());
-    EXPECT_EQ(stats.value().learn_promoted, 1u) << "node " << node;
-    EXPECT_EQ(stats.value().learn_rolled_back, 0u) << "node " << node;
+    EXPECT_EQ(stats.value().counter("learn_promoted"), 1u) << "node " << node;
+    EXPECT_EQ(stats.value().counter("learn_rolled_back"), 0u) << "node " << node;
   }
   auto scrape = client->node_metrics(0);
   ASSERT_TRUE(scrape.is_ok());

@@ -57,6 +57,13 @@ serve::PolicyArtifact make_test_artifact(const ir::Module* program, std::uint64_
   return serve::make_artifact(trainer.export_policy(), cfg);
 }
 
+/// A gauge's value read by name from a kStats snapshot; NaN when the node
+/// does not expose it, so a missing instrument fails every comparison.
+double gauge_of(const obs::MetricsSnapshot& stats, const std::string& name) {
+  const obs::GaugeSummary* gauge = stats.gauge(name);
+  return gauge != nullptr ? gauge->sum : std::numeric_limits<double>::quiet_NaN();
+}
+
 /// A started two-piece serving node for end-to-end tests.
 struct NodeHarness {
   std::shared_ptr<serve::ModelRegistry> registry = std::make_shared<serve::ModelRegistry>();
@@ -655,7 +662,7 @@ TEST(RemoteServe, SaturatedNodeBouncesTypedOverloadedAcrossTheWire) {
   // surfaces as the typed "overloaded: " status — never a hang.
   EXPECT_TRUE(serve::is_overloaded(response.status())) << response.message();
   EXPECT_EQ(client.stats().overloaded, 1u);
-  EXPECT_EQ(harness.node->stats().shed_overload, 1u);
+  EXPECT_EQ(harness.node->stats().counter("serve_shed_overload"), 1u);
   // One typed bounce suppresses the endpoint — the node said so itself.
   EXPECT_TRUE(client.suppressed(0));
 
@@ -928,9 +935,10 @@ TEST(RemoteServe, ConsistentHashRoutingIsStableAndCacheAffine) {
   auto owner_stats = client.node_stats(owner);
   auto other_stats = client.node_stats(1 - owner);
   ASSERT_TRUE(owner_stats.is_ok() && other_stats.is_ok());
-  EXPECT_EQ(owner_stats.value().completed, 1u);
-  EXPECT_EQ(other_stats.value().completed, 0u);
-  EXPECT_GT(owner_stats.value().eval_misses, 0u);  // its EvalService did the work
+  EXPECT_EQ(owner_stats.value().counter("serve_requests_completed"), 1u);
+  EXPECT_EQ(other_stats.value().counter("serve_requests_completed"), 0u);
+  // Its EvalService did the work.
+  EXPECT_GT(gauge_of(owner_stats.value(), "eval_cache_misses"), 0.0);
 }
 
 TEST(RemoteServe, PublishSurvivesUnreachablePeerWithVersionIntact) {
@@ -1002,72 +1010,245 @@ TEST(RemoteServe, NodeShutdownRejectsLateClients) {
 }
 
 // ---------------------------------------------------------------------------
-// Node stats v4 (versioned payload, latency histogram + breakdowns + gossip
-// health)
+// Node stats v7: the kStats payload is the node's registry snapshot
 // ---------------------------------------------------------------------------
 
-TEST(WireNodeStats, V4PayloadRoundTripsBreakdowns) {
-  net::NodeStats stats;
-  stats.completed = 10;
-  stats.failed = 2;
-  stats.rejected = 1;
-  stats.queue_depth = 3;
-  stats.p50_ms = 1.25;
-  stats.p95_ms = 9.75;
-  stats.eval_hits = 4;
-  stats.eval_misses = 6;
-  stats.eval_sequence_hits = 2;
-  stats.eval_primed = 5;
-  stats.models = 2;
-  stats.gossip_rounds = 17;
-  stats.gossip_fetched = 4;
-  stats.last_sync_age_ms = 250;
-  obs::Histogram latencies;
-  for (const double v : {0.5, 3.5, 1.0, 2.0}) latencies.record(v);
-  stats.latency_hist = latencies.snapshot();
-  stats.per_model = {{"agent", 1, 6, 1}, {"agent", 2, 4, 0}, {"ghost", 7, 0, 1}};
-  stats.objective_completed = {7, 2, 1};
+/// One of every instrument shape a kStats payload carries: plain and
+/// labelled counters, settable and callback gauges (one negative), and
+/// sparse histograms, unlabelled and labelled.
+obs::MetricsSnapshot sample_snapshot() {
+  obs::MetricsRegistry registry;
+  registry.counter("serve_requests_completed").inc(10);
+  const auto model_requests = [&registry](const char* model, const char* version,
+                                          const char* outcome) -> obs::Counter& {
+    return registry.counter("serve_model_requests",
+                            {{"model", model}, {"version", version}, {"outcome", outcome}});
+  };
+  model_requests("agent", "1", "completed").inc(6);
+  model_requests("agent", "1", "failed").inc(1);
+  model_requests("agent", "2", "completed").inc(4);
+  model_requests("ghost", "7", "failed").inc(1);
+  const std::array<std::uint64_t, serve::kNumObjectives> objectives = {7, 2, 1};
+  for (std::size_t o = 0; o < serve::kNumObjectives; ++o) {
+    registry
+        .counter("serve_objective_completed",
+                 {{"objective", serve::objective_name(static_cast<serve::Objective>(o))}})
+        .inc(objectives[o]);
+  }
+  registry.gauge("serve_queue_depth_max").set(3);
+  registry.gauge_fn("gossip_last_sync_age_ms", {}, [] { return -1.0; });  // never synced
+  registry.gauge_fn("eval_cache_hits", {}, [] { return 4.0; });
+  for (const double v : {0.5, 3.5, 1.0, 2.0}) registry.histogram("serve_latency_ms").record(v);
+  registry.histogram("serve_cycle_error_pct", {{"model", "agent"}, {"version", "1"}}).record(12.5);
+  return registry.snapshot();
+}
 
-  auto decoded = net::decode_node_stats(net::encode_node_stats(stats));
+void expect_same_snapshot(const obs::MetricsSnapshot& got, const obs::MetricsSnapshot& want) {
+  EXPECT_EQ(got.counters, want.counters);
+  ASSERT_EQ(got.gauges.size(), want.gauges.size());
+  for (const auto& [key, g] : want.gauges) {
+    ASSERT_EQ(got.gauges.count(key), 1u) << key.name;
+    EXPECT_DOUBLE_EQ(got.gauges.at(key).sum, g.sum) << key.name;
+    EXPECT_DOUBLE_EQ(got.gauges.at(key).min, g.min) << key.name;
+    EXPECT_DOUBLE_EQ(got.gauges.at(key).max, g.max) << key.name;
+  }
+  ASSERT_EQ(got.histograms.size(), want.histograms.size());
+  for (const auto& [key, h] : want.histograms) {
+    ASSERT_EQ(got.histograms.count(key), 1u) << key.name;
+    const obs::HistogramSnapshot& d = got.histograms.at(key);
+    EXPECT_EQ(d.spec, h.spec);
+    EXPECT_EQ(d.counts, h.counts);
+    EXPECT_EQ(d.count, h.count);
+    EXPECT_DOUBLE_EQ(d.sum, h.sum);
+    EXPECT_DOUBLE_EQ(d.min, h.min);
+    EXPECT_DOUBLE_EQ(d.max, h.max);
+  }
+}
+
+TEST(WireNodeStats, RegistrySnapshotRoundTripsEveryInstrument) {
+  obs::MetricsSnapshot stats = sample_snapshot();
+  // A merged snapshot's gauge keeps a spread (sum, min, max all differ); it
+  // crosses the wire exactly too.
+  stats.gauges[obs::MetricKey{"members_alive", {}}] = obs::GaugeSummary{5.0, 1.0, 3.0};
+
+  auto decoded = net::decode_metrics_snapshot(net::encode_metrics_snapshot(stats));
   ASSERT_TRUE(decoded.is_ok()) << decoded.message();
-  const net::NodeStats& d = decoded.value();
-  EXPECT_EQ(d.completed, 10u);
-  EXPECT_EQ(d.eval_primed, 5u);
-  EXPECT_EQ(d.gossip_rounds, 17u);
-  EXPECT_EQ(d.gossip_fetched, 4u);
-  EXPECT_EQ(d.last_sync_age_ms, 250u);
-  // The default (never synced) sentinel survives the codec too.
-  EXPECT_EQ(net::decode_node_stats(net::encode_node_stats({})).value().last_sync_age_ms,
-            net::kNeverSynced);
-  // The histogram crosses sparsely (non-zero buckets only) but reassembles
-  // to the exact dense state — counts, totals, and min/max edges.
-  EXPECT_EQ(d.latency_hist.counts, stats.latency_hist.counts);
-  EXPECT_EQ(d.latency_hist.count, 4u);
-  EXPECT_DOUBLE_EQ(d.latency_hist.sum, stats.latency_hist.sum);
-  EXPECT_DOUBLE_EQ(d.latency_hist.min, 0.5);
-  EXPECT_DOUBLE_EQ(d.latency_hist.max, 3.5);
-  ASSERT_EQ(d.per_model.size(), 3u);
-  EXPECT_EQ(d.per_model[1].model, "agent");
-  EXPECT_EQ(d.per_model[1].version, 2u);
-  EXPECT_EQ(d.per_model[1].completed, 4u);
-  EXPECT_EQ(d.per_model[2].failed, 1u);
-  EXPECT_EQ(d.objective_completed, (std::array<std::uint64_t, 3>{7, 2, 1}));
+  const obs::MetricsSnapshot& d = decoded.value();
+  expect_same_snapshot(d, stats);
+  // The never-synced -1 survives the codec.
+  ASSERT_NE(d.gauge("gossip_last_sync_age_ms"), nullptr);
+  EXPECT_EQ(d.gauge("gossip_last_sync_age_ms")->sum, -1.0);
+  // Labelled families decode into the same typed breakdowns a node reports.
+  const auto per_model = serve::per_model_breakdown(d);
+  ASSERT_EQ(per_model.size(), 3u);
+  EXPECT_EQ(per_model[0].model, "agent");
+  EXPECT_EQ(per_model[0].completed, 6u);
+  EXPECT_EQ(per_model[0].failed, 1u);
+  EXPECT_EQ(per_model[1].version, 2u);
+  EXPECT_EQ(per_model[1].completed, 4u);
+  EXPECT_EQ(per_model[2].model, "ghost");
+  EXPECT_EQ(per_model[2].failed, 1u);
+  EXPECT_EQ(serve::objective_breakdown(d),
+            (std::array<std::uint64_t, 3>{7, 2, 1}));
+  // Histograms cross sparsely: a 96-bucket histogram with four samples costs
+  // far less than its dense 96 x 8 bytes.
+  obs::MetricsSnapshot one;
+  one.histograms[obs::MetricKey{"serve_latency_ms", {}}] =
+      stats.histograms.at(obs::MetricKey{"serve_latency_ms", {}});
+  EXPECT_LT(net::encode_metrics_snapshot(one).size(), 96u * 8u / 2u);
 }
 
 TEST(WireNodeStats, WrongStatsVersionAndCorruptCountsAreRejected) {
-  net::NodeStats stats;
-  stats.completed = 1;
-  const std::string bytes = net::encode_node_stats(stats);
+  const std::string bytes = net::encode_metrics_snapshot(sample_snapshot());
   // Byte 0 is the status prefix; bytes 1..5 are the stats version.
   std::string newer = bytes;
   newer[1] = 99;
-  auto rejected = net::decode_node_stats(newer);
+  auto rejected = net::decode_metrics_snapshot(newer);
   ASSERT_FALSE(rejected.is_ok());
   EXPECT_NE(rejected.message().find("stats version"), std::string::npos);
-  // Truncation anywhere is an error, never a misparse.
-  for (std::size_t cut = 1; cut < bytes.size(); cut += 7) {
-    EXPECT_FALSE(net::decode_node_stats(std::string_view(bytes).substr(0, cut)).is_ok());
+  // Truncation at every byte is an error, never a misparse.
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    EXPECT_FALSE(net::decode_metrics_snapshot(std::string_view(bytes).substr(0, cut)).is_ok())
+        << "cut at " << cut;
   }
+  EXPECT_FALSE(net::decode_metrics_snapshot(bytes + '\0').is_ok());  // trailing bytes
+
+  // Counts that lie about their size are refused by the guard, before they
+  // can size an allocation (a 4G-entry reserve would abort the test).
+  const auto payload = [](const auto& body) {
+    serve::ByteWriter w;
+    w.u8(1);
+    w.u32(net::kStatsPayloadVersion);
+    body(w);
+    return w.take();
+  };
+  const std::string huge_counters = payload([](serve::ByteWriter& w) { w.u32(~0u); });
+  EXPECT_NE(net::decode_metrics_snapshot(huge_counters).message().find("counter count"),
+            std::string::npos);
+  const std::string huge_gauges = payload([](serve::ByteWriter& w) {
+    w.u32(0);
+    w.u32(~0u);
+  });
+  EXPECT_NE(net::decode_metrics_snapshot(huge_gauges).message().find("gauge count"),
+            std::string::npos);
+  const std::string huge_histograms = payload([](serve::ByteWriter& w) {
+    w.u32(0);
+    w.u32(0);
+    w.u32(~0u);
+  });
+  EXPECT_NE(net::decode_metrics_snapshot(huge_histograms).message().find("histogram count"),
+            std::string::npos);
+  const std::string huge_labels = payload([](serve::ByteWriter& w) {
+    w.u32(1);
+    w.str("requests");
+    w.u32(~0u);  // label count
+    w.u64(1);
+    w.u32(0);
+    w.u32(0);
+  });
+  EXPECT_FALSE(net::decode_metrics_snapshot(huge_labels).is_ok());
+  const std::string huge_buckets = payload([](serve::ByteWriter& w) {
+    w.u32(0);
+    w.u32(0);
+    w.u32(1);
+    w.str("serve_latency_ms");
+    w.u32(0);
+    const obs::HistogramSpec spec{};
+    w.f64(spec.min);
+    w.f64(spec.growth);
+    w.u32(spec.buckets);
+    w.u64(1);
+    w.f64(1.0);
+    w.f64(1.0);
+    w.f64(1.0);
+    w.u32(~0u);  // non-zero bucket count
+  });
+  EXPECT_FALSE(net::decode_metrics_snapshot(huge_buckets).is_ok());
+  // The same key twice would silently drop one value; it is refused.
+  const std::string duplicate = payload([](serve::ByteWriter& w) {
+    w.u32(2);
+    for (int i = 0; i < 2; ++i) {
+      w.str("requests");
+      w.u32(0);
+      w.u64(1);
+    }
+    w.u32(0);
+    w.u32(0);
+  });
+  EXPECT_NE(net::decode_metrics_snapshot(duplicate).message().find("duplicate"),
+            std::string::npos);
+}
+
+TEST(WireNodeStats, ForeignHistogramSpecIsRejectedAndNeverSummed) {
+  // Node A: 100 requests at 10 ms in the shared layout. Node B: 100 at
+  // 1000 ms in a 200-bucket layout starting at 1. Summed index by index, B's
+  // samples would land in A's low buckets and the fleet p95 would read 10 ms.
+  obs::HistogramSpec foreign;
+  foreign.buckets = 200;
+  foreign.min = 1.0;
+  obs::Histogram shared_hist;
+  obs::Histogram foreign_hist(foreign);
+  for (int i = 0; i < 100; ++i) {
+    shared_hist.record(10.0);
+    foreign_hist.record(1000.0);
+  }
+  const obs::MetricKey latency_key{"serve_latency_ms", {}};
+  obs::MetricsSnapshot a;
+  a.histograms[latency_key] = shared_hist.snapshot();
+  obs::MetricsSnapshot b;
+  b.histograms[latency_key] = foreign_hist.snapshot();
+  EXPECT_TRUE(net::decode_metrics_snapshot(net::encode_metrics_snapshot(a)).is_ok());
+  auto rejected = net::decode_metrics_snapshot(net::encode_metrics_snapshot(b));
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_NE(rejected.message().find("corrupt histogram 'serve_latency_ms'"), std::string::npos)
+      << rejected.message();
+
+  // Through a live monitor: the node with the foreign histogram is reported
+  // with the error, and none of its instruments reach the fleet view.
+  NodeHarness good;
+  NodeHarness bad;
+  for (int i = 0; i < 100; ++i) {
+    good.node->service().metrics_registry()->histogram("serve_latency_ms").record(10.0);
+    bad.node->service().metrics_registry()->histogram("foreign_ms", {}, foreign).record(1000.0);
+  }
+  bad.node->service().metrics_registry()->counter("serve_requests_completed").inc(5);
+  auto client = std::make_shared<serve::RemoteCompileClient>(
+      std::vector<net::RemoteEndpoint>{good.node->endpoint(), bad.node->endpoint()});
+  serve::FleetMonitor monitor(client);
+  const serve::FleetStats fleet = monitor.poll();
+  EXPECT_EQ(fleet.reachable, 1u);
+  EXPECT_TRUE(fleet.per_node[0].reachable);
+  EXPECT_FALSE(fleet.per_node[1].reachable);
+  EXPECT_NE(fleet.per_node[1].error.find("corrupt histogram 'foreign_ms'"), std::string::npos)
+      << fleet.per_node[1].error;
+  EXPECT_EQ(fleet.completed, 0u);
+  EXPECT_EQ(fleet.latency_samples, 100u);
+  EXPECT_DOUBLE_EQ(fleet.latency.p95_ms, 10.0);
+  EXPECT_EQ(fleet.metrics.histograms.count(obs::MetricKey{"foreign_ms", {}}), 0u);
+}
+
+TEST(WireNodeStats, AnInstrumentTheMonitorNeverHeardOfIsSummedWithoutAWireChange) {
+  // Nothing in the wire codec or FleetMonitor names these instruments: the
+  // registry snapshot carries them, and the generic merge sums them.
+  NodeHarness a;
+  NodeHarness b;
+  const obs::MetricKey events{"brand_new_events", {{"kind", "probe"}}};
+  a.node->service().metrics_registry()->counter(events.name, events.labels).inc(3);
+  b.node->service().metrics_registry()->counter(events.name, events.labels).inc(4);
+  a.node->service().metrics_registry()->gauge("brand_new_level").set(1.5);
+  b.node->service().metrics_registry()->gauge("brand_new_level").set(2.5);
+  auto client = std::make_shared<serve::RemoteCompileClient>(
+      std::vector<net::RemoteEndpoint>{a.node->endpoint(), b.node->endpoint()});
+  serve::FleetMonitor monitor(client);
+  const serve::FleetStats fleet = monitor.poll();
+  ASSERT_EQ(fleet.reachable, 2u);
+  ASSERT_EQ(fleet.metrics.counters.count(events), 1u);
+  EXPECT_EQ(fleet.metrics.counters.at(events), 7u);
+  const obs::GaugeSummary* level = fleet.metrics.gauge("brand_new_level");
+  ASSERT_NE(level, nullptr);
+  EXPECT_DOUBLE_EQ(level->sum, 4.0);
+  EXPECT_DOUBLE_EQ(level->min, 1.5);
+  EXPECT_DOUBLE_EQ(level->max, 2.5);
 }
 
 TEST(WireNodeStats, ServedStatsCarryPerModelVersionCounts) {
@@ -1088,14 +1269,17 @@ TEST(WireNodeStats, ServedStatsCarryPerModelVersionCounts) {
 
   auto stats = client.node_stats(0);
   ASSERT_TRUE(stats.is_ok()) << stats.message();
-  EXPECT_EQ(stats.value().completed, 3u);
-  EXPECT_EQ(stats.value().latency_hist.count, 3u);
-  ASSERT_EQ(stats.value().per_model.size(), 2u);
-  EXPECT_EQ(stats.value().per_model[0].version, 1u);
-  EXPECT_EQ(stats.value().per_model[0].completed, 1u);
-  EXPECT_EQ(stats.value().per_model[1].version, 2u);
-  EXPECT_EQ(stats.value().per_model[1].completed, 2u);
-  EXPECT_EQ(stats.value().objective_completed[0], 3u);
+  const obs::MetricsSnapshot& s = stats.value();
+  EXPECT_EQ(s.counter("serve_requests_completed"), 3u);
+  ASSERT_NE(s.histogram("serve_latency_ms"), nullptr);
+  EXPECT_EQ(s.histogram("serve_latency_ms")->count, 3u);
+  const auto per_model = serve::per_model_breakdown(s);
+  ASSERT_EQ(per_model.size(), 2u);
+  EXPECT_EQ(per_model[0].version, 1u);
+  EXPECT_EQ(per_model[0].completed, 1u);
+  EXPECT_EQ(per_model[1].version, 2u);
+  EXPECT_EQ(per_model[1].completed, 2u);
+  EXPECT_EQ(serve::objective_breakdown(s)[0], 3u);
 }
 
 // ---------------------------------------------------------------------------
@@ -1395,14 +1579,15 @@ TEST(ServeNodeGossip, BackgroundLoopConvergesAChainWithoutOperatorSync) {
   EXPECT_EQ(c.registry->export_model("agent", 1).value(),
             owner.registry->export_model("agent", 1).value());
 
-  // Gossip health is surfaced through node stats (kStats payload v3).
-  const net::NodeStats stats = c.node->stats();
-  EXPECT_GT(stats.gossip_rounds, 0u);
-  EXPECT_EQ(stats.gossip_fetched, 1u);
-  EXPECT_NE(stats.last_sync_age_ms, net::kNeverSynced);
-  // The owner never pulled: its gossip counters stay untouched.
-  EXPECT_EQ(owner.node->stats().gossip_rounds, 0u);
-  EXPECT_EQ(owner.node->stats().last_sync_age_ms, net::kNeverSynced);
+  // Gossip health is surfaced through node stats (the kStats snapshot).
+  const obs::MetricsSnapshot stats = c.node->stats();
+  EXPECT_GT(gauge_of(stats, "gossip_rounds"), 0.0);
+  EXPECT_EQ(gauge_of(stats, "gossip_fetched"), 1.0);
+  EXPECT_GE(gauge_of(stats, "gossip_last_sync_age_ms"), 0.0);  // synced at least once
+  // The owner never pulled: its gossip counters stay untouched, and its
+  // last-sync age reads -1 (never synced).
+  EXPECT_EQ(gauge_of(owner.node->stats(), "gossip_rounds"), 0.0);
+  EXPECT_EQ(gauge_of(owner.node->stats(), "gossip_last_sync_age_ms"), -1.0);
 }
 
 TEST(SyncCatchUp, ReplicationPushAlsoWarmsReplicas) {
@@ -1455,7 +1640,7 @@ TEST(FleetMonitorTest, MergesCountersReservoirsAndBreakdowns) {
   std::uint64_t per_node_sum = 0;
   for (const auto& report : fleet.per_node) {
     ASSERT_TRUE(report.reachable) << report.error;
-    per_node_sum += report.stats.completed;
+    per_node_sum += report.stats.counter("serve_requests_completed");
   }
   EXPECT_EQ(per_node_sum, issued);
   // ...as do the merged reservoir and the per-model breakdown.

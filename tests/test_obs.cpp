@@ -150,7 +150,7 @@ TEST(ObsRegistry, HandlesAreIdempotentPerNameAndLabels) {
   b.inc();
   EXPECT_EQ(a.value(), 3u);
 
-  const auto family = registry.counters("hits");
+  const auto family = registry.snapshot().counter_family("hits");
   ASSERT_EQ(family.size(), 2u);
   EXPECT_EQ(family[0].first.labels[0].second, "agent");
   EXPECT_EQ(family[0].second, 3u);

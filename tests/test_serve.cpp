@@ -488,6 +488,8 @@ TEST(ServeCompile, BackpressureBouncesOverflowDeterministically) {
   EXPECT_EQ(service.queue_depth(), 3u);
   EXPECT_FALSE(service.try_submit(request).has_value());  // overflow bounced
   EXPECT_EQ(service.metrics().rejected, 1u);
+  const std::string queued = service.metrics_registry()->render_text();
+  EXPECT_NE(queued.find("\nserve_queue_depth 3\n"), std::string::npos) << queued;
 
   // Destruction with queued work cancels every pending promise.
   service.shutdown();
@@ -497,6 +499,12 @@ TEST(ServeCompile, BackpressureBouncesOverflowDeterministically) {
     EXPECT_NE(response.message().find("cancelled"), std::string::npos);
   }
   EXPECT_EQ(service.metrics().cancelled, 3u);
+  // The exposition agrees with the (now empty) queue; the high-water mark
+  // keeps its ratchet.
+  EXPECT_EQ(service.metrics().queue_depth, 0u);
+  const std::string cancelled = service.metrics_registry()->render_text();
+  EXPECT_NE(cancelled.find("\nserve_queue_depth 0\n"), std::string::npos) << cancelled;
+  EXPECT_NE(cancelled.find("\nserve_queue_depth_max 3\n"), std::string::npos) << cancelled;
   // Post-shutdown submissions resolve immediately with a rejection.
   EXPECT_FALSE(service.submit(request).get().is_ok());
 }
