@@ -6,6 +6,8 @@
 
 #include "features/features.hpp"
 #include "hls/cycle_estimator.hpp"
+#include "interp/interpreter.hpp"
+#include "ir/builder.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
 #include "passes/pass.hpp"
@@ -53,6 +55,27 @@ void BM_InterpretAndProfile(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_InterpretAndProfile);
+
+// A ~10-instruction program, so what it measures is the fixed cost of one
+// cold run_module call (bytecode set-up, arena hand-over, profile), which
+// BM_InterpretAndProfile spreads over ~10k instructions.
+void BM_InterpretTinyProgram(benchmark::State& state) {
+  ir::Module m("tiny");
+  ir::Function* f = m.create_function("main", ir::Type::i32(), {});
+  ir::IRBuilder b(m);
+  b.set_insert_point(f->create_block("entry"));
+  ir::Value* p = b.alloca_array(ir::Type::i32(), 4, "p");
+  b.store(m.get_i32(20), p);
+  ir::Value* q = b.gep(p, m.get_i64(3));
+  b.store(m.get_i32(22), q);
+  ir::Value* sum = b.add(b.load(p), b.load(q));
+  b.ret(b.mul(sum, m.get_i32(2)));
+  for (auto _ : state) {
+    auto r = interp::run_module(m);
+    benchmark::DoNotOptimize(r);
+  }
+}
+BENCHMARK(BM_InterpretTinyProgram);
 
 void BM_CycleEstimateEndToEnd(benchmark::State& state) {
   auto m = progen::build_chstone_like("matmul");

@@ -1,7 +1,10 @@
 #include "interp/interpreter.hpp"
 
+#include <algorithm>
 #include <cassert>
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <vector>
 
 #include "support/hash.hpp"
@@ -82,6 +85,50 @@ struct Frame {
   std::size_t stack_watermark = 0;
   std::vector<std::int64_t> slots;
 };
+
+/// The thread's interpreter memory, reused by every run on that thread. It is
+/// calloc'd, so a page costs a fault only once a run touches it, and it
+/// remembers how far the last run wrote (`dirty_end_`), so handing it to the
+/// next run re-zeroes that prefix instead of the whole arena.
+class ThreadArena {
+ public:
+  ThreadArena() = default;
+  ThreadArena(const ThreadArena&) = delete;
+  ThreadArena& operator=(const ThreadArena&) = delete;
+  ~ThreadArena() { std::free(data_); }
+
+  /// Returns `bytes` of all-zero memory. Every acquire must be paired with a
+  /// release before the next acquire on this thread.
+  std::uint8_t* acquire(std::size_t bytes) {
+    assert(!in_use_ && "interpreter runs must not nest on one thread");
+    if (bytes != size_) {
+      std::free(data_);
+      size_ = 0;  // stays 0 if calloc fails, so no later acquire trusts data_
+      data_ = static_cast<std::uint8_t*>(std::calloc(bytes, 1));
+      if (data_ == nullptr) throw std::bad_alloc();
+      size_ = bytes;
+    } else {
+      std::memset(data_, 0, dirty_end_);
+    }
+    dirty_end_ = 0;
+    in_use_ = true;
+    return data_;
+  }
+
+  /// Ends a run that wrote nothing at or above `dirty_end`.
+  void release(std::size_t dirty_end) noexcept {
+    dirty_end_ = dirty_end;
+    in_use_ = false;
+  }
+
+ private:
+  std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
+  std::size_t dirty_end_ = 0;
+  bool in_use_ = false;
+};
+
+thread_local ThreadArena t_arena;
 
 }  // namespace
 
@@ -258,25 +305,38 @@ struct Interpreter::Impl {
 
   // ---- Execution ----
 
-  std::vector<std::uint8_t> memory;
+  std::uint8_t* memory = nullptr;  // the thread arena, during run() only
+  std::size_t dirty_end = 0;       // no byte at or above this was written
   std::size_t stack_ptr = 0;
   std::uint64_t executed = 0;
   Profile profile;
   std::vector<std::int64_t> phi_buffer;
 
   [[nodiscard]] bool mem_ok(std::uint64_t addr, std::uint64_t size) const noexcept {
-    return addr >= 8 && size <= memory.size() && addr <= memory.size() - size;
+    return addr >= 8 && size <= options.memory_bytes && addr <= options.memory_bytes - size;
+  }
+
+  /// Byte size of `count` elements of `elem_size`, computed without
+  /// overflow: false when it would exceed the arena (so no access fits).
+  [[nodiscard]] bool byte_size(std::uint64_t count, std::uint64_t elem_size,
+                               std::uint64_t& bytes) const noexcept {
+    if (elem_size != 0 && count > options.memory_bytes / elem_size) return false;
+    bytes = count * elem_size;
+    return true;
   }
 
   std::int64_t mem_read(std::uint64_t addr, std::uint32_t size, int bits) const noexcept {
     std::uint64_t raw = 0;
-    std::memcpy(&raw, memory.data() + addr, size);  // little-endian host assumed
+    std::memcpy(&raw, memory + addr, size);  // little-endian host assumed
     return sext64(raw, bits);
   }
 
+  /// The one store path into the arena (stores, memset, global initialisers);
+  /// the caller has bounds-checked [addr, addr + size).
   void mem_write(std::uint64_t addr, std::uint32_t size, std::int64_t value) noexcept {
     const auto raw = static_cast<std::uint64_t>(value);
-    std::memcpy(memory.data() + addr, &raw, size);
+    std::memcpy(memory + addr, &raw, size);
+    dirty_end = std::max<std::size_t>(dirty_end, addr + size);
   }
 
   static std::int64_t eval_binary(Opcode op, std::int64_t a, std::int64_t b, int bits) noexcept {
@@ -330,8 +390,21 @@ struct Interpreter::Impl {
 
   Result<ExecutionResult> run() {
     if (main_index < 0) return Status::error("interpreter: module has no 'main' function");
-    // Reset state.
-    memory.assign(options.memory_bytes, 0);
+    if (globals_end > options.memory_bytes) {
+      return Status::error("interpreter: globals do not fit in the memory arena");
+    }
+    // Reset state. The arena arrives all-zero; however this run ends, the
+    // lease hands back how far it wrote so the next run re-zeroes that much.
+    struct ArenaLease {
+      Impl& impl;
+      ~ArenaLease() {
+        t_arena.release(impl.dirty_end);
+        impl.memory = nullptr;
+      }
+    };
+    memory = t_arena.acquire(options.memory_bytes);
+    dirty_end = 0;
+    const ArenaLease lease{*this};
     for (std::size_t i = 0; i < module->global_count(); ++i) {
       const ir::GlobalVariable* g = module->global(i);
       const auto& init = g->init();
@@ -413,9 +486,12 @@ struct Interpreter::Impl {
           ++fr.ip;
           break;
         case Opcode::kAlloca: {
-          std::size_t sp = (stack_ptr + 7) & ~std::size_t{7};
-          const std::size_t bytes = d.alloca_count * d.elem_size;
-          if (sp + bytes > memory.size()) return Status::error("interpreter: stack overflow");
+          const std::size_t sp = (stack_ptr + 7) & ~std::size_t{7};
+          std::uint64_t bytes = 0;
+          if (!byte_size(d.alloca_count, d.elem_size, bytes) || sp > options.memory_bytes ||
+              bytes > options.memory_bytes - sp) {
+            return Status::error("interpreter: stack overflow");
+          }
           fr.slots[static_cast<std::size_t>(d.dest_slot)] = static_cast<std::int64_t>(sp);
           // Arena already zeroed at run start; freed regions re-zeroed on pop.
           stack_ptr = sp + bytes;
@@ -454,14 +530,16 @@ struct Interpreter::Impl {
           const std::int64_t count_signed = value_of(d.ops[2]);
           const std::uint64_t count =
               count_signed <= 0 ? 0 : static_cast<std::uint64_t>(count_signed);
-          if (count > 0 && !mem_ok(addr, count * d.elem_size)) {
+          std::uint64_t bytes = 0;
+          if (count > 0 && (!byte_size(count, d.elem_size, bytes) || !mem_ok(addr, bytes))) {
             return Status::error("interpreter: out-of-bounds memset");
           }
           const std::int64_t v = value_of(d.ops[1]);
-          for (std::uint64_t i = 0; i < count; ++i) {
+          // A zero-size element (void*) writes nothing: don't spin `count` times.
+          for (std::uint64_t i = 0; d.elem_size != 0 && i < count; ++i) {
             mem_write(addr + i * d.elem_size, d.elem_size, v);
           }
-          if (count > 0) mark_written(addr, count * d.elem_size);
+          if (count > 0) mark_written(addr, bytes);
           profile.mem_intrinsic_elems[d.src] += count;
           executed += count;  // budget scales with work
           ++fr.ip;
@@ -473,12 +551,16 @@ struct Interpreter::Impl {
           const std::int64_t count_signed = value_of(d.ops[2]);
           const std::uint64_t count =
               count_signed <= 0 ? 0 : static_cast<std::uint64_t>(count_signed);
-          if (count > 0 &&
-              (!mem_ok(dst, count * d.elem_size) || !mem_ok(src, count * d.elem_size))) {
+          std::uint64_t bytes = 0;
+          if (count > 0 && (!byte_size(count, d.elem_size, bytes) || !mem_ok(dst, bytes) ||
+                            !mem_ok(src, bytes))) {
             return Status::error("interpreter: out-of-bounds memcpy");
           }
-          std::memmove(memory.data() + dst, memory.data() + src, count * d.elem_size);
-          if (count > 0) mark_written(dst, count * d.elem_size);
+          if (count > 0) {
+            std::memmove(memory + dst, memory + src, bytes);
+            dirty_end = std::max<std::size_t>(dirty_end, dst + bytes);
+            mark_written(dst, bytes);
+          }
           profile.mem_intrinsic_elems[d.src] += count;
           executed += count;
           ++fr.ip;
@@ -524,7 +606,7 @@ struct Interpreter::Impl {
           // Re-zero the frame's stack region so later allocas observe
           // deterministic zeroed memory.
           if (stack_ptr > fr.stack_watermark) {
-            std::memset(memory.data() + fr.stack_watermark, 0, stack_ptr - fr.stack_watermark);
+            std::memset(memory + fr.stack_watermark, 0, stack_ptr - fr.stack_watermark);
           }
           stack_ptr = fr.stack_watermark;
           const int ret_slot = fr.ret_slot;

@@ -9,6 +9,15 @@
 // For speed the module is compiled to a dense register-slot bytecode once at
 // construction; executing costs tens of nanoseconds per dynamic instruction.
 //
+// Memory is one arena per thread, shared by every Interpreter run on that
+// thread. It is calloc'd once (again only when `memory_bytes` changes), so a
+// page is faulted in only when a run touches it, and it tracks the high-water
+// mark of every write: the next run re-zeroes just that dirty prefix, even
+// after a run that failed or threw. Each run therefore still sees all-zero
+// memory apart from its globals, and bounds are still checked against
+// `InterpreterOptions::memory_bytes`. A run holds its thread's arena until it
+// returns, so run() must not be nested on one thread.
+//
 // Defined semantics (no UB, matching hardware which does not trap):
 //   * integer overflow wraps (two's complement);
 //   * division / remainder by zero yields 0;
@@ -50,7 +59,7 @@ struct ExecutionResult {
 struct InterpreterOptions {
   std::uint64_t max_instructions = 20'000'000;
   std::size_t max_call_depth = 2048;
-  std::size_t memory_bytes = 1u << 22;  // 4 MiB arena
+  std::size_t memory_bytes = 1u << 22;  // 4 MiB arena; globals must fit in it
 };
 
 class Interpreter {
@@ -64,7 +73,9 @@ class Interpreter {
   Interpreter& operator=(const Interpreter&) = delete;
 
   /// Executes `main` (which by convention takes no arguments). Thread-safe
-  /// for concurrent calls on distinct Interpreter instances only.
+  /// for concurrent calls on distinct Interpreter instances only; runs on one
+  /// thread must not nest (see the arena note above). Returns an error Status
+  /// when the module's globals do not fit in `memory_bytes`.
   Result<ExecutionResult> run();
 
  private:

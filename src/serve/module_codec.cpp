@@ -217,6 +217,23 @@ int plain_operand_count(ir::Opcode op) {
   }
 }
 
+/// Opcodes that may have a void result. Every other opcode defines a value,
+/// and a void-typed one would give the interpreter no register to write.
+bool may_be_void(ir::Opcode op) {
+  switch (op) {
+    case ir::Opcode::kStore:
+    case ir::Opcode::kMemSet:
+    case ir::Opcode::kMemCpy:
+    case ir::Opcode::kCall:
+    case ir::Opcode::kBr:
+    case ir::Opcode::kCondBr:
+    case ir::Opcode::kSwitch:
+    case ir::Opcode::kRet:
+    case ir::Opcode::kUnreachable: return true;
+    default: return false;
+  }
+}
+
 class ModuleDecoder {
  public:
   explicit ModuleDecoder(ByteReader& r) : r_(r) {}
@@ -376,7 +393,9 @@ class ModuleDecoder {
     rec.op = static_cast<ir::Opcode>(op);
     rec.name = r_.str();
     rec.type = read_type(r_);
-    if (!r_.ok() || rec.type == nullptr) return corrupt("instruction type");
+    if (!r_.ok() || rec.type == nullptr || (rec.type->is_void() && !may_be_void(rec.op))) {
+      return corrupt("instruction type");
+    }
     // Every loop below both divides the count guard by the smallest possible
     // element encoding and stops on a failed reader: a corrupt count must
     // cost at most the payload's own bytes, never count-many iterations or
