@@ -6,6 +6,8 @@
 // environment generates).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "interp/interpreter.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
@@ -13,9 +15,11 @@
 #include "passes/pass.hpp"
 #include "passes/pipelines.hpp"
 #include "progen/chstone_like.hpp"
+#include "progen/codegen.hpp"
 #include "progen/random_program.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
+#include "support/str.hpp"
 
 namespace autophase {
 namespace {
@@ -162,6 +166,164 @@ TEST_P(RandomSequenceOnKernel, PreservesSemantics) {
 INSTANTIATE_TEST_SUITE_P(AllKernels, RandomSequenceOnKernel,
                          ::testing::ValuesIn(progen::chstone_benchmark_names()),
                          [](const auto& info) { return info.param; });
+
+
+// ---- Characterization: what every pass does, pinned per pass ----
+//
+// Each pass runs on a fixed population of inputs: the nine kernels, four
+// random programs and one small program with shapes the kernels lack, each
+// as generated, after two loop-canonicalising prefixes, after the -O3 head up
+// to its -loop-unroll, and after two seeded random prefixes (84 inputs;
+// every pass but the three no-ops changes at least one). Per pass, one
+// digest folds in (fingerprint after the pass, changed) over the whole
+// population, so a refactor of the pass layer that moves any output or any
+// `changed` bit names the pass it moved.
+
+struct PinnedPass {
+  const char* name;
+  std::uint64_t digest;
+};
+
+// Generated on the code before the registry table held function pointers
+// and the loop passes shared a driver; a mismatch prints the regenerated
+// table.
+constexpr PinnedPass kPinnedPasses[] = {
+    {"-correlated-propagation", 0xb2f876da1a10f042ULL},
+    {"-scalarrepl", 0xdedec0642e96ffd2ULL},
+    {"-lowerinvoke", 0xfac12757afef8aa0ULL},
+    {"-strip", 0xd2313aceb3fbfab5ULL},
+    {"-strip-nondebug", 0xd2313aceb3fbfab5ULL},
+    {"-sccp", 0x7fdeb997a0b11336ULL},
+    {"-globalopt", 0xac85e1218ebc54d1ULL},
+    {"-gvn", 0x954f97cb649ca0b3ULL},
+    {"-jump-threading", 0xf5ee37824d200246ULL},
+    {"-globaldce", 0xa0aaa16af55b1e5cULL},
+    {"-loop-unswitch", 0x68105dd1ff988234ULL},
+    {"-scalarrepl-ssa", 0x0142a9c64578ce54ULL},
+    {"-loop-reduce", 0x7d235f9a7816de56ULL},
+    {"-break-crit-edges", 0x1a544d47d8e898feULL},
+    {"-loop-deletion", 0xe3442dbdb41ac635ULL},
+    {"-reassociate", 0x28852ca3bebc84d7ULL},
+    {"-lcssa", 0x5c60d87245bf9be7ULL},
+    {"-codegenprepare", 0x1d69f490bc889b75ULL},
+    {"-memcpyopt", 0x5eee34d002c03b13ULL},
+    {"-functionattrs", 0x91f0a3d17d56eb9eULL},
+    {"-loop-idiom", 0x217bba0c894f6b4aULL},
+    {"-lowerswitch", 0x28771a5a50dd6c26ULL},
+    {"-constmerge", 0x4d7da3efa1fb3e32ULL},
+    {"-loop-rotate", 0x49e0adaf3ff75d66ULL},
+    {"-partial-inliner", 0x60a0bfb48627437cULL},
+    {"-inline", 0x1f37ecd73d5c740bULL},
+    {"-early-cse", 0xc82540bd83a9c753ULL},
+    {"-indvars", 0x96df57e5b3dc4136ULL},
+    {"-adce", 0x419b96bad175d7bdULL},
+    {"-loop-simplify", 0x7b03c4f6cfe35e68ULL},
+    {"-instcombine", 0x8416368259b68d9cULL},
+    {"-simplifycfg", 0xf3a6a742bd4b8ff9ULL},
+    {"-dse", 0xa180917fae5fb208ULL},
+    {"-loop-unroll", 0x1d0674f4f6b54c05ULL},
+    {"-lower-expect", 0xfac12757afef8aa0ULL},
+    {"-tailcallelim", 0x945a21a23474148eULL},
+    {"-licm", 0x394e03cc98ba17d1ULL},
+    {"-sink", 0x68c1f1f826bf4e83ULL},
+    {"-mem2reg", 0xe827ebdf44543473ULL},
+    {"-prune-eh", 0x6e1940ec61b2ad28ULL},
+    {"-functionattrs", 0x91f0a3d17d56eb9eULL},
+    {"-ipsccp", 0x1f18f16dbb3de798ULL},
+    {"-deadargelim", 0xebec75e4b50da767ULL},
+    {"-sroa", 0x37d223516aa447b2ULL},
+    {"-loweratomic", 0xfac12757afef8aa0ULL},
+};
+
+// The shapes the kernels lack: two identical ROMs (-constmerge), small local
+// arrays (-scalarrepl), a store run (-memcpyopt), a memset loop (-loop-idiom)
+// and an equality-guarded use (-correlated-propagation).
+std::unique_ptr<ir::Module> shape_coverage_program() {
+  auto m = std::make_unique<ir::Module>("shapes");
+  ir::GlobalVariable* t1 = m->create_global(ir::Type::i32(), 2, "t1", {1, 2}, true);
+  ir::GlobalVariable* t2 = m->create_global(ir::Type::i32(), 2, "t2", {1, 2}, true);
+  ir::Function* f = m->create_function("main", ir::Type::i32(), {});
+  progen::CodeGen g(*m, *f);
+  ir::Value* small = g.array(ir::Type::i32(), 4, "s");
+  g.set(g.elem(small, 2), 10);
+  ir::Value* arr = g.array(ir::Type::i32(), 32, "a");
+  for (int i = 0; i < 6; ++i) g.set(g.elem(arr, i + 8), 9);
+  ir::Value* i = g.local_i32("i");
+  g.count_loop(i, 0, 32, [&] { g.set(g.elem(arr, g.get(i)), 5); });
+  ir::Value* x = g.get(g.elem(arr, 3));
+  g.if_then(g.b().icmp_eq(x, g.b().i32(5)), [&] { g.set(g.elem(arr, 4), g.b().add(x, x)); });
+  ir::Value* roms = g.b().add(g.get(g.elem(t1, 0)), g.get(g.elem(t2, 1)));
+  g.ret(g.b().add(g.b().add(roms, g.get(g.elem(arr, 4))), g.get(g.elem(small, 2))));
+  return m;
+}
+
+std::vector<std::unique_ptr<ir::Module>> characterization_inputs() {
+  const auto& reg = passes::PassRegistry::instance();
+  auto indices = [&](std::initializer_list<const char*> names) {
+    std::vector<int> out;
+    for (const char* name : names) out.push_back(reg.index_of(name));
+    return out;
+  };
+  const auto& o3 = passes::o3_sequence();
+  const auto o3_loop_round_end = std::find(o3.begin(), o3.end(), reg.index_of("-loop-unroll")) + 1;
+  const std::vector<std::vector<int>> fixed_prefixes = {
+      {},
+      indices({"-mem2reg", "-loop-simplify", "-lcssa", "-loop-rotate"}),
+      indices({"-mem2reg", "-loop-simplify", "-loop-rotate", "-simplifycfg", "-loop-simplify"}),
+      std::vector<int>(o3.begin(), o3_loop_round_end),
+  };
+  std::vector<std::unique_ptr<ir::Module>> programs;
+  for (const auto& name : progen::chstone_benchmark_names()) {
+    programs.push_back(progen::build_chstone_like(name));
+  }
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    programs.push_back(progen::generate_filtered_program(seed));
+  }
+  programs.push_back(shape_coverage_program());
+
+  std::vector<std::unique_ptr<ir::Module>> inputs;
+  Rng rng(20261017);
+  for (const auto& program : programs) {
+    std::vector<std::vector<int>> prefixes = fixed_prefixes;
+    for (int k = 0; k < 2; ++k) {
+      std::vector<int>& random_prefix = prefixes.emplace_back();
+      for (int step = 0; step < 10; ++step) {
+        random_prefix.push_back(static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1)));
+      }
+    }
+    for (const auto& prefix : prefixes) {
+      inputs.push_back(ir::clone_module(*program));
+      passes::apply_pass_sequence(*inputs.back(), prefix);
+    }
+  }
+  return inputs;
+}
+
+TEST(PassCharacterization, EveryPassRewritesAsPinned) {
+  const auto inputs = characterization_inputs();
+  std::vector<std::uint64_t> digests;
+  std::string table;
+  for (int p = 0; p < passes::kNumPasses; ++p) {
+    std::uint64_t digest = kFnvOffset;
+    for (const auto& input : inputs) {
+      auto m = ir::clone_module(*input);
+      const bool changed = passes::apply_pass(*m, p);
+      digest = hash_combine(hash_combine(digest, ir::module_fingerprint(*m)), changed ? 1 : 0);
+    }
+    digests.push_back(digest);
+    table += strf("    {\"%s\", 0x%016llxULL},\n",
+                  std::string(passes::PassRegistry::instance().name(p)).c_str(),
+                  static_cast<unsigned long long>(digest));
+  }
+  ASSERT_EQ(std::size(kPinnedPasses), digests.size()) << table;
+  for (int p = 0; p < passes::kNumPasses; ++p) {
+    const PinnedPass& want = kPinnedPasses[p];
+    EXPECT_EQ(passes::PassRegistry::instance().name(p), want.name);
+    EXPECT_EQ(digests[static_cast<std::size_t>(p)], want.digest)
+        << "pass " << p << " (" << want.name << ") moved; regenerated table:\n"
+        << table;
+  }
+}
 
 }  // namespace
 }  // namespace autophase
