@@ -5,6 +5,7 @@
 #include <iterator>
 #include <utility>
 
+#include "passes/pass.hpp"
 #include "support/hash.hpp"
 #include "support/str.hpp"
 
@@ -54,6 +55,12 @@ bool read_provenance_record(serve::ByteReader& r, ProvenanceRecord& record,
   }
   if (!r.ok()) return false;
   if (objective >= serve::kNumObjectives || canary > 1) return false;
+  // Replay applies the sequence, so an index past the Table-1 passes (or
+  // the terminate action, which served sequences never contain) is refused
+  // here rather than read past the registry.
+  for (const int pass : record.sequence) {
+    if (pass < 0 || pass >= passes::kNumPasses) return false;
+  }
   record.objective = static_cast<serve::Objective>(objective);
   record.canary = canary != 0;
   return true;

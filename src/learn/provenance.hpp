@@ -62,7 +62,8 @@ struct ProvenanceRecord {
 inline constexpr std::size_t kMinRecordBytes = 70;
 
 void write_provenance_record(serve::ByteWriter& w, const ProvenanceRecord& record);
-/// False on malformed input (reader error, unknown objective). `version` is
+/// False on malformed input (reader error, unknown objective, a sequence
+/// entry outside the Table-1 passes [0, kNumPasses)). `version` is
 /// the batch's record version (from the checkpoint frame or the kProvenance
 /// reply header): v1 records end before the weight vector, which stays
 /// all-zero.

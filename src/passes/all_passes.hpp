@@ -1,4 +1,5 @@
-// Factory functions for every Table-1 pass. Grouped by implementation file:
+// Entry points of every Table-1 pass: each transforms a module and returns
+// whether it changed. Grouped by implementation file:
 //   scalar.cpp     - SSA-value optimisations
 //   cfg_passes.cpp - control-flow shaping / lowering / no-op legacy passes
 //   mem.cpp        - memory-to-register promotion family
@@ -6,64 +7,59 @@
 //   ipo.cpp        - interprocedural passes
 #pragma once
 
-#include <memory>
-
-#include "passes/pass.hpp"
+#include "ir/module.hpp"
 
 namespace autophase::passes {
 
 // scalar.cpp
-std::unique_ptr<Pass> create_instcombine();
-std::unique_ptr<Pass> create_reassociate();
-std::unique_ptr<Pass> create_early_cse();
-std::unique_ptr<Pass> create_gvn();
-std::unique_ptr<Pass> create_sccp();
-std::unique_ptr<Pass> create_adce();
-std::unique_ptr<Pass> create_dse();
-std::unique_ptr<Pass> create_sink();
-std::unique_ptr<Pass> create_correlated_propagation();
-std::unique_ptr<Pass> create_jump_threading();
-std::unique_ptr<Pass> create_codegenprepare();
-std::unique_ptr<Pass> create_memcpyopt();
-std::unique_ptr<Pass> create_lower_expect();
-std::unique_ptr<Pass> create_tailcallelim();
+bool run_instcombine(ir::Module& m);
+bool run_reassociate(ir::Module& m);
+bool run_early_cse(ir::Module& m);
+bool run_gvn(ir::Module& m);
+bool run_sccp(ir::Module& m);
+bool run_adce(ir::Module& m);
+bool run_dse(ir::Module& m);
+bool run_sink(ir::Module& m);
+bool run_correlated_propagation(ir::Module& m);
+bool run_jump_threading(ir::Module& m);
+bool run_codegenprepare(ir::Module& m);
+bool run_memcpyopt(ir::Module& m);
+bool run_tailcallelim(ir::Module& m);
 
 // cfg_passes.cpp
-std::unique_ptr<Pass> create_simplifycfg();
-std::unique_ptr<Pass> create_break_crit_edges();
-std::unique_ptr<Pass> create_lowerswitch();
-std::unique_ptr<Pass> create_strip();
-std::unique_ptr<Pass> create_strip_nondebug();
-std::unique_ptr<Pass> create_lowerinvoke();
-std::unique_ptr<Pass> create_loweratomic();
+bool run_simplifycfg(ir::Module& m);
+bool run_break_crit_edges(ir::Module& m);
+bool run_lowerswitch(ir::Module& m);
+bool run_strip(ir::Module& m);  // -strip, -strip-nondebug
+bool run_noop(ir::Module& m);   // -lowerinvoke, -loweratomic, -lower-expect
 
 // mem.cpp
-std::unique_ptr<Pass> create_mem2reg();
-std::unique_ptr<Pass> create_sroa();
-std::unique_ptr<Pass> create_scalarrepl();
-std::unique_ptr<Pass> create_scalarrepl_ssa();
+bool run_mem2reg(ir::Module& m);
+bool run_sroa(ir::Module& m);
+bool run_scalarrepl(ir::Module& m);
+bool run_scalarrepl_ssa(ir::Module& m);
 
 // loops.cpp
-std::unique_ptr<Pass> create_loop_simplify();
-std::unique_ptr<Pass> create_loop_rotate();
-std::unique_ptr<Pass> create_licm();
-std::unique_ptr<Pass> create_loop_unroll();
-std::unique_ptr<Pass> create_loop_deletion();
-std::unique_ptr<Pass> create_loop_idiom();
-std::unique_ptr<Pass> create_loop_reduce();
-std::unique_ptr<Pass> create_indvars();
-std::unique_ptr<Pass> create_loop_unswitch();
-std::unique_ptr<Pass> create_lcssa();
+bool run_loop_simplify(ir::Module& m);
+bool run_loop_rotate(ir::Module& m);
+bool run_licm(ir::Module& m);
+bool run_loop_unroll(ir::Module& m);
+bool run_loop_deletion(ir::Module& m);
+bool run_loop_idiom(ir::Module& m);
+bool run_loop_reduce(ir::Module& m);
+bool run_indvars(ir::Module& m);
+bool run_loop_unswitch(ir::Module& m);
+bool run_lcssa(ir::Module& m);
 
 // ipo.cpp
-std::unique_ptr<Pass> create_inline();
-std::unique_ptr<Pass> create_partial_inliner();
-std::unique_ptr<Pass> create_globalopt();
-std::unique_ptr<Pass> create_globaldce();
-std::unique_ptr<Pass> create_deadargelim();
-std::unique_ptr<Pass> create_ipsccp();
-std::unique_ptr<Pass> create_functionattrs();
-std::unique_ptr<Pass> create_prune_eh();
-std::unique_ptr<Pass> create_constmerge();
+bool run_inline(ir::Module& m);
+bool run_partial_inliner(ir::Module& m);
+bool run_globalopt(ir::Module& m);
+bool run_globaldce(ir::Module& m);
+bool run_deadargelim(ir::Module& m);
+bool run_ipsccp(ir::Module& m);
+bool run_functionattrs(ir::Module& m);
+bool run_prune_eh(ir::Module& m);
+bool run_constmerge(ir::Module& m);
 
 }  // namespace autophase::passes

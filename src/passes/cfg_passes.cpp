@@ -23,11 +23,9 @@ using ir::Value;
 // -simplifycfg
 // ---------------------------------------------------------------------------
 
-class SimplifyCFGPass final : public Pass {
+class SimplifyCFGPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-simplifycfg"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     return changed;
@@ -262,11 +260,9 @@ class SimplifyCFGPass final : public Pass {
 // -break-crit-edges
 // ---------------------------------------------------------------------------
 
-class BreakCritEdgesPass final : public Pass {
+class BreakCritEdgesPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-break-crit-edges"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       std::vector<std::pair<BasicBlock*, BasicBlock*>> edges;
@@ -294,11 +290,9 @@ class BreakCritEdgesPass final : public Pass {
 // -lowerswitch
 // ---------------------------------------------------------------------------
 
-class LowerSwitchPass final : public Pass {
+class LowerSwitchPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-lowerswitch"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (BasicBlock* bb : f->blocks()) {
@@ -365,18 +359,13 @@ class LowerSwitchPass final : public Pass {
 
 // ---------------------------------------------------------------------------
 // -strip / -strip-nondebug: drop local value, argument, and block names.
-// Function and global symbol names survive (they are linkage-visible).
+// Function and global symbol names survive (they are linkage-visible). This
+// IR carries no debug info, so the two passes coincide.
 // ---------------------------------------------------------------------------
 
-class StripPass final : public Pass {
+class StripPass {
  public:
-  explicit StripPass(bool nondebug) : nondebug_(nondebug) {}
-
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return nondebug_ ? "-strip-nondebug" : "-strip";
-  }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (std::size_t i = 0; i < f->arg_count(); ++i) {
@@ -400,35 +389,19 @@ class StripPass final : public Pass {
     }
     return changed;
   }
-
- private:
-  bool nondebug_;
-};
-
-// ---------------------------------------------------------------------------
-// -lowerinvoke / -loweratomic: this IR has no invoke or atomic instructions
-// (hardware circuits have no exceptions or shared-memory atomics), so these
-// are faithful no-ops, present to preserve Table 1's action space.
-// ---------------------------------------------------------------------------
-
-class NoOpPass final : public Pass {
- public:
-  explicit NoOpPass(std::string_view name) : name_(name) {}
-  [[nodiscard]] std::string_view name() const noexcept override { return name_; }
-  bool run(Module&) override { return false; }
-
- private:
-  std::string_view name_;
 };
 
 }  // namespace
 
-std::unique_ptr<Pass> create_simplifycfg() { return std::make_unique<SimplifyCFGPass>(); }
-std::unique_ptr<Pass> create_break_crit_edges() { return std::make_unique<BreakCritEdgesPass>(); }
-std::unique_ptr<Pass> create_lowerswitch() { return std::make_unique<LowerSwitchPass>(); }
-std::unique_ptr<Pass> create_strip() { return std::make_unique<StripPass>(false); }
-std::unique_ptr<Pass> create_strip_nondebug() { return std::make_unique<StripPass>(true); }
-std::unique_ptr<Pass> create_lowerinvoke() { return std::make_unique<NoOpPass>("-lowerinvoke"); }
-std::unique_ptr<Pass> create_loweratomic() { return std::make_unique<NoOpPass>("-loweratomic"); }
+bool run_simplifycfg(Module& m) { return SimplifyCFGPass{}.run(m); }
+bool run_break_crit_edges(Module& m) { return BreakCritEdgesPass{}.run(m); }
+bool run_lowerswitch(Module& m) { return LowerSwitchPass{}.run(m); }
+bool run_strip(Module& m) { return StripPass{}.run(m); }
+
+// -lowerinvoke / -loweratomic / -lower-expect: this IR has no invoke, atomic
+// or llvm.expect instructions (hardware circuits have no exceptions or
+// shared-memory atomics), so these are faithful no-ops, present to preserve
+// Table 1's action space.
+bool run_noop(Module&) { return false; }
 
 }  // namespace autophase::passes

@@ -45,14 +45,12 @@ BasicBlock* split_after_call(Instruction* call) {
 // -inline
 // ---------------------------------------------------------------------------
 
-class InlinePass final : public Pass {
+class InlinePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-inline"; }
-
   static constexpr std::size_t kInlineThreshold = 48;
   static constexpr int kMaxInlinesPerRun = 64;
 
-  bool run(Module& m) override {
+  bool run(Module& m) {
     // Snapshot candidate sites first: inlining creates new call sites that
     // the next -inline invocation may consider (matching LLVM's bottom-up
     // behaviour loosely while staying deterministic).
@@ -138,11 +136,9 @@ class InlinePass final : public Pass {
 // -partial-inliner
 // ---------------------------------------------------------------------------
 
-class PartialInlinerPass final : public Pass {
+class PartialInlinerPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-partial-inliner"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* g : m.functions()) {
       if (g->name() == "main") continue;
@@ -252,11 +248,9 @@ class PartialInlinerPass final : public Pass {
 // -functionattrs: infer readnone / readonly / nounwind bottom-up
 // ---------------------------------------------------------------------------
 
-class FunctionAttrsPass final : public Pass {
+class FunctionAttrsPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-functionattrs"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     struct Effects {
       bool reads = false;
       bool writes = false;
@@ -343,11 +337,9 @@ class FunctionAttrsPass final : public Pass {
 // -prune-eh: no exceptions exist in hardware; mark everything nounwind.
 // ---------------------------------------------------------------------------
 
-class PruneEHPass final : public Pass {
+class PruneEHPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-prune-eh"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       if (!f->attrs().nounwind) {
@@ -363,11 +355,9 @@ class PruneEHPass final : public Pass {
 // -globalopt
 // ---------------------------------------------------------------------------
 
-class GlobalOptPass final : public Pass {
+class GlobalOptPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-globalopt"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (std::size_t i = 0; i < m.global_count(); ++i) {
       ir::GlobalVariable* g = m.global(i);
@@ -443,11 +433,9 @@ class GlobalOptPass final : public Pass {
 // -globaldce
 // ---------------------------------------------------------------------------
 
-class GlobalDCEPass final : public Pass {
+class GlobalDCEPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-globaldce"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     // Unreferenced globals.
     for (ir::GlobalVariable* g : m.globals()) {
@@ -479,11 +467,9 @@ class GlobalDCEPass final : public Pass {
 // -deadargelim
 // ---------------------------------------------------------------------------
 
-class DeadArgElimPass final : public Pass {
+class DeadArgElimPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-deadargelim"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       if (f->name() == "main") continue;
@@ -504,11 +490,9 @@ class DeadArgElimPass final : public Pass {
 // -ipsccp
 // ---------------------------------------------------------------------------
 
-class IPSCCPPass final : public Pass {
+class IPSCCPPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-ipsccp"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     // 1. Arguments that receive the same constant at every call site.
     for (Function* f : m.functions()) {
@@ -558,7 +542,7 @@ class IPSCCPPass final : public Pass {
       }
     }
     // 3. Intraprocedural SCCP pass over everything.
-    changed |= create_sccp()->run(m);
+    changed |= run_sccp(m);
     return changed;
   }
 };
@@ -567,11 +551,9 @@ class IPSCCPPass final : public Pass {
 // -constmerge
 // ---------------------------------------------------------------------------
 
-class ConstMergePass final : public Pass {
+class ConstMergePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-constmerge"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     std::map<std::tuple<ir::Type*, std::size_t, std::vector<std::int64_t>>, ir::GlobalVariable*>
         canon;
@@ -593,14 +575,14 @@ class ConstMergePass final : public Pass {
 
 }  // namespace
 
-std::unique_ptr<Pass> create_inline() { return std::make_unique<InlinePass>(); }
-std::unique_ptr<Pass> create_partial_inliner() { return std::make_unique<PartialInlinerPass>(); }
-std::unique_ptr<Pass> create_globalopt() { return std::make_unique<GlobalOptPass>(); }
-std::unique_ptr<Pass> create_globaldce() { return std::make_unique<GlobalDCEPass>(); }
-std::unique_ptr<Pass> create_deadargelim() { return std::make_unique<DeadArgElimPass>(); }
-std::unique_ptr<Pass> create_ipsccp() { return std::make_unique<IPSCCPPass>(); }
-std::unique_ptr<Pass> create_functionattrs() { return std::make_unique<FunctionAttrsPass>(); }
-std::unique_ptr<Pass> create_prune_eh() { return std::make_unique<PruneEHPass>(); }
-std::unique_ptr<Pass> create_constmerge() { return std::make_unique<ConstMergePass>(); }
+bool run_inline(Module& m) { return InlinePass{}.run(m); }
+bool run_partial_inliner(Module& m) { return PartialInlinerPass{}.run(m); }
+bool run_globalopt(Module& m) { return GlobalOptPass{}.run(m); }
+bool run_globaldce(Module& m) { return GlobalDCEPass{}.run(m); }
+bool run_deadargelim(Module& m) { return DeadArgElimPass{}.run(m); }
+bool run_ipsccp(Module& m) { return IPSCCPPass{}.run(m); }
+bool run_functionattrs(Module& m) { return FunctionAttrsPass{}.run(m); }
+bool run_prune_eh(Module& m) { return PruneEHPass{}.run(m); }
+bool run_constmerge(Module& m) { return ConstMergePass{}.run(m); }
 
 }  // namespace autophase::passes

@@ -27,7 +27,6 @@ using ir::DominatorTree;
 using ir::Function;
 using ir::Instruction;
 using ir::Loop;
-using ir::LoopInfo;
 using ir::Module;
 using ir::Opcode;
 using ir::Value;
@@ -67,37 +66,16 @@ BasicBlock* create_forwarding_block(Function& f, BasicBlock* target,
 // -loop-simplify
 // ---------------------------------------------------------------------------
 
-class LoopSimplifyPass final : public Pass {
+class LoopSimplifyPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-simplify"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) changed |= run_on_function(*f);
-    return changed;
+  // Each structural fix invalidates LoopInfo; recompute and continue until
+  // every loop is canonical. Outer loops are fixed first.
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return canonicalise(f, loop); };
+    return rewrite_loops_until_stable(m, 16, LoopOrder::kOuterFirst, rewrite);
   }
 
  private:
-  bool run_on_function(Function& f) {
-    bool any = false;
-    // Each structural fix invalidates LoopInfo; recompute and continue until
-    // every loop is canonical.
-    for (int iter = 0; iter < 16; ++iter) {
-      DominatorTree dt(f);
-      LoopInfo li(f, dt);
-      bool changed = false;
-      for (Loop* loop : li.all_loops()) {
-        if (canonicalise(f, *loop)) {
-          changed = true;
-          break;  // loop structures are stale now
-        }
-      }
-      any |= changed;
-      if (!changed) break;
-    }
-    return any;
-  }
-
   bool canonicalise(Function& f, Loop& loop) {
     BasicBlock* header = loop.header();
     // 1. Preheader.
@@ -139,18 +117,11 @@ class LoopSimplifyPass final : public Pass {
 // -lcssa
 // ---------------------------------------------------------------------------
 
-class LCSSAPass final : public Pass {
+class LCSSAPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-lcssa"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      DominatorTree dt(*f);
-      LoopInfo li(*f, dt);
-      for (Loop* loop : li.loops_innermost_first()) changed |= run_on_loop(*loop);
-    }
-    return changed;
+  bool run(Module& m) {
+    auto visit = [this](Loop& loop, const DominatorTree&) { return run_on_loop(loop); };
+    return sweep_loops(m, visit);
   }
 
  private:
@@ -214,18 +185,11 @@ class LCSSAPass final : public Pass {
 // -licm
 // ---------------------------------------------------------------------------
 
-class LICMPass final : public Pass {
+class LICMPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-licm"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      DominatorTree dt(*f);
-      LoopInfo li(*f, dt);
-      for (Loop* loop : li.loops_innermost_first()) changed |= run_on_loop(*loop, dt);
-    }
-    return changed;
+  bool run(Module& m) {
+    auto visit = [this](Loop& loop, const DominatorTree& dt) { return run_on_loop(loop, dt); };
+    return sweep_loops(m, visit);
   }
 
  private:
@@ -302,31 +266,13 @@ class LICMPass final : public Pass {
 // -loop-rotate
 // ---------------------------------------------------------------------------
 
-class LoopRotatePass final : public Pass {
+class LoopRotatePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-rotate"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      // One rotation per LoopInfo computation (the transform rewrites the
-      // loop structure wholesale).
-      for (int iter = 0; iter < 16; ++iter) {
-        DominatorTree dt(*f);
-        LoopInfo li(*f, dt);
-        bool rotated = false;
-        for (Loop* loop : li.loops_innermost_first()) {
-          if (rotate(*f, *loop)) {
-            rotated = true;
-            changed = true;
-            break;
-          }
-        }
-        if (!rotated) break;
-      }
-    }
-    (void)m;
-    return changed;
+  // One rotation per LoopInfo computation (the transform rewrites the loop
+  // structure wholesale).
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return rotate(f, loop); };
+    return rewrite_loops_until_stable(m, 16, LoopOrder::kInnermostFirst, rewrite);
   }
 
  private:
@@ -536,32 +482,14 @@ class LoopRotatePass final : public Pass {
 // -loop-unroll
 // ---------------------------------------------------------------------------
 
-class LoopUnrollPass final : public Pass {
+class LoopUnrollPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-unroll"; }
-
   static constexpr std::int64_t kFullUnrollMaxTrips = 16;
   static constexpr std::size_t kMaxUnrolledInsts = 512;
 
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      for (int iter = 0; iter < 8; ++iter) {
-        DominatorTree dt(*f);
-        LoopInfo li(*f, dt);
-        bool did = false;
-        for (Loop* loop : li.loops_innermost_first()) {
-          if (unroll(*f, *loop)) {
-            did = true;
-            changed = true;
-            break;
-          }
-        }
-        if (!did) break;
-      }
-    }
-    (void)m;
-    return changed;
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return unroll(f, loop); };
+    return rewrite_loops_until_stable(m, 8, LoopOrder::kInnermostFirst, rewrite);
   }
 
  private:
@@ -754,29 +682,11 @@ class LoopUnrollPass final : public Pass {
 // -loop-deletion
 // ---------------------------------------------------------------------------
 
-class LoopDeletionPass final : public Pass {
+class LoopDeletionPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-deletion"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      for (int iter = 0; iter < 8; ++iter) {
-        DominatorTree dt(*f);
-        LoopInfo li(*f, dt);
-        bool did = false;
-        for (Loop* loop : li.loops_innermost_first()) {
-          if (try_delete(*f, *loop)) {
-            did = true;
-            changed = true;
-            break;
-          }
-        }
-        if (!did) break;
-      }
-    }
-    (void)m;
-    return changed;
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return try_delete(f, loop); };
+    return rewrite_loops_until_stable(m, 8, LoopOrder::kInnermostFirst, rewrite);
   }
 
  private:
@@ -848,29 +758,11 @@ class LoopDeletionPass final : public Pass {
 // -loop-idiom
 // ---------------------------------------------------------------------------
 
-class LoopIdiomPass final : public Pass {
+class LoopIdiomPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-idiom"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      for (int iter = 0; iter < 8; ++iter) {
-        DominatorTree dt(*f);
-        LoopInfo li(*f, dt);
-        bool did = false;
-        for (Loop* loop : li.loops_innermost_first()) {
-          if (recognise(*f, *loop)) {
-            did = true;
-            changed = true;
-            break;
-          }
-        }
-        if (!did) break;
-      }
-    }
-    (void)m;
-    return changed;
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return recognise(f, loop); };
+    return rewrite_loops_until_stable(m, 8, LoopOrder::kInnermostFirst, rewrite);
   }
 
  private:
@@ -1021,23 +913,15 @@ class LoopIdiomPass final : public Pass {
 // -loop-reduce (strength reduction of address computations)
 // ---------------------------------------------------------------------------
 
-class LoopReducePass final : public Pass {
+class LoopReducePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-reduce"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      DominatorTree dt(*f);
-      LoopInfo li(*f, dt);
-      for (Loop* loop : li.loops_innermost_first()) changed |= reduce(*f, *loop);
-    }
-    (void)m;
-    return changed;
+  bool run(Module& m) {
+    auto visit = [this, &m](Loop& loop, const DominatorTree&) { return reduce(m, loop); };
+    return sweep_loops(m, visit);
   }
 
  private:
-  bool reduce(Function& f, Loop& loop) {
+  bool reduce(Module& m, Loop& loop) {
     // A rotated-loop guard works as the insertion block: the seeded gep is
     // pure, so speculating it on the not-taken path is harmless.
     BasicBlock* preheader = unique_outside_predecessor(loop);
@@ -1066,7 +950,6 @@ class LoopReducePass final : public Pass {
 
     bool changed = false;
     std::unordered_map<Value*, Instruction*> pointer_iv;  // base -> phi
-    Module* m = f.parent();
     for (Instruction* gep : geps) {
       Value* base = gep->operand(0);
       Instruction* pphi = nullptr;
@@ -1084,7 +967,7 @@ class LoopReducePass final : public Pass {
         const int next_idx = next_bb->index_of(iv.next);
         Instruction* pnext = next_bb->insert_at(
             static_cast<std::size_t>(next_idx + 1),
-            Instruction::gep(pphi, m->get_int(iv.phi->type(), iv.step),
+            Instruction::gep(pphi, m.get_int(iv.phi->type(), iv.step),
                              gep->name() + ".lsrn"));
         pphi->add_incoming(p0, preheader);
         pphi->add_incoming(pnext, latch);
@@ -1102,18 +985,11 @@ class LoopReducePass final : public Pass {
 // -indvars
 // ---------------------------------------------------------------------------
 
-class IndVarsPass final : public Pass {
+class IndVarsPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-indvars"; }
-
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      DominatorTree dt(*f);
-      LoopInfo li(*f, dt);
-      for (Loop* loop : li.loops_innermost_first()) changed |= canonicalise(m, *loop);
-    }
-    return changed;
+  bool run(Module& m) {
+    auto visit = [this, &m](Loop& loop, const DominatorTree&) { return canonicalise(m, loop); };
+    return sweep_loops(m, visit);
   }
 
  private:
@@ -1139,9 +1015,6 @@ class IndVarsPass final : public Pass {
         Value* c = m.get_int(v->type(), value);
         if (user->is_phi()) {
           for (std::size_t i = 0; i < user->incoming_count(); ++i) {
-            if (user->incoming_value(i) == v && !loop.contains(user->incoming_block(i))) {
-              // Edge from outside the loop cannot carry the IV; skip.
-            }
             if (user->incoming_value(i) == v && loop.contains(user->incoming_block(i)) &&
                 !loop.contains(user->parent())) {
               user->set_incoming_value(i, c);
@@ -1180,31 +1053,13 @@ class IndVarsPass final : public Pass {
 // -loop-unswitch
 // ---------------------------------------------------------------------------
 
-class LoopUnswitchPass final : public Pass {
+class LoopUnswitchPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-loop-unswitch"; }
-
   static constexpr std::size_t kMaxLoopInsts = 96;
 
-  bool run(Module& m) override {
-    bool changed = false;
-    for (Function* f : m.functions()) {
-      for (int iter = 0; iter < 4; ++iter) {
-        DominatorTree dt(*f);
-        LoopInfo li(*f, dt);
-        bool did = false;
-        for (Loop* loop : li.loops_innermost_first()) {
-          if (unswitch(*f, *loop)) {
-            did = true;
-            changed = true;
-            break;
-          }
-        }
-        if (!did) break;
-      }
-    }
-    (void)m;
-    return changed;
+  bool run(Module& m) {
+    auto rewrite = [this](Function& f, Loop& loop) { return unswitch(f, loop); };
+    return rewrite_loops_until_stable(m, 4, LoopOrder::kInnermostFirst, rewrite);
   }
 
  private:
@@ -1303,15 +1158,15 @@ class LoopUnswitchPass final : public Pass {
 
 }  // namespace
 
-std::unique_ptr<Pass> create_loop_simplify() { return std::make_unique<LoopSimplifyPass>(); }
-std::unique_ptr<Pass> create_loop_rotate() { return std::make_unique<LoopRotatePass>(); }
-std::unique_ptr<Pass> create_licm() { return std::make_unique<LICMPass>(); }
-std::unique_ptr<Pass> create_loop_unroll() { return std::make_unique<LoopUnrollPass>(); }
-std::unique_ptr<Pass> create_loop_deletion() { return std::make_unique<LoopDeletionPass>(); }
-std::unique_ptr<Pass> create_loop_idiom() { return std::make_unique<LoopIdiomPass>(); }
-std::unique_ptr<Pass> create_loop_reduce() { return std::make_unique<LoopReducePass>(); }
-std::unique_ptr<Pass> create_indvars() { return std::make_unique<IndVarsPass>(); }
-std::unique_ptr<Pass> create_loop_unswitch() { return std::make_unique<LoopUnswitchPass>(); }
-std::unique_ptr<Pass> create_lcssa() { return std::make_unique<LCSSAPass>(); }
+bool run_loop_simplify(Module& m) { return LoopSimplifyPass{}.run(m); }
+bool run_loop_rotate(Module& m) { return LoopRotatePass{}.run(m); }
+bool run_licm(Module& m) { return LICMPass{}.run(m); }
+bool run_loop_unroll(Module& m) { return LoopUnrollPass{}.run(m); }
+bool run_loop_deletion(Module& m) { return LoopDeletionPass{}.run(m); }
+bool run_loop_idiom(Module& m) { return LoopIdiomPass{}.run(m); }
+bool run_loop_reduce(Module& m) { return LoopReducePass{}.run(m); }
+bool run_indvars(Module& m) { return IndVarsPass{}.run(m); }
+bool run_loop_unswitch(Module& m) { return LoopUnswitchPass{}.run(m); }
+bool run_lcssa(Module& m) { return LCSSAPass{}.run(m); }
 
 }  // namespace autophase::passes

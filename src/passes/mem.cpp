@@ -103,11 +103,9 @@ std::vector<Instruction*> split_array_allocas(Function& f, std::size_t max_eleme
   return created;
 }
 
-class Mem2RegPass final : public Pass {
+class Mem2RegPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-mem2reg"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       changed |= promote_allocas(*f, find_promotable_allocas(*f)) > 0;
@@ -116,11 +114,9 @@ class Mem2RegPass final : public Pass {
   }
 };
 
-class ScalarReplPass final : public Pass {
+class ScalarReplPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-scalarrepl"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       changed |= !split_array_allocas(*f, kMaxElements).empty();
@@ -132,11 +128,9 @@ class ScalarReplPass final : public Pass {
   static constexpr std::size_t kMaxElements = 32;
 };
 
-class ScalarReplSSAPass final : public Pass {
+class ScalarReplSSAPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-scalarrepl-ssa"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       const auto scalars = split_array_allocas(*f, kMaxElements);
@@ -150,11 +144,9 @@ class ScalarReplSSAPass final : public Pass {
   static constexpr std::size_t kMaxElements = 32;
 };
 
-class SROAPass final : public Pass {
+class SROAPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-sroa"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       changed |= !split_array_allocas(*f, kMaxElements).empty();
@@ -170,9 +162,9 @@ class SROAPass final : public Pass {
 
 }  // namespace
 
-std::unique_ptr<Pass> create_mem2reg() { return std::make_unique<Mem2RegPass>(); }
-std::unique_ptr<Pass> create_scalarrepl() { return std::make_unique<ScalarReplPass>(); }
-std::unique_ptr<Pass> create_scalarrepl_ssa() { return std::make_unique<ScalarReplSSAPass>(); }
-std::unique_ptr<Pass> create_sroa() { return std::make_unique<SROAPass>(); }
+bool run_mem2reg(Module& m) { return Mem2RegPass{}.run(m); }
+bool run_scalarrepl(Module& m) { return ScalarReplPass{}.run(m); }
+bool run_scalarrepl_ssa(Module& m) { return ScalarReplSSAPass{}.run(m); }
+bool run_sroa(Module& m) { return SROAPass{}.run(m); }
 
 }  // namespace autophase::passes

@@ -1,27 +1,20 @@
-// Pass interface and the Table-1 registry.
+// The Table-1 registry.
 //
 // The paper's action space is exactly the 45 LLVM transform passes of
 // Table 1, indexed 0..44, plus the pseudo-action 45 "-terminate" that ends
 // an episode (45^45 > 2^247 orderings, as in the paper's intro). The
 // registry reproduces that indexing, including the duplicated
-// -functionattrs at indices 19 and 40.
+// -functionattrs at indices 19 and 40. Its table is the only place a pass
+// name is written: each entry pairs the name with the pass's entry point,
+// a function that transforms a module and returns whether it changed.
 #pragma once
 
-#include <memory>
 #include <string_view>
 #include <vector>
 
 #include "ir/module.hpp"
 
 namespace autophase::passes {
-
-class Pass {
- public:
-  virtual ~Pass() = default;
-  [[nodiscard]] virtual std::string_view name() const noexcept = 0;
-  /// Applies the transform; returns true iff the module changed.
-  virtual bool run(ir::Module& module) = 0;
-};
 
 /// Number of real transform passes (action indices 0..44).
 inline constexpr int kNumPasses = 45;
@@ -38,18 +31,11 @@ class PassRegistry {
   [[nodiscard]] std::string_view name(int index) const;
   /// Table-1 index for a pass name ("-gvn" or "gvn"); -1 if unknown.
   [[nodiscard]] int index_of(std::string_view name) const;
-  /// Instantiates the pass at a Table-1 index in [0, kNumPasses).
-  [[nodiscard]] std::unique_ptr<Pass> create(int index) const;
-  [[nodiscard]] std::unique_ptr<Pass> create(std::string_view name) const;
-
- private:
-  PassRegistry();
-  struct Entry;
-  std::vector<Entry> entries_;
 };
 
-/// Convenience: instantiate and run pass `index`; returns whether the module
-/// changed. Index kTerminateAction is a no-op returning false.
+/// Runs pass `index` in [0, kNumActions); returns whether the module changed
+/// (true exactly when the printed module differs). Index kTerminateAction is
+/// a no-op returning false.
 bool apply_pass(ir::Module& module, int index);
 
 /// Applies a sequence of Table-1 indices in order.

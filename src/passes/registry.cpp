@@ -1,84 +1,85 @@
-#include <array>
 #include <cassert>
-#include <functional>
+#include <iterator>
 
 #include "passes/all_passes.hpp"
 #include "passes/pass.hpp"
 
 namespace autophase::passes {
 
-struct PassRegistry::Entry {
+namespace {
+
+struct Entry {
   std::string_view name;
-  std::unique_ptr<Pass> (*factory)();
+  bool (*run)(ir::Module&);
 };
 
-PassRegistry::PassRegistry() {
-  // Exact Table-1 indexing, including the duplicate -functionattrs at 19/40
-  // and the pseudo-action -terminate at 45.
-  entries_ = {
-      {"-correlated-propagation", &create_correlated_propagation},  // 0
-      {"-scalarrepl", &create_scalarrepl},                          // 1
-      {"-lowerinvoke", &create_lowerinvoke},                        // 2
-      {"-strip", &create_strip},                                    // 3
-      {"-strip-nondebug", &create_strip_nondebug},                  // 4
-      {"-sccp", &create_sccp},                                      // 5
-      {"-globalopt", &create_globalopt},                            // 6
-      {"-gvn", &create_gvn},                                        // 7
-      {"-jump-threading", &create_jump_threading},                  // 8
-      {"-globaldce", &create_globaldce},                            // 9
-      {"-loop-unswitch", &create_loop_unswitch},                    // 10
-      {"-scalarrepl-ssa", &create_scalarrepl_ssa},                  // 11
-      {"-loop-reduce", &create_loop_reduce},                        // 12
-      {"-break-crit-edges", &create_break_crit_edges},              // 13
-      {"-loop-deletion", &create_loop_deletion},                    // 14
-      {"-reassociate", &create_reassociate},                        // 15
-      {"-lcssa", &create_lcssa},                                    // 16
-      {"-codegenprepare", &create_codegenprepare},                  // 17
-      {"-memcpyopt", &create_memcpyopt},                            // 18
-      {"-functionattrs", &create_functionattrs},                    // 19
-      {"-loop-idiom", &create_loop_idiom},                          // 20
-      {"-lowerswitch", &create_lowerswitch},                        // 21
-      {"-constmerge", &create_constmerge},                          // 22
-      {"-loop-rotate", &create_loop_rotate},                        // 23
-      {"-partial-inliner", &create_partial_inliner},                // 24
-      {"-inline", &create_inline},                                  // 25
-      {"-early-cse", &create_early_cse},                            // 26
-      {"-indvars", &create_indvars},                                // 27
-      {"-adce", &create_adce},                                      // 28
-      {"-loop-simplify", &create_loop_simplify},                    // 29
-      {"-instcombine", &create_instcombine},                        // 30
-      {"-simplifycfg", &create_simplifycfg},                        // 31
-      {"-dse", &create_dse},                                        // 32
-      {"-loop-unroll", &create_loop_unroll},                        // 33
-      {"-lower-expect", &create_lower_expect},                      // 34
-      {"-tailcallelim", &create_tailcallelim},                      // 35
-      {"-licm", &create_licm},                                      // 36
-      {"-sink", &create_sink},                                      // 37
-      {"-mem2reg", &create_mem2reg},                                // 38
-      {"-prune-eh", &create_prune_eh},                              // 39
-      {"-functionattrs", &create_functionattrs},                    // 40 (Table-1 duplicate)
-      {"-ipsccp", &create_ipsccp},                                  // 41
-      {"-deadargelim", &create_deadargelim},                        // 42
-      {"-sroa", &create_sroa},                                      // 43
-      {"-loweratomic", &create_loweratomic},                        // 44
-      {"-terminate", nullptr},                                      // 45 (episode end)
-  };
-  assert(entries_.size() == static_cast<std::size_t>(kNumActions));
-}
+// Exact Table-1 indexing, including the duplicate -functionattrs at 19/40
+// and the pseudo-action -terminate at 45.
+constexpr Entry kTable[] = {
+    {"-correlated-propagation", &run_correlated_propagation},  // 0
+    {"-scalarrepl", &run_scalarrepl},                          // 1
+    {"-lowerinvoke", &run_noop},                               // 2
+    {"-strip", &run_strip},                                    // 3
+    {"-strip-nondebug", &run_strip},                           // 4
+    {"-sccp", &run_sccp},                                      // 5
+    {"-globalopt", &run_globalopt},                            // 6
+    {"-gvn", &run_gvn},                                        // 7
+    {"-jump-threading", &run_jump_threading},                  // 8
+    {"-globaldce", &run_globaldce},                            // 9
+    {"-loop-unswitch", &run_loop_unswitch},                    // 10
+    {"-scalarrepl-ssa", &run_scalarrepl_ssa},                  // 11
+    {"-loop-reduce", &run_loop_reduce},                        // 12
+    {"-break-crit-edges", &run_break_crit_edges},              // 13
+    {"-loop-deletion", &run_loop_deletion},                    // 14
+    {"-reassociate", &run_reassociate},                        // 15
+    {"-lcssa", &run_lcssa},                                    // 16
+    {"-codegenprepare", &run_codegenprepare},                  // 17
+    {"-memcpyopt", &run_memcpyopt},                            // 18
+    {"-functionattrs", &run_functionattrs},                    // 19
+    {"-loop-idiom", &run_loop_idiom},                          // 20
+    {"-lowerswitch", &run_lowerswitch},                        // 21
+    {"-constmerge", &run_constmerge},                          // 22
+    {"-loop-rotate", &run_loop_rotate},                        // 23
+    {"-partial-inliner", &run_partial_inliner},                // 24
+    {"-inline", &run_inline},                                  // 25
+    {"-early-cse", &run_early_cse},                            // 26
+    {"-indvars", &run_indvars},                                // 27
+    {"-adce", &run_adce},                                      // 28
+    {"-loop-simplify", &run_loop_simplify},                    // 29
+    {"-instcombine", &run_instcombine},                        // 30
+    {"-simplifycfg", &run_simplifycfg},                        // 31
+    {"-dse", &run_dse},                                        // 32
+    {"-loop-unroll", &run_loop_unroll},                        // 33
+    {"-lower-expect", &run_noop},                              // 34
+    {"-tailcallelim", &run_tailcallelim},                      // 35
+    {"-licm", &run_licm},                                      // 36
+    {"-sink", &run_sink},                                      // 37
+    {"-mem2reg", &run_mem2reg},                                // 38
+    {"-prune-eh", &run_prune_eh},                              // 39
+    {"-functionattrs", &run_functionattrs},                    // 40 (Table-1 duplicate)
+    {"-ipsccp", &run_ipsccp},                                  // 41
+    {"-deadargelim", &run_deadargelim},                        // 42
+    {"-sroa", &run_sroa},                                      // 43
+    {"-loweratomic", &run_noop},                               // 44
+    {"-terminate", nullptr},                                   // 45 (episode end)
+};
+static_assert(std::size(kTable) == static_cast<std::size_t>(kNumActions));
+
+}  // namespace
 
 const PassRegistry& PassRegistry::instance() {
-  static const auto* registry = new PassRegistry();
-  return *registry;
+  static const PassRegistry registry;
+  return registry;
 }
 
 std::string_view PassRegistry::name(int index) const {
   assert(index >= 0 && index < kNumActions);
-  return entries_[static_cast<std::size_t>(index)].name;
+  return kTable[index].name;
 }
 
 int PassRegistry::index_of(std::string_view name) const {
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    const std::string_view n = entries_[i].name;
+  for (std::size_t i = 0; i < std::size(kTable); ++i) {
+    const std::string_view n = kTable[i].name;
     if (n == name || (n.size() == name.size() + 1 && n.substr(1) == name)) {
       return static_cast<int>(i);
     }
@@ -86,18 +87,8 @@ int PassRegistry::index_of(std::string_view name) const {
   return -1;
 }
 
-std::unique_ptr<Pass> PassRegistry::create(int index) const {
-  assert(index >= 0 && index < kNumPasses);
-  return entries_[static_cast<std::size_t>(index)].factory();
-}
-
-std::unique_ptr<Pass> PassRegistry::create(std::string_view name) const {
-  const int idx = index_of(name);
-  assert(idx >= 0 && idx < kNumPasses);
-  return create(idx);
-}
-
 bool apply_pass(ir::Module& module, int index) {
+  assert(index >= 0 && index < kNumActions);
   if (index == kTerminateAction) return false;
   // Rollout clones arrive CoW-lazy; passes need complete use lists on
   // globals and arguments (globaldce, deadargelim, ipsccp), so the whole
@@ -105,7 +96,7 @@ bool apply_pass(ir::Module& module, int index) {
   // the module's arena when it has one.
   module.materialize_all();
   const support::ArenaScope scope(module.arena());
-  return PassRegistry::instance().create(index)->run(module);
+  return kTable[index].run(module);
 }
 
 bool apply_pass_sequence(ir::Module& module, const std::vector<int>& indices) {

@@ -51,11 +51,9 @@ void replace_terminator_with_br(BasicBlock* bb, BasicBlock* target) {
 // -instcombine
 // ---------------------------------------------------------------------------
 
-class InstCombinePass final : public Pass {
+class InstCombinePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-instcombine"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     if (changed) remove_dead_instructions(m);
@@ -245,11 +243,9 @@ class InstCombinePass final : public Pass {
 // -reassociate
 // ---------------------------------------------------------------------------
 
-class ReassociatePass final : public Pass {
+class ReassociatePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-reassociate"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     if (changed) remove_dead_instructions(m);
@@ -409,11 +405,9 @@ ExprKey key_for(const Instruction* inst) {
 // -early-cse: block-local CSE + load/store forwarding + folding
 // ---------------------------------------------------------------------------
 
-class EarlyCSEPass final : public Pass {
+class EarlyCSEPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-early-cse"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (BasicBlock* bb : f->blocks()) changed |= run_on_block(*bb);
@@ -479,11 +473,9 @@ class EarlyCSEPass final : public Pass {
 // -gvn: dominator-scoped value numbering + load elimination
 // ---------------------------------------------------------------------------
 
-class GVNPass final : public Pass {
+class GVNPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-gvn"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(*f);
     return changed;
@@ -605,11 +597,9 @@ class GVNPass final : public Pass {
 // -sccp: sparse conditional constant propagation
 // ---------------------------------------------------------------------------
 
-class SCCPPass final : public Pass {
+class SCCPPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-sccp"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     return changed;
@@ -844,11 +834,9 @@ class SCCPPass final : public Pass {
 // -adce: aggressive dead code elimination
 // ---------------------------------------------------------------------------
 
-class ADCEPass final : public Pass {
+class ADCEPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-adce"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     return changed;
@@ -898,11 +886,9 @@ class ADCEPass final : public Pass {
 // -dse: dead store elimination
 // ---------------------------------------------------------------------------
 
-class DSEPass final : public Pass {
+class DSEPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-dse"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (BasicBlock* bb : f->blocks()) changed |= run_on_block(*bb);
@@ -995,11 +981,9 @@ class DSEPass final : public Pass {
 // -sink
 // ---------------------------------------------------------------------------
 
-class SinkPass final : public Pass {
+class SinkPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-sink"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(*f);
     return changed;
@@ -1052,11 +1036,9 @@ class SinkPass final : public Pass {
 // -codegenprepare: duplicate/sink address computation next to users
 // ---------------------------------------------------------------------------
 
-class CodeGenPreparePass final : public Pass {
+class CodeGenPreparePass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-codegenprepare"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (BasicBlock* bb : f->blocks()) {
@@ -1095,13 +1077,9 @@ class CodeGenPreparePass final : public Pass {
 // -correlated-propagation
 // ---------------------------------------------------------------------------
 
-class CorrelatedPropagationPass final : public Pass {
+class CorrelatedPropagationPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override {
-    return "-correlated-propagation";
-  }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     return changed;
@@ -1170,14 +1148,11 @@ class CorrelatedPropagationPass final : public Pass {
 // -jump-threading
 // ---------------------------------------------------------------------------
 
-class JumpThreadingPass final : public Pass {
+class JumpThreadingPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-jump-threading"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(*f);
-    (void)m;
     return changed;
   }
 
@@ -1317,11 +1292,9 @@ class JumpThreadingPass final : public Pass {
 // -memcpyopt: form memset/memcpy from store runs
 // ---------------------------------------------------------------------------
 
-class MemCpyOptPass final : public Pass {
+class MemCpyOptPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-memcpyopt"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) {
       for (BasicBlock* bb : f->blocks()) changed |= run_on_block(m, *bb);
@@ -1460,24 +1433,12 @@ class MemCpyOptPass final : public Pass {
 };
 
 // ---------------------------------------------------------------------------
-// -lower-expect: no llvm.expect intrinsics exist in this IR; faithful no-op.
-// ---------------------------------------------------------------------------
-
-class LowerExpectPass final : public Pass {
- public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-lower-expect"; }
-  bool run(Module&) override { return false; }
-};
-
-// ---------------------------------------------------------------------------
 // -tailcallelim
 // ---------------------------------------------------------------------------
 
-class TailCallElimPass final : public Pass {
+class TailCallElimPass {
  public:
-  [[nodiscard]] std::string_view name() const noexcept override { return "-tailcallelim"; }
-
-  bool run(Module& m) override {
+  bool run(Module& m) {
     bool changed = false;
     for (Function* f : m.functions()) changed |= run_on_function(m, *f);
     return changed;
@@ -1555,21 +1516,18 @@ class TailCallElimPass final : public Pass {
 
 }  // namespace
 
-std::unique_ptr<Pass> create_instcombine() { return std::make_unique<InstCombinePass>(); }
-std::unique_ptr<Pass> create_reassociate() { return std::make_unique<ReassociatePass>(); }
-std::unique_ptr<Pass> create_early_cse() { return std::make_unique<EarlyCSEPass>(); }
-std::unique_ptr<Pass> create_gvn() { return std::make_unique<GVNPass>(); }
-std::unique_ptr<Pass> create_sccp() { return std::make_unique<SCCPPass>(); }
-std::unique_ptr<Pass> create_adce() { return std::make_unique<ADCEPass>(); }
-std::unique_ptr<Pass> create_dse() { return std::make_unique<DSEPass>(); }
-std::unique_ptr<Pass> create_sink() { return std::make_unique<SinkPass>(); }
-std::unique_ptr<Pass> create_correlated_propagation() {
-  return std::make_unique<CorrelatedPropagationPass>();
-}
-std::unique_ptr<Pass> create_jump_threading() { return std::make_unique<JumpThreadingPass>(); }
-std::unique_ptr<Pass> create_codegenprepare() { return std::make_unique<CodeGenPreparePass>(); }
-std::unique_ptr<Pass> create_memcpyopt() { return std::make_unique<MemCpyOptPass>(); }
-std::unique_ptr<Pass> create_lower_expect() { return std::make_unique<LowerExpectPass>(); }
-std::unique_ptr<Pass> create_tailcallelim() { return std::make_unique<TailCallElimPass>(); }
+bool run_instcombine(Module& m) { return InstCombinePass{}.run(m); }
+bool run_reassociate(Module& m) { return ReassociatePass{}.run(m); }
+bool run_early_cse(Module& m) { return EarlyCSEPass{}.run(m); }
+bool run_gvn(Module& m) { return GVNPass{}.run(m); }
+bool run_sccp(Module& m) { return SCCPPass{}.run(m); }
+bool run_adce(Module& m) { return ADCEPass{}.run(m); }
+bool run_dse(Module& m) { return DSEPass{}.run(m); }
+bool run_sink(Module& m) { return SinkPass{}.run(m); }
+bool run_correlated_propagation(Module& m) { return CorrelatedPropagationPass{}.run(m); }
+bool run_jump_threading(Module& m) { return JumpThreadingPass{}.run(m); }
+bool run_codegenprepare(Module& m) { return CodeGenPreparePass{}.run(m); }
+bool run_memcpyopt(Module& m) { return MemCpyOptPass{}.run(m); }
+bool run_tailcallelim(Module& m) { return TailCallElimPass{}.run(m); }
 
 }  // namespace autophase::passes

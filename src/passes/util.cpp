@@ -529,4 +529,35 @@ BasicBlock* unique_outside_predecessor(const ir::Loop& loop) {
   return candidate;
 }
 
+bool sweep_loops(Module& m, const std::function<bool(ir::Loop&, const ir::DominatorTree&)>& visit) {
+  bool changed = false;
+  for (Function* f : m.functions()) {
+    const ir::DominatorTree dt(*f);
+    const ir::LoopInfo li(*f, dt);
+    for (ir::Loop* loop : li.loops_innermost_first()) changed |= visit(*loop, dt);
+  }
+  return changed;
+}
+
+bool rewrite_loops_until_stable(Module& m, int max_rounds, LoopOrder order,
+                                const std::function<bool(Function&, ir::Loop&)>& rewrite) {
+  bool changed = false;
+  for (Function* f : m.functions()) {
+    for (int round = 0; round < max_rounds; ++round) {
+      const ir::DominatorTree dt(*f);
+      const ir::LoopInfo li(*f, dt);
+      const std::vector<ir::Loop*> loops =
+          order == LoopOrder::kOuterFirst ? li.all_loops() : li.loops_innermost_first();
+      bool rewrote = false;
+      for (ir::Loop* loop : loops) {
+        rewrote = rewrite(*f, *loop);
+        if (rewrote) break;  // the analyses are stale now
+      }
+      changed |= rewrote;
+      if (!rewrote) break;
+    }
+  }
+  return changed;
+}
+
 }  // namespace autophase::passes

@@ -2,6 +2,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <vector>
 
 #include "ir/dominators.hpp"
@@ -70,5 +71,29 @@ bool is_loop_invariant(const ir::Loop& loop, const ir::Value* v);
 /// guards, whose conditional branch disqualifies them as LLVM preheaders).
 /// nullptr when the header has several outside predecessors.
 ir::BasicBlock* unique_outside_predecessor(const ir::Loop& loop);
+
+// ---------------------------------------------------------------------------
+// Loop-pass drivers. Every loop pass reaches its loops through one of these
+// two, so they are the only place the loop passes build a DominatorTree and
+// LoopInfo. Neither short-circuits: a change in one function or loop never
+// stops the visit of the next. Each returns whether any callback reported a
+// change.
+// ---------------------------------------------------------------------------
+
+/// Sweep: one DominatorTree + LoopInfo per function, then `visit` on every
+/// loop, innermost first. For passes whose rewrites keep the loop structure.
+bool sweep_loops(ir::Module& m,
+                 const std::function<bool(ir::Loop&, const ir::DominatorTree&)>& visit);
+
+/// Order in which rewrite_loops_until_stable offers loops.
+enum class LoopOrder { kOuterFirst, kInnermostFirst };
+
+/// Restart-on-change: per function, up to `max_rounds` rounds of building a
+/// DominatorTree + LoopInfo and offering the loops in `order` to `rewrite`.
+/// A rewrite that returns true invalidated the analyses, so the round ends
+/// there and the next one rebuilds them; a round without a rewrite ends the
+/// function. For passes that restructure the CFG.
+bool rewrite_loops_until_stable(ir::Module& m, int max_rounds, LoopOrder order,
+                                const std::function<bool(ir::Function&, ir::Loop&)>& rewrite);
 
 }  // namespace autophase::passes

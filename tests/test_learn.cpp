@@ -20,6 +20,7 @@
 #include "learn/provenance.hpp"
 #include "net/server.hpp"
 #include "net/wire.hpp"
+#include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
 #include "progen/random_program.hpp"
 #include "rl/env.hpp"
@@ -238,6 +239,18 @@ TEST(ProvenanceCodec, MalformedBatchesAreRejectedCleanly) {
   serve::ByteReader r(mutated);
   learn::ProvenanceRecord out;
   EXPECT_FALSE(learn::read_provenance_record(r, out));
+
+  // A well-framed batch whose sequence names no Table-1 pass (past the
+  // table, the terminate action, negative) is refused before replay could
+  // apply it.
+  for (const int index : {46, passes::kTerminateAction, -7, 100000}) {
+    learn::ProvenanceRecord bad = numbered_record(4);
+    bad.sequence = {3, index};
+    EXPECT_FALSE(learn::deserialize_records(learn::serialize_records({bad})).is_ok()) << index;
+  }
+  learn::ProvenanceRecord edge = numbered_record(5);
+  edge.sequence = {0, passes::kNumPasses - 1};
+  EXPECT_TRUE(learn::deserialize_records(learn::serialize_records({edge})).is_ok());
 }
 
 /// The shared golden cohort: dyadic values only (no RNG, no libm), so the

@@ -48,6 +48,17 @@ void expect_equivalent(const Observed& before, const ir::Module& m, const std::s
   EXPECT_EQ(before.mem, after.mem) << what << ": global memory changed";
 }
 
+std::string pass_name(int pass) { return std::string(passes::PassRegistry::instance().name(pass)); }
+
+/// Applies `pass` and checks that its `changed` bit is truthful: true exactly
+/// when the printed module differs.
+void apply_checking_changed(ir::Module& m, int pass, const std::string& what) {
+  const std::string before = ir::print_module(m);
+  const bool changed = passes::apply_pass(m, pass);
+  EXPECT_EQ(changed, ir::print_module(m) != before)
+      << what << ": changed bit disagrees with the printed module";
+}
+
 // ---- Each pass individually preserves semantics on every kernel ----
 
 class PassOnKernel : public ::testing::TestWithParam<std::tuple<std::string, int>> {};
@@ -56,10 +67,9 @@ TEST_P(PassOnKernel, PreservesSemantics) {
   const auto& [bench, pass_index] = GetParam();
   auto m = progen::build_chstone_like(bench);
   const Observed before = observe(*m);
-  passes::apply_pass(*m, pass_index);
-  expect_equivalent(
-      before, *m,
-      bench + " after " + std::string(passes::PassRegistry::instance().name(pass_index)));
+  const std::string what = bench + " after " + pass_name(pass_index);
+  apply_checking_changed(*m, pass_index, what);
+  expect_equivalent(before, *m, what);
 }
 
 std::vector<std::tuple<std::string, int>> kernel_pass_grid() {
@@ -89,9 +99,9 @@ TEST_P(PassOnSSAKernel, PreservesSemantics) {
   passes::apply_pass(*m, passes::PassRegistry::instance().index_of("-mem2reg"));
   passes::apply_pass(*m, passes::PassRegistry::instance().index_of("-loop-simplify"));
   const Observed before = observe(*m);
-  passes::apply_pass(*m, pass_index);
-  expect_equivalent(before, *m, bench + "+mem2reg after " +
-                                    std::string(passes::PassRegistry::instance().name(pass_index)));
+  const std::string what = bench + "+mem2reg after " + pass_name(pass_index);
+  apply_checking_changed(*m, pass_index, what);
+  expect_equivalent(before, *m, what);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllKernelsAllPassesSSA, PassOnSSAKernel,
@@ -129,11 +139,9 @@ TEST_P(RandomSequenceOnRandomProgram, PreservesSemantics) {
   ASSERT_TRUE(current.ok);
   for (int step = 0; step < 24; ++step) {
     const int pass = static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1));
-    passes::apply_pass(*m, pass);
-    expect_equivalent(current, *m,
-                      "seed " + std::to_string(seed) + " step " + std::to_string(step) +
-                          " pass " +
-                          std::string(passes::PassRegistry::instance().name(pass)));
+    const std::string what = strf("seed %d step %d pass %s", seed, step, pass_name(pass).c_str());
+    apply_checking_changed(*m, pass, what);
+    expect_equivalent(current, *m, what);
     if (::testing::Test::HasFailure()) {
       ADD_FAILURE() << "failing module:\n" << ir::print_module(*m);
       return;
