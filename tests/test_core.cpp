@@ -1,12 +1,34 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <string>
+
 #include "core/autophase.hpp"
 #include "core/importance.hpp"
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
+#include "support/hash.hpp"
+#include "support/str.hpp"
 
 namespace autophase::core {
 namespace {
+
+/// FNV-1a over the bits of every importance, in row order, then every
+/// held-out accuracy: pins the collected tuples through the forests.
+std::uint64_t importance_digest(const ImportanceResult& result) {
+  std::string bytes;
+  const auto put = [&bytes](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(bits >> (8 * i)));
+  };
+  for (const auto* matrix : {&result.feature_importance, &result.pass_importance}) {
+    for (const auto& row : *matrix) {
+      for (const double v : row) put(v);
+    }
+  }
+  for (const double v : result.forest_accuracy) put(v);
+  return fnv1a(bytes);
+}
 
 TEST(Facade, O3BeatsO0) {
   auto m = progen::build_chstone_like("aes");
@@ -42,6 +64,10 @@ TEST(Importance, ProducesNormalisedRowsAndFiltering) {
   ASSERT_EQ(result.feature_importance.size(), 45u);
   ASSERT_EQ(result.pass_importance.size(), 45u);
   EXPECT_EQ(result.total_samples, 1500u);
+  // Generated before the collector reused a no-op pass's measurement and
+  // feature row; reusing them must not move a single bit.
+  EXPECT_EQ(importance_digest(result), 0xc7e1a704b4b206b6ULL)
+      << strf("0x%016llxULL", static_cast<unsigned long long>(importance_digest(result)));
 
   int informative_rows = 0;
   for (const auto& row : result.feature_importance) {

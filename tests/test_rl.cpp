@@ -1,11 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <numeric>
+
+#include "ir/clone.hpp"
 #include "progen/chstone_like.hpp"
+#include "progen/random_program.hpp"
 #include "rl/a3c.hpp"
 #include "rl/env.hpp"
 #include "rl/es.hpp"
 #include "rl/ppo.hpp"
 #include "rl/rollout.hpp"
+#include "support/rng.hpp"
 
 namespace autophase::rl {
 namespace {
@@ -167,6 +174,135 @@ TEST(Env, MultiProgramRoundRobin) {
   EXPECT_EQ(env.current_program(), 1u);
   env.reset();
   EXPECT_EQ(env.current_program(), 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental env steps equal a from-scratch reference
+// ---------------------------------------------------------------------------
+
+bool bitwise_equal(const std::vector<double>& a, const std::vector<double>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) return false;
+  }
+  return true;
+}
+
+/// The reward EnvConfig documents for a cycle decrease, restated here so the
+/// reference shares no code with the env.
+double reference_reward(double delta, const EnvConfig& cfg) {
+  if (cfg.zero_rewards) return 0.0;
+  if (!cfg.log_reward) return delta;
+  return delta >= 0 ? std::log1p(delta) : -std::log1p(-delta);
+}
+
+// Every step of a PhaseOrderEnv must answer exactly what re-deriving it from
+// scratch answers: the pass applied to a separate clone, the cycles looked up
+// on a fresh EvalService, the observation built anew. Seeded random action
+// streams hit many no-op passes. The second lap of episodes starts in
+// inference mode and leaves it partway, after passes that changed the module.
+// The env's reward delta is measured against the last cycles it measured, even
+// across resets and inference stretches; the reference keeps that rule.
+TEST(IncrementalEnv, StepsEqualFromScratch) {
+  std::vector<std::unique_ptr<ir::Module>> owned;
+  for (const std::string& name : progen::chstone_benchmark_names()) {
+    owned.push_back(progen::build_chstone_like(name));
+  }
+  for (const std::uint64_t seed : {11u, 12u}) {
+    owned.push_back(progen::generate_filtered_program(seed));
+  }
+  std::vector<const ir::Module*> programs;
+  for (const auto& m : owned) programs.push_back(m.get());
+  std::vector<int> all_features(static_cast<std::size_t>(features::kNumFeatures));
+  std::iota(all_features.begin(), all_features.end(), 0);
+  // Changes every -O0 program; applied twice in a row, the second is a no-op.
+  const std::size_t mem2reg =
+      static_cast<std::size_t>(passes::PassRegistry::instance().index_of("-mem2reg"));
+
+  int config_index = 0;
+  for (const ObservationMode observation :
+       {ObservationMode::kProgramFeatures, ObservationMode::kActionHistogram,
+        ObservationMode::kBoth}) {
+    for (const NormalizationMode normalization :
+         {NormalizationMode::kNone, NormalizationMode::kLog,
+          NormalizationMode::kInstCountRatio}) {
+      EnvConfig cfg;
+      cfg.episode_length = 10;
+      cfg.observation = observation;
+      cfg.normalization = normalization;
+      cfg.include_terminate = config_index % 2 == 1;
+      cfg.log_reward = config_index % 3 == 0;
+      SCOPED_TRACE("config " + std::to_string(config_index));
+      PhaseOrderEnv env(programs, cfg);
+      runtime::EvalService reference_eval;
+      Rng rng(static_cast<std::uint64_t>(config_index) + 1);
+      const std::size_t arity = env.action_arity();
+      std::uint64_t prev = 0;
+      std::vector<std::uint64_t> best(programs.size(), ~0ull);
+      std::vector<std::vector<int>> best_sequence(programs.size());
+
+      for (std::size_t episode = 0; episode < 2 * programs.size(); ++episode) {
+        const std::size_t p = episode % programs.size();
+        SCOPED_TRACE("episode " + std::to_string(episode));
+        bool inference = episode >= programs.size();
+        env.set_inference_mode(inference);
+        const std::vector<double> first = env.reset();
+        ASSERT_EQ(env.current_program(), p);
+        auto module = ir::clone_module(*programs[p]);
+        std::vector<double> histogram(arity, 0.0);
+        std::vector<int> applied;
+        const auto measure = [&] {
+          const std::uint64_t cycles = reference_eval.cycles(*module);
+          if (cycles < best[p]) {
+            best[p] = cycles;
+            best_sequence[p] = applied;
+          }
+          return cycles;
+        };
+        if (!inference) prev = measure();
+        ASSERT_TRUE(bitwise_equal(first, build_observation(*module, histogram, cfg, all_features)));
+
+        for (int step = 1;; ++step) {
+          auto action =
+              static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(arity) - 1));
+          if (inference && step <= 2) action = mem2reg;
+          if (inference && step == 4) {
+            inference = false;
+            env.set_inference_mode(false);
+            action = mem2reg;
+          }
+          const StepResult got = env.step({action});
+
+          double reward = 0.0;
+          const bool terminate = cfg.include_terminate && action + 1 == arity;
+          if (!terminate) {
+            // Full action space: the RL action is the Table-1 index.
+            passes::apply_pass(*module, static_cast<int>(action));
+            applied.push_back(static_cast<int>(action));
+            histogram[action] += 1.0;
+            if (!inference) {
+              const std::uint64_t cycles = measure();
+              reward = reference_reward(
+                  static_cast<double>(prev) - static_cast<double>(cycles), cfg);
+              prev = cycles;
+            }
+          }
+          const bool done = terminate || step >= cfg.episode_length;
+          SCOPED_TRACE("step " + std::to_string(step));
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(got.reward),
+                    std::bit_cast<std::uint64_t>(reward));
+          EXPECT_EQ(got.done, done);
+          ASSERT_TRUE(bitwise_equal(got.observation,
+                                    build_observation(*module, histogram, cfg, all_features)));
+          ASSERT_EQ(env.samples(), reference_eval.samples());
+          if (done) break;
+        }
+        EXPECT_EQ(env.best_cycles(p), best[p]);
+        EXPECT_EQ(env.best_sequence(p), best_sequence[p]);
+      }
+      ++config_index;
+    }
+  }
 }
 
 TEST(MultiActionEnv, SequenceAdjustment) {
