@@ -5,6 +5,7 @@
 
 #include "features/features.hpp"
 #include "ir/clone.hpp"
+#include "ir/printer.hpp"
 #include "passes/pass.hpp"
 #include "progen/random_program.hpp"
 #include "rl/env.hpp"
@@ -39,17 +40,32 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
     program_index = (program_index + 1) % programs.size();
 
     auto working = ir::clone_module(program);
-    std::uint64_t prev = cache.cycles(*working);
+    std::uint64_t fingerprint = ir::module_fingerprint(*working);
+    std::uint64_t prev = cache.cycles(*working, fingerprint);
     std::vector<double> histogram(static_cast<std::size_t>(passes::kNumPasses), 0.0);
+    features::FeatureVector fv{};
+    bool fv_stale = true;
 
     for (int step = 0; step < config.episode_length; ++step) {
-      const auto fv = features::extract_features(*working);
+      if (fv_stale) {
+        fv = features::extract_features(*working);
+        fv_stale = false;
+      }
       // High-exploration policy: uniform over the pass space (the
       // infinite-entropy limit the paper approaches by cranking up PPO's
       // exploration bonus).
       const int action = static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1));
-      passes::apply_pass(*working, action);
-      const std::uint64_t cycles = cache.cycles(*working);
+      const bool changed = passes::apply_pass(*working, action);
+      // A pass that changed nothing keeps the previous measurement and
+      // feature row.
+      std::uint64_t cycles = prev;
+      if (changed) {
+        fingerprint = ir::module_fingerprint(*working);
+        cycles = cache.cycles(*working, fingerprint);
+        fv_stale = true;
+      } else {
+        rl::check_unchanged(*working, fingerprint);
+      }
 
       Tuple t;
       t.features.reserve(features::kNumFeatures);

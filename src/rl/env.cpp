@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <cstdlib>
 
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
@@ -24,6 +26,27 @@ double shape_reward(double delta, bool log_reward) {
   if (!log_reward) return delta;
   return delta >= 0 ? std::log1p(delta) : -std::log1p(-delta);
 }
+
+/// The normalised feature part of an observation of `module`.
+std::vector<double> feature_row(const ir::Module& module, const EnvConfig& config,
+                                const std::vector<int>& effective_features) {
+  const auto fv = features::extract_features(module);
+  const double inst_count = static_cast<double>(fv[51]);
+  std::vector<double> row;
+  row.reserve(effective_features.size());
+  for (const int f : effective_features) {
+    row.push_back(normalise_feature(static_cast<double>(fv[static_cast<std::size_t>(f)]),
+                                    config.normalization, inst_count));
+  }
+  return row;
+}
+
+#ifndef NDEBUG
+[[noreturn]] void reuse_violation(const char* what) {
+  std::fprintf(stderr, "pass reported no change, but the module's %s moved\n", what);
+  std::abort();
+}
+#endif
 
 /// Envs take a shared service from their config when one is set and fall
 /// back to a private serial service otherwise.
@@ -49,12 +72,26 @@ std::uint64_t EvaluationCache::cycles(const ir::Module& m) {
   return c;
 }
 
+std::uint64_t EvaluationCache::cycles(const ir::Module& m, std::uint64_t fingerprint) {
+  bool sampled = false;
+  const std::uint64_t c = service_->measure(m, fingerprint, &sampled).cycles;
+  if (sampled) ++samples_;
+  return c;
+}
+
 std::uint64_t EvaluationCache::evaluate_sequence(const ir::Module& program,
                                                  const std::vector<int>& sequence) {
   bool sampled = false;
   const std::uint64_t c = service_->evaluate_sequence(program, sequence, &sampled);
   if (sampled) ++samples_;
   return c;
+}
+
+void check_unchanged([[maybe_unused]] const ir::Module& m,
+                     [[maybe_unused]] std::uint64_t fingerprint) {
+#ifndef NDEBUG
+  if (ir::module_fingerprint(m) != fingerprint) reuse_violation("fingerprint");
+#endif
 }
 
 std::uint64_t evaluate_sequence_on(const ir::Module& program, const std::vector<int>& sequence,
@@ -102,8 +139,10 @@ std::vector<double> PhaseOrderEnv::reset() {
   applied_.clear();
   steps_ = 0;
   episode_return_ = 0.0;
+  measured_ = false;
+  features_known_ = false;
   if (!inference_) {
-    prev_cycles_ = cache_.cycles(*working_);
+    prev_cycles_ = measure();
     if (baseline_[program_index_] == 0) baseline_[program_index_] = prev_cycles_;
     note_cycles(prev_cycles_);
   }
@@ -115,6 +154,16 @@ void PhaseOrderEnv::note_cycles(std::uint64_t cycles) {
     best_[program_index_] = cycles;
     best_seq_[program_index_] = applied_;
   }
+}
+
+std::uint64_t PhaseOrderEnv::measure() {
+  if (measured_) {
+    check_unchanged(*working_, fingerprint_);
+    return prev_cycles_;
+  }
+  fingerprint_ = ir::module_fingerprint(*working_);
+  measured_ = true;
+  return cache_.cycles(*working_, fingerprint_);
 }
 
 std::uint64_t PhaseOrderEnv::current_cycles() { return cache_.cycles(*working_); }
@@ -142,11 +191,14 @@ StepResult PhaseOrderEnv::step(const std::vector<std::size_t>& action) {
   const bool is_terminate = config_.include_terminate && a + 1 == action_arity();
   if (!is_terminate) {
     const int pass_index = effective_actions_[a];
-    passes::apply_pass(*working_, pass_index);
+    if (passes::apply_pass(*working_, pass_index)) {
+      measured_ = false;
+      features_known_ = false;
+    }
     applied_.push_back(pass_index);
     histogram_[a] += 1.0;
     if (!inference_) {
-      const std::uint64_t cycles = cache_.cycles(*working_);
+      const std::uint64_t cycles = measure();
       const double delta = static_cast<double>(prev_cycles_) - static_cast<double>(cycles);
       prev_cycles_ = cycles;
       note_cycles(cycles);
@@ -161,7 +213,21 @@ StepResult PhaseOrderEnv::step(const std::vector<std::size_t>& action) {
 }
 
 std::vector<double> PhaseOrderEnv::observe() {
-  return build_observation(*working_, histogram_, config_, effective_features_);
+  if (config_.observation == ObservationMode::kActionHistogram) return histogram_;
+  if (!features_known_) {
+    feature_row_ = feature_row(*working_, config_, effective_features_);
+    features_known_ = true;
+  }
+#ifndef NDEBUG
+  else if (feature_row(*working_, config_, effective_features_) != feature_row_) {
+    reuse_violation("features");
+  }
+#endif
+  std::vector<double> obs = feature_row_;
+  if (config_.observation != ObservationMode::kProgramFeatures) {
+    obs.insert(obs.end(), histogram_.begin(), histogram_.end());
+  }
+  return obs;
 }
 
 std::vector<double> build_observation(const ir::Module& module,
@@ -170,12 +236,7 @@ std::vector<double> build_observation(const ir::Module& module,
                                       const std::vector<int>& effective_features) {
   std::vector<double> obs;
   if (config.observation != ObservationMode::kActionHistogram) {
-    const auto fv = features::extract_features(module);
-    const double inst_count = static_cast<double>(fv[51]);
-    for (const int f : effective_features) {
-      obs.push_back(normalise_feature(static_cast<double>(fv[static_cast<std::size_t>(f)]),
-                                      config.normalization, inst_count));
-    }
+    obs = feature_row(module, config, effective_features);
   }
   if (config.observation != ObservationMode::kProgramFeatures) {
     obs.insert(obs.end(), histogram.begin(), histogram.end());

@@ -91,6 +91,9 @@ class EvaluationCache {
 
   /// Cycle count of `m` (cache hit does not count as a sample).
   std::uint64_t cycles(const ir::Module& m);
+  /// Same, with `m`'s fingerprint precomputed by the caller, who can keep it
+  /// to check later that a module it did not re-measure is still `m`.
+  std::uint64_t cycles(const ir::Module& m, std::uint64_t fingerprint);
 
   /// Cycles of `program` after `sequence`, through the service's secondary
   /// (program, sequence) key: a repeat evaluation skips cloning and pass
@@ -148,6 +151,9 @@ class PhaseOrderEnv final : public Env {
 
  private:
   std::vector<double> observe();
+  /// Cycles of the working module. While no pass has changed it since it
+  /// was last measured, that measurement (`prev_cycles_`) is the answer.
+  std::uint64_t measure();
   void note_cycles(std::uint64_t cycles);
 
   std::vector<const ir::Module*> programs_;
@@ -165,6 +171,13 @@ class PhaseOrderEnv final : public Env {
   bool inference_ = false;
   std::uint64_t prev_cycles_ = 0;
   double episode_return_ = 0.0;
+  // What is known of the working module, kept until reset or a pass that
+  // changes it (in inference mode too): whether prev_cycles_ measured it,
+  // under which fingerprint, and the feature part of its observation.
+  bool measured_ = false;
+  std::uint64_t fingerprint_ = 0;
+  bool features_known_ = false;
+  std::vector<double> feature_row_;
 
   std::vector<std::uint64_t> baseline_;  // per program (0 = unknown)
   std::vector<std::uint64_t> best_;
@@ -213,6 +226,12 @@ class MultiActionEnv final : public Env {
   std::vector<std::uint64_t> best_;
   std::vector<std::vector<int>> best_seq_;
 };
+
+/// The guard on every path that reuses a measurement because a pass reported
+/// no change: debug builds recompute `m`'s fingerprint and abort unless it is
+/// still `fingerprint`. It looks nothing up in an EvalService, so cache hit
+/// counts are the same in every build type. Release builds do nothing.
+void check_unchanged(const ir::Module& m, std::uint64_t fingerprint);
 
 /// Applies a pass sequence to a clone and returns the resulting cycles
 /// (shared by search baselines and evaluation harnesses).

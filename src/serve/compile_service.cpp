@@ -67,12 +67,20 @@ struct Meter {
   runtime::EvalService& eval;
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
+  std::uint64_t no_op_children = 0;
 
   void measure(Beam& beam) {
     beam.fingerprint = ir::module_fingerprint(*beam.module);
     bool ran_simulator = false;  // eval's "was this call the one that measured"
     beam.measure = eval.measure(*beam.module, beam.fingerprint, &ran_simulator);
     ran_simulator ? ++misses : ++hits;
+  }
+
+  /// A child whose pass changed nothing keeps its measured parent's
+  /// measure and fingerprint instead of being measured again.
+  void inherit(const Beam& child) {
+    rl::check_unchanged(*child.module, child.fingerprint);
+    ++no_op_children;
   }
 };
 
@@ -94,8 +102,9 @@ class SelectionPolicy {
  public:
   /// Whether the policy-greedy chain is exempt from the candidate cut.
   [[nodiscard]] virtual bool pins_greedy() const = 0;
-  /// Called on every child once its pass has run.
-  virtual void on_child(Beam& child) = 0;
+  /// Called on every child once its pass has run; `changed` is what the
+  /// pass reported.
+  virtual void on_child(Beam& child, bool changed) = 0;
   /// The step's children into the next live set. `greedy` indexes the
   /// pinned child on entry and its survivor on exit (kNoBeam: none).
   virtual std::vector<Beam> prune(std::vector<Beam> children, std::size_t& greedy,
@@ -118,7 +127,7 @@ class ScalarSelection final : public SelectionPolicy {
       : objective_(objective), width_(width), meter_(meter) {}
 
   [[nodiscard]] bool pins_greedy() const override { return false; }
-  void on_child(Beam&) override {}
+  void on_child(Beam&, bool) override {}
   std::vector<Beam> prune(std::vector<Beam> children, std::size_t&, obs::ScopedSpan&) override {
     return children;
   }
@@ -163,8 +172,9 @@ class ScalarSelection final : public SelectionPolicy {
   Meter& meter_;
 };
 
-/// Multi-objective serving (POSET-RL style): every child is measured, the
-/// live set is dominance-pruned each step (duplicates collapse by
+/// Multi-objective serving (POSET-RL style): every child is measured (one
+/// whose pass changed nothing inherits its parent's measurement), the live
+/// set is dominance-pruned each step (duplicates collapse by
 /// fingerprint, width-bounded by scalarised eviction) and the finalists
 /// form the returned front. The policy-greedy chain is pinned — exempt from
 /// the cut and from pruning. It is exactly the scalar greedy walk, so its
@@ -181,7 +191,9 @@ class ParetoSelection final : public SelectionPolicy {
       : weights_(weights), width_(width), meter_(meter), program_(program) {}
 
   [[nodiscard]] bool pins_greedy() const override { return true; }
-  void on_child(Beam& child) override { meter_.measure(child); }
+  void on_child(Beam& child, bool changed) override {
+    changed ? meter_.measure(child) : meter_.inherit(child);
+  }
 
   std::vector<Beam> prune(std::vector<Beam> children, std::size_t& greedy,
                           obs::ScopedSpan& step_span) override {
@@ -213,6 +225,7 @@ class ParetoSelection final : public SelectionPolicy {
     serve_span.attr("front_size", static_cast<std::uint64_t>(front.size()));
     serve_span.attr("cache_hits", meter_.hits);
     serve_span.attr("cache_misses", meter_.misses);
+    serve_span.attr("no_op_children", meter_.no_op_children);
 
     // front[0] is the representative (best scalarised) point; its module is
     // re-derived by replaying the sequence — passes are deterministic, so
@@ -456,10 +469,10 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
         continue;
       }
       const int pass_index = actions[c.action];
-      passes::apply_pass(*child.module, pass_index);
+      const bool changed = passes::apply_pass(*child.module, pass_index);
       child.histogram[c.action] += 1.0;
       child.sequence.push_back(pass_index);
-      policy.on_child(child);
+      policy.on_child(child, changed);
       if (pinned) greedy_child = children.size();
       children.push_back(std::move(child));
     }
