@@ -42,15 +42,10 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
     auto working = ir::clone_module(program);
     std::uint64_t fingerprint = ir::module_fingerprint(*working);
     std::uint64_t prev = cache.cycles(*working, fingerprint);
+    auto fv = features::extract_features(*working);
     std::vector<double> histogram(static_cast<std::size_t>(passes::kNumPasses), 0.0);
-    features::FeatureVector fv{};
-    bool fv_stale = true;
 
     for (int step = 0; step < config.episode_length; ++step) {
-      if (fv_stale) {
-        fv = features::extract_features(*working);
-        fv_stale = false;
-      }
       // High-exploration policy: uniform over the pass space (the
       // infinite-entropy limit the paper approaches by cranking up PPO's
       // exploration bonus).
@@ -62,7 +57,6 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
       if (changed) {
         fingerprint = ir::module_fingerprint(*working);
         cycles = cache.cycles(*working, fingerprint);
-        fv_stale = true;
       } else {
         rl::check_unchanged(*working, fingerprint);
       }
@@ -77,6 +71,7 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
 
       histogram[static_cast<std::size_t>(action)] += 1.0;
       prev = cycles;
+      if (changed) fv = features::extract_features(*working);
       if (tuples.size() >= static_cast<std::size_t>(config.target_samples)) break;
     }
   }

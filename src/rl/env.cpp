@@ -66,10 +66,7 @@ EvaluationCache::EvaluationCache(std::shared_ptr<runtime::EvalService> service)
     : service_(std::move(service)) {}
 
 std::uint64_t EvaluationCache::cycles(const ir::Module& m) {
-  bool sampled = false;
-  const std::uint64_t c = service_->cycles(m, &sampled);
-  if (sampled) ++samples_;
-  return c;
+  return cycles(m, ir::module_fingerprint(m));
 }
 
 std::uint64_t EvaluationCache::cycles(const ir::Module& m, std::uint64_t fingerprint) {
