@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
+#include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "ir/clone.hpp"
@@ -15,6 +18,8 @@
 #include "runtime/vec_env.hpp"
 #include "search/evaluator.hpp"
 #include "search/search.hpp"
+#include "support/hash.hpp"
+#include "support/str.hpp"
 #include "support/thread_pool.hpp"
 
 namespace autophase::runtime {
@@ -353,6 +358,31 @@ TEST(VecEnvPpo, LearnsBanditWithVectorisedRollouts) {
   EXPECT_EQ(trainer.act_greedy({1.0})[0], 1u);
 }
 
+/// Everything a PPO run leaves behind: both networks' weights and every
+/// IterationStats field, as raw bits so equality is bitwise.
+struct PpoRunBits {
+  std::vector<std::uint64_t> policy;
+  std::vector<std::uint64_t> value;
+  std::vector<std::uint64_t> stats;
+
+  /// FNV-1a over the little-endian bytes of policy, value, then stats.
+  [[nodiscard]] std::uint64_t digest() const {
+    std::string bytes;
+    for (const auto* words : {&policy, &value, &stats}) {
+      for (const std::uint64_t w : *words) {
+        for (int i = 0; i < 8; ++i) bytes.push_back(static_cast<char>(w >> (8 * i)));
+      }
+    }
+    return fnv1a(bytes);
+  }
+};
+
+std::vector<std::uint64_t> weight_bits(const ml::Mlp& net) {
+  std::vector<std::uint64_t> bits;
+  for (const double v : net.flatten()) bits.push_back(std::bit_cast<std::uint64_t>(v));
+  return bits;
+}
+
 TEST(VecEnvPpo, DeterministicForAnyThreadCount) {
   auto m = progen::build_chstone_like("sha");
   const std::vector<const ir::Module*> programs = {m.get()};
@@ -361,17 +391,32 @@ TEST(VecEnvPpo, DeterministicForAnyThreadCount) {
     rl::PpoConfig ppo;
     ppo.iterations = 2;
     ppo.steps_per_iteration = 32;
+    ppo.minibatch_size = 16;  // two minibatches per epoch share each shuffle
     ppo.hidden = {16};
     ppo.seed = 17;
     rl::PpoTrainer trainer(vec, ppo);
-    std::vector<double> rewards;
-    for (const auto& it : trainer.train()) rewards.push_back(it.episode_reward_mean);
-    return rewards;
+    PpoRunBits bits;
+    for (const auto& it : trainer.train()) {
+      bits.stats.push_back(static_cast<std::uint64_t>(it.iteration));
+      bits.stats.push_back(std::bit_cast<std::uint64_t>(it.episode_reward_mean));
+      bits.stats.push_back(it.env_samples);
+      bits.stats.push_back(std::bit_cast<std::uint64_t>(it.policy_entropy));
+    }
+    bits.policy = weight_bits(trainer.policy());
+    bits.value = weight_bits(*trainer.export_policy().value);
+    return bits;
   };
-  const auto serial = run(nullptr);
+  const PpoRunBits serial = run(nullptr);
   ThreadPool pool(4);
-  const auto parallel = run(&pool);
-  EXPECT_EQ(serial, parallel);
+  const PpoRunBits parallel = run(&pool);
+  EXPECT_EQ(serial.stats, parallel.stats);
+  EXPECT_EQ(serial.policy, parallel.policy);
+  EXPECT_EQ(serial.value, parallel.value);
+  // Pins the trained weights and stats themselves, so a change to the update
+  // that keeps serial == parallel but moves a bit (a reordered sum, a
+  // different shuffle draw) still fails here.
+  EXPECT_EQ(serial.digest(), 0xb8818e946bc60ae8ULL)
+      << strf("0x%016llxULL", static_cast<unsigned long long>(serial.digest()));
 }
 
 TEST(VecEnvA3c, TrainsOnVectorOwnedEnvironments) {
