@@ -1,7 +1,8 @@
 // google-benchmark microbenchmarks of the substrate itself: the components
 // on AutoPhase's critical path (Fig. 4 block diagram) — IR cloning, feature
 // extraction, HLS scheduling, cycle profiling, pass application, module
-// fingerprinting — and the end-to-end environment step.
+// fingerprinting — the end-to-end environment step, and one PPO minibatch
+// of network work.
 #include <benchmark/benchmark.h>
 
 #include "features/features.hpp"
@@ -10,6 +11,7 @@
 #include "ir/builder.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
+#include "ml/mlp.hpp"
 #include "passes/pass.hpp"
 #include "passes/pipelines.hpp"
 #include "progen/chstone_like.hpp"
@@ -164,6 +166,45 @@ void BM_EnvStepCacheCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvStepCacheCold);
+
+/// One PPO minibatch of one network at perfbench's train_ppo shape: forward
+/// with a cache, then backward, over 64 observations of the paper's env
+/// (episode length 45, features plus histogram, as perfbench's
+/// paper_env_config()) through 256x256 hidden layers. value:0 is the policy
+/// net (one logit per pass), value:1 the value net. A PPO update runs each
+/// epochs x minibatches = 4 x 4 times per iteration.
+void BM_MlpForwardBackward(benchmark::State& state) {
+  constexpr std::size_t kMinibatch = 64;
+  auto m = progen::build_chstone_like("sha");
+  rl::EnvConfig cfg;
+  cfg.episode_length = 45;
+  cfg.observation = rl::ObservationMode::kBoth;
+  rl::PhaseOrderEnv env({m.get()}, cfg);
+  ml::MlpConfig shape;
+  shape.input = env.observation_size();
+  shape.hidden = {256, 256};
+  shape.output = state.range(0) == 0 ? env.action_arity() : 1;
+  Rng rng(1);
+  const ml::Mlp net(shape, rng);
+  // Real observations, so the first layer sees the histogram's zeros.
+  ml::Matrix obs(kMinibatch, shape.input);
+  std::vector<double> o = env.reset();
+  for (std::size_t r = 0; r < kMinibatch; ++r) {
+    std::copy(o.begin(), o.end(), obs.row(r));
+    const auto step = env.step({static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(env.action_arity()) - 1))});
+    o = step.done ? env.reset() : step.observation;
+  }
+  const ml::Matrix grad_output = ml::Matrix::randn(rng, kMinibatch, shape.output, 1.0);
+  for (auto _ : state) {
+    ml::ForwardCache cache;
+    const ml::Matrix out = net.forward(obs, &cache);
+    ml::Gradients grads = net.make_gradients();
+    net.backward(cache, grad_output, grads);
+    benchmark::DoNotOptimize(grads.weights[0].data().data());
+  }
+}
+BENCHMARK(BM_MlpForwardBackward)->ArgName("value")->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

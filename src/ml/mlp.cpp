@@ -100,21 +100,15 @@ void add_bias(Matrix& m, const Matrix& bias) {
 Matrix Mlp::forward(const Matrix& x, ForwardCache* cache) const {
   if (cache != nullptr) {
     cache->input = x;
-    cache->pre_activations.clear();
     cache->post_activations.clear();
   }
-  Matrix h = x;
+  Matrix h;
   for (std::size_t l = 0; l < weights_.size(); ++l) {
-    Matrix z = matmul(h, weights_[l]);
+    Matrix z = matmul(l == 0 ? x : h, weights_[l]);
     add_bias(z, biases_[l]);
-    const bool is_last = l + 1 == weights_.size();
-    Matrix a = z;
-    if (!is_last) apply_activation(a, config_.activation);
-    if (cache != nullptr) {
-      cache->pre_activations.push_back(std::move(z));
-      cache->post_activations.push_back(a);
-    }
-    h = std::move(a);
+    if (l + 1 != weights_.size()) apply_activation(z, config_.activation);
+    if (cache != nullptr) cache->post_activations.push_back(z);
+    h = std::move(z);
   }
   return h;
 }

@@ -36,7 +36,6 @@ struct Gradients {
 /// Forward-pass activations retained for backprop.
 struct ForwardCache {
   Matrix input;
-  std::vector<Matrix> pre_activations;   // per layer
   std::vector<Matrix> post_activations;  // per layer (last = raw output)
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <future>
 #include <iterator>
 
 #include "support/str.hpp"
@@ -217,75 +218,114 @@ IterationStats PpoTrainer::finish_iteration(RolloutBuffer& buffer, double reward
   return stats;
 }
 
-void PpoTrainer::update(RolloutBuffer& buffer) {
+namespace {
+
+/// Observations of the given buffer rows stacked into one matrix.
+ml::Matrix gather_observations(const RolloutBuffer& buffer, const std::vector<std::size_t>& rows) {
+  ml::Matrix obs(rows.size(), buffer.transitions[0].observation.size());
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    const auto& o = buffer.transitions[rows[b]].observation;
+    std::copy(o.begin(), o.end(), obs.row(b));
+  }
+  return obs;
+}
+
+}  // namespace
+
+void PpoTrainer::update(const RolloutBuffer& buffer) {
+  // Every epoch's shuffle is drawn before either network trains. The
+  // shuffles are the update's only use of rng_, so this draws the same
+  // minibatches as interleaving them with the SGD steps would.
   const std::size_t n = buffer.transitions.size();
+  const auto size = static_cast<std::size_t>(config_.minibatch_size);
   std::vector<std::size_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = i;
+  std::vector<std::vector<std::size_t>> minibatches;
+  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
+    rng_.shuffle(order);
+    for (std::size_t start = 0; start < n; start += size) {
+      const auto first = order.begin() + static_cast<std::ptrdiff_t>(start);
+      const auto last = first + static_cast<std::ptrdiff_t>(std::min(size, n - start));
+      minibatches.emplace_back(first, last);
+    }
+  }
 
+  // The two loops share only read-only state (buffer, minibatches, config_,
+  // dist_); each owns its network, optimiser and gradients. So running the
+  // value loop on another thread changes no bit of either result.
+  ThreadPool* pool = vec_ != nullptr ? vec_->pool() : nullptr;
+  if (pool == nullptr || pool->size() <= 1) {
+    update_policy(buffer, minibatches);
+    update_value(buffer, minibatches);
+    return;
+  }
+  std::future<void> value_done = pool->submit([&] { update_value(buffer, minibatches); });
+  try {
+    update_policy(buffer, minibatches);
+  } catch (...) {
+    value_done.wait();  // the task references this frame
+    throw;
+  }
+  value_done.get();
+}
+
+void PpoTrainer::update_policy(const RolloutBuffer& buffer,
+                               const std::vector<std::vector<std::size_t>>& minibatches) {
   const std::size_t logit_count = dist_.logit_count();
   double entropy_acc = 0.0;
   std::size_t entropy_samples = 0;
-
-  for (int epoch = 0; epoch < config_.epochs; ++epoch) {
-    rng_.shuffle(order);
-    for (std::size_t start = 0; start < n;
-         start += static_cast<std::size_t>(config_.minibatch_size)) {
-      const std::size_t end = std::min(n, start + static_cast<std::size_t>(config_.minibatch_size));
-      const std::size_t batch = end - start;
-
-      // Assemble the minibatch.
-      ml::Matrix obs(batch, buffer.transitions[0].observation.size());
-      for (std::size_t b = 0; b < batch; ++b) {
-        const auto& t = buffer.transitions[order[start + b]];
-        std::copy(t.observation.begin(), t.observation.end(), obs.row(b));
+  for (const std::vector<std::size_t>& rows : minibatches) {
+    const std::size_t batch = rows.size();
+    ml::ForwardCache pcache;
+    const ml::Matrix logits = policy_.forward(gather_observations(buffer, rows), &pcache);
+    ml::Matrix dlogits(batch, logit_count);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const auto& t = buffer.transitions[rows[b]];
+      const double adv = buffer.advantages[rows[b]];
+      const double new_lp = dist_.log_prob_all(logits.row(b), t.action);
+      const double ratio = std::exp(new_lp - t.log_prob);
+      // Clipped surrogate: gradient flows only when unclipped is active.
+      const bool clipped = (adv >= 0.0 && ratio > 1.0 + config_.clip) ||
+                           (adv < 0.0 && ratio < 1.0 - config_.clip);
+      std::vector<double> lp_grad(logit_count, 0.0);
+      dist_.log_prob_grad_all(logits.row(b), t.action, lp_grad.data());
+      std::vector<double> ent_grad(logit_count, 0.0);
+      for (std::size_t g = 0; g < dist_.groups; ++g) {
+        ml::entropy_grad(logits.row(b) + g * dist_.arity, dist_.arity,
+                         ent_grad.data() + g * dist_.arity);
       }
-
-      // ---- Policy update ----
-      ml::ForwardCache pcache;
-      const ml::Matrix logits = policy_.forward(obs, &pcache);
-      ml::Matrix dlogits(batch, logit_count);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const auto& t = buffer.transitions[order[start + b]];
-        const double adv = buffer.advantages[order[start + b]];
-        const double new_lp = dist_.log_prob_all(logits.row(b), t.action);
-        const double ratio = std::exp(new_lp - t.log_prob);
-        // Clipped surrogate: gradient flows only when unclipped is active.
-        const bool clipped = (adv >= 0.0 && ratio > 1.0 + config_.clip) ||
-                             (adv < 0.0 && ratio < 1.0 - config_.clip);
-        std::vector<double> lp_grad(logit_count, 0.0);
-        dist_.log_prob_grad_all(logits.row(b), t.action, lp_grad.data());
-        std::vector<double> ent_grad(logit_count, 0.0);
-        for (std::size_t g = 0; g < dist_.groups; ++g) {
-          ml::entropy_grad(logits.row(b) + g * dist_.arity, dist_.arity,
-                           ent_grad.data() + g * dist_.arity);
-        }
-        const double policy_scale = clipped ? 0.0 : ratio * adv;
-        for (std::size_t j = 0; j < logit_count; ++j) {
-          // Minimise -(surrogate + entropy bonus).
-          dlogits.at(b, j) = -(policy_scale * lp_grad[j] + config_.entropy_coef * ent_grad[j]) /
-                             static_cast<double>(batch);
-        }
-        entropy_acc += dist_.entropy_all(logits.row(b));
-        ++entropy_samples;
+      const double policy_scale = clipped ? 0.0 : ratio * adv;
+      for (std::size_t j = 0; j < logit_count; ++j) {
+        // Minimise -(surrogate + entropy bonus).
+        dlogits.at(b, j) = -(policy_scale * lp_grad[j] + config_.entropy_coef * ent_grad[j]) /
+                           static_cast<double>(batch);
       }
-      ml::Gradients pgrads = policy_.make_gradients();
-      policy_.backward(pcache, dlogits, pgrads);
-      policy_opt_.step(policy_, pgrads);
-
-      // ---- Value update (MSE to GAE returns) ----
-      ml::ForwardCache vcache;
-      const ml::Matrix values = value_.forward(obs, &vcache);
-      ml::Matrix dvalues(batch, 1);
-      for (std::size_t b = 0; b < batch; ++b) {
-        const double target = buffer.returns[order[start + b]];
-        dvalues.at(b, 0) = 2.0 * (values.at(b, 0) - target) / static_cast<double>(batch);
-      }
-      ml::Gradients vgrads = value_.make_gradients();
-      value_.backward(vcache, dvalues, vgrads);
-      value_opt_.step(value_, vgrads);
+      entropy_acc += dist_.entropy_all(logits.row(b));
+      ++entropy_samples;
     }
+    ml::Gradients pgrads = policy_.make_gradients();
+    policy_.backward(pcache, dlogits, pgrads);
+    policy_opt_.step(policy_, pgrads);
   }
   last_entropy_ = entropy_samples > 0 ? entropy_acc / static_cast<double>(entropy_samples) : 0.0;
+}
+
+void PpoTrainer::update_value(const RolloutBuffer& buffer,
+                              const std::vector<std::vector<std::size_t>>& minibatches) {
+  // MSE to the GAE returns.
+  for (const std::vector<std::size_t>& rows : minibatches) {
+    const std::size_t batch = rows.size();
+    ml::ForwardCache vcache;
+    const ml::Matrix values = value_.forward(gather_observations(buffer, rows), &vcache);
+    ml::Matrix dvalues(batch, 1);
+    for (std::size_t b = 0; b < batch; ++b) {
+      const double target = buffer.returns[rows[b]];
+      dvalues.at(b, 0) = 2.0 * (values.at(b, 0) - target) / static_cast<double>(batch);
+    }
+    ml::Gradients vgrads = value_.make_gradients();
+    value_.backward(vcache, dvalues, vgrads);
+    value_opt_.step(value_, vgrads);
+  }
 }
 
 std::vector<IterationStats> PpoTrainer::train(

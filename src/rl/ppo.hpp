@@ -53,6 +53,10 @@ struct IterationStats {
   double policy_entropy = 0.0;
 };
 
+/// Threading: with a VecEnv whose pool has more than one thread, iterate()
+/// uses that pool twice, for the lane steps and for the value-network update.
+/// So iterate() and train() must not be called from one of the pool's own
+/// workers: the nested waits can deadlock once every worker blocks in one.
 class PpoTrainer {
  public:
   PpoTrainer(Env& env, PpoConfig config);
@@ -60,11 +64,16 @@ class PpoTrainer {
   /// Vectorised rollout collection: transitions come from all K environments
   /// of `vec` (policy forward passes are batched over the K lanes, GAE runs
   /// per lane), actions are sampled from the VecEnv's per-worker RNG
-  /// streams. Same seed => same trajectories for any thread count.
+  /// streams. When the VecEnv has a pool of more than one thread, the update
+  /// trains the value network on that pool while the calling thread trains
+  /// the policy; the two share only the rollout and the minibatch orders.
+  /// Same seed => same trajectories, weights and stats, bit for bit, for any
+  /// thread count.
   PpoTrainer(runtime::VecEnv& vec, PpoConfig config);
 
   /// One PPO iteration: collect `steps_per_iteration` transitions, then run
-  /// minibatch-epoch updates. Returns stats for learning curves (Fig. 8).
+  /// minibatch-epoch updates of the policy and value networks. Returns stats
+  /// for learning curves (Fig. 8).
   IterationStats iterate();
 
   /// Full training run; optional per-iteration callback.
@@ -91,7 +100,12 @@ class PpoTrainer {
 
  private:
   double value_of(const std::vector<double>& observation) const;
-  void update(RolloutBuffer& buffer);
+  void update(const RolloutBuffer& buffer);
+  // Each minibatch is a list of buffer rows; both loops take every epoch's.
+  void update_policy(const RolloutBuffer& buffer,
+                     const std::vector<std::vector<std::size_t>>& minibatches);
+  void update_value(const RolloutBuffer& buffer,
+                    const std::vector<std::vector<std::size_t>>& minibatches);
   IterationStats iterate_env();
   IterationStats iterate_vec();
   IterationStats finish_iteration(RolloutBuffer& buffer, double reward_mean,

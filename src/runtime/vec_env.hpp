@@ -35,6 +35,9 @@ class VecEnv {
   [[nodiscard]] std::size_t size() const noexcept { return envs_.size(); }
   [[nodiscard]] rl::Env& env(std::size_t i) { return *envs_[i]; }
   [[nodiscard]] const rl::Env& env(std::size_t i) const { return *envs_[i]; }
+  /// The pool step_batch and reset fan out over (nullptr when serial). Not
+  /// owned; callers may submit their own work between batches.
+  [[nodiscard]] ThreadPool* pool() const noexcept { return config_.pool; }
   /// Per-worker policy-sampling stream; index-stable, thread-count agnostic.
   [[nodiscard]] Rng& worker_rng(std::size_t i) noexcept { return rngs_[i]; }
 

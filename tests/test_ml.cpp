@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 #include "ml/distributions.hpp"
 #include "ml/matrix.hpp"
@@ -44,6 +45,41 @@ TEST(Matrix, TransposedVariantsAgree) {
     for (std::size_t j = 0; j < tn.cols(); ++j) {
       EXPECT_NEAR(tn.at(i, j), expected.at(i, j), 1e-12);
     }
+  }
+
+  // a @ c^T via matmul_nt equals the dot product of row i of a with row j
+  // of c, summed over k in ascending order from 0.0, bit for bit. 11 rows
+  // cross matmul_nt's 8-row tile; a carries zeros (including whole-column
+  // and -0.0) and negatives.
+  Matrix x = Matrix::randn(rng, 11, 7, 1.0);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    x.at(i, 2) = 0.0;
+    x.at(i, (i + 3) % 7) = -std::abs(x.at(i, (i + 3) % 7));
+  }
+  x.at(4, 5) = -0.0;
+  x.at(9, 0) = 0.0;
+  const Matrix c = Matrix::randn(rng, 5, 7, 1.0);
+  const auto dot_reference = [](const Matrix& p, const Matrix& q) {
+    Matrix out(p.rows(), q.rows());
+    for (std::size_t i = 0; i < p.rows(); ++i) {
+      for (std::size_t j = 0; j < q.rows(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < p.cols(); ++k) acc += p.at(i, k) * q.at(j, k);
+        out.at(i, j) = acc;
+      }
+    }
+    return out;
+  };
+  EXPECT_EQ(matmul_nt(x, c).data(), dot_reference(x, c).data());
+
+  // Every product is kept (no zero-skip): a zero times an infinite entry of
+  // c still poisons the sum.
+  Matrix inf_c = c;
+  inf_c.at(1, 2) = std::numeric_limits<double>::infinity();
+  const Matrix poisoned = matmul_nt(x, inf_c);
+  for (std::size_t i = 0; i < x.rows(); ++i) {
+    EXPECT_TRUE(std::isnan(poisoned.at(i, 1))) << "row " << i;
+    EXPECT_EQ(poisoned.at(i, 0), dot_reference(x, c).at(i, 0)) << "row " << i;
   }
 }
 
