@@ -80,7 +80,7 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   const std::size_t n = b.rows();
   Matrix bt(b.cols(), n);
   for (std::size_t k = 0; k < b.cols(); ++k) {
-    double* btrow = bt.row(k);  // contiguous writes: ~3x faster than strided
+    double* btrow = bt.row(k);  // strided reads, contiguous writes: the cheaper order
     for (std::size_t j = 0; j < n; ++j) btrow[j] = b.row(j)[k];
   }
   Matrix out(a.rows(), n);
