@@ -162,6 +162,67 @@ TEST(ProvenanceLog, CheckpointRoundTripsAndRejectsCorruption) {
   EXPECT_EQ(fresh.size(), 0u);  // a bad checkpoint installs nothing
 }
 
+/// The record's canonical encoding: two records compare equal exactly when
+/// every field, module bytes included, matches.
+std::string encoded(const learn::ProvenanceRecord& record) {
+  serve::ByteWriter w;
+  learn::write_provenance_record(w, record);
+  return w.take();
+}
+
+TEST(ProvenanceLog, RepeatedProgramsComeBackByteEqual) {
+  // Serving traffic repeats a few programs, and two different programs may
+  // share a fingerprint. Whatever the log shares internally, each record
+  // must leave it exactly as it was appended.
+  const std::string kernel_a(3000, 'a');
+  const std::string kernel_b = std::string(1900, 'b') + "tail";
+  const std::string collides_with_a(2500, 'c');  // a's fingerprint, other bytes
+  const auto record = [](std::uint32_t n, std::uint64_t fingerprint, const std::string& bytes) {
+    learn::ProvenanceRecord r = numbered_record(n);
+    r.fingerprint = fingerprint;
+    r.module_bytes = bytes;
+    return r;
+  };
+  std::vector<learn::ProvenanceRecord> appended = {
+      record(0, 1, kernel_a),        record(1, 2, kernel_b), record(2, 1, kernel_a),
+      record(3, 1, collides_with_a), record(4, 1, kernel_a), numbered_record(5),
+      record(6, 2, kernel_b),        record(7, 1, collides_with_a),
+      record(8, 1, kernel_a),        record(9, 3, kernel_b)};
+
+  learn::ProvenanceLog log(6);
+  for (const learn::ProvenanceRecord& r : appended) log.append(r);
+  EXPECT_EQ(log.size(), 6u);
+  EXPECT_EQ(log.dropped(), 4u);  // records 0..3 evicted, oldest first
+  const std::vector<learn::ProvenanceRecord> live(appended.begin() + 4, appended.end());
+
+  // A checkpoint carries every live record, module bytes filled back in.
+  learn::ProvenanceLog restored(16);
+  ASSERT_TRUE(restored.restore(log.serialize()).is_ok());
+  const std::vector<learn::ProvenanceRecord> from_checkpoint = restored.drain(100);
+  ASSERT_EQ(from_checkpoint.size(), live.size());
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    EXPECT_EQ(encoded(from_checkpoint[i]), encoded(live[i])) << "checkpoint record " << i;
+  }
+
+  // A partial drain hands back the oldest records and leaves the rest.
+  const std::vector<learn::ProvenanceRecord> first = log.drain(2);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(encoded(first[0]), encoded(live[0]));
+  EXPECT_EQ(encoded(first[1]), encoded(live[1]));
+  EXPECT_EQ(log.size(), 4u);
+
+  // A program whose earlier records were drained is appended again.
+  log.append(record(10, 1, kernel_a));
+  const std::vector<learn::ProvenanceRecord> rest = log.drain(100);
+  ASSERT_EQ(rest.size(), 5u);
+  for (std::size_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(encoded(rest[i]), encoded(live[i + 2])) << "drained record " << i;
+  }
+  EXPECT_EQ(encoded(rest[4]), encoded(record(10, 1, kernel_a)));
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.dropped(), 4u);
+}
+
 // ---------------------------------------------------------------------------
 // Record codec + golden file
 // ---------------------------------------------------------------------------
