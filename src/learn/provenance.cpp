@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <iterator>
 #include <utility>
 
 #include "passes/pass.hpp"
@@ -109,38 +108,55 @@ Result<std::vector<ProvenanceRecord>> deserialize_records(std::string_view bytes
 ProvenanceLog::ProvenanceLog(std::size_t capacity)
     : capacity_(std::max<std::size_t>(1, capacity)) {}
 
+ProvenanceLog::Program& ProvenanceLog::intern(std::uint64_t fingerprint, std::string bytes) {
+  const auto [first, last] = programs_.equal_range(fingerprint);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.bytes == bytes) return it->second;
+  }
+  return programs_.emplace(fingerprint, Program{std::move(bytes), 0})->second;
+}
+
+void ProvenanceLog::release(const Entry& entry) {
+  if (--entry.program->uses > 0) return;
+  const auto [first, last] = programs_.equal_range(entry.record.fingerprint);
+  for (auto it = first; it != last; ++it) {
+    if (&it->second == entry.program) {
+      programs_.erase(it);
+      return;
+    }
+  }
+}
+
 void ProvenanceLog::append(ProvenanceRecord record) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (records_.size() - head_ >= capacity_) {
-    ++head_;  // evict the oldest
+  if (records_.size() >= capacity_) {
+    release(records_.front());  // evict the oldest
+    records_.pop_front();
     ++dropped_;
   }
-  records_.push_back(std::move(record));
-  // Compact once the dead prefix dominates, so memory stays O(capacity).
-  if (head_ > capacity_) {
-    records_.erase(records_.begin(), records_.begin() + static_cast<std::ptrdiff_t>(head_));
-    head_ = 0;
-  }
+  Program& program = intern(record.fingerprint, std::exchange(record.module_bytes, {}));
+  ++program.uses;
+  records_.push_back({std::move(record), &program});
 }
 
 std::vector<ProvenanceRecord> ProvenanceLog::drain(std::size_t max) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const std::size_t take = std::min(max, records_.size() - head_);
+  const std::size_t take = std::min(max, records_.size());
   std::vector<ProvenanceRecord> out;
   out.reserve(take);
-  const auto first = records_.begin() + static_cast<std::ptrdiff_t>(head_);
-  std::move(first, first + static_cast<std::ptrdiff_t>(take), std::back_inserter(out));
-  head_ += take;
-  if (head_ == records_.size()) {
-    records_.clear();
-    head_ = 0;
+  for (std::size_t i = 0; i < take; ++i) {
+    Entry& entry = records_.front();
+    entry.record.module_bytes = entry.program->bytes;
+    release(entry);
+    out.push_back(std::move(entry.record));
+    records_.pop_front();
   }
   return out;
 }
 
 std::size_t ProvenanceLog::size() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return records_.size() - head_;
+  return records_.size();
 }
 
 std::uint64_t ProvenanceLog::dropped() const {
@@ -152,7 +168,11 @@ std::string ProvenanceLog::serialize() const {
   std::vector<ProvenanceRecord> live;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
-    live.assign(records_.begin() + static_cast<std::ptrdiff_t>(head_), records_.end());
+    live.reserve(records_.size());
+    for (const Entry& entry : records_) {
+      live.push_back(entry.record);
+      live.back().module_bytes = entry.program->bytes;
+    }
   }
   return serialize_records(live);
 }

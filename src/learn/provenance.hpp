@@ -14,9 +14,11 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <vector>
 
 #include "serve/compile_service.hpp"
@@ -80,7 +82,9 @@ Result<std::vector<ProvenanceRecord>> deserialize_records(std::string_view bytes
 /// Bounded thread-safe FIFO of provenance records. Serving nodes append from
 /// worker threads; a collector drains in arrival order. When full, append
 /// drops the *oldest* record (fresh traffic is worth more to a trainer than
-/// stale traffic) and counts the loss in dropped().
+/// stale traffic) and counts the loss in dropped(). Serving traffic repeats a
+/// few programs, so the log keeps each distinct program's bytes once and
+/// fills them back into every record it hands out.
 class ProvenanceLog {
  public:
   explicit ProvenanceLog(std::size_t capacity = 4096);
@@ -101,10 +105,27 @@ class ProvenanceLog {
   Status restore(std::string_view bytes);
 
  private:
+  /// One distinct program's bytes, shared by the live records of it.
+  struct Program {
+    std::string bytes;
+    std::size_t uses = 0;  // live records that point here
+  };
+  struct Entry {
+    ProvenanceRecord record;  // module_bytes empty: the bytes live in *program
+    Program* program = nullptr;
+  };
+
+  /// The stored program equal to `bytes`, added when there is none.
+  Program& intern(std::uint64_t fingerprint, std::string bytes);
+  /// Drops the entry's use of its program, freeing the bytes with the last.
+  void release(const Entry& entry);
+
   const std::size_t capacity_;
   mutable std::mutex mutex_;
-  std::vector<ProvenanceRecord> records_;  // FIFO: drain from the front
-  std::size_t head_ = 0;                   // first live record in records_
+  std::deque<Entry> records_;  // FIFO: drain from the front
+  /// Programs of the live records by fingerprint. Bytes are shared only when
+  /// they are equal, so programs whose fingerprints collide stay apart.
+  std::unordered_multimap<std::uint64_t, Program> programs_;
   std::uint64_t dropped_ = 0;
 };
 
