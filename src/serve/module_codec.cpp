@@ -56,8 +56,9 @@ ir::Type* read_type(ByteReader& r, int depth = 0) {
       return ir::Type::int_ty(bits);
     }
     case static_cast<std::uint8_t>(ir::TypeKind::kPointer): {
+      // The IR has no void*: a void pointee is hostile bytes, not a type.
       ir::Type* pointee = read_type(r, depth + 1);
-      return pointee == nullptr ? nullptr : ir::Type::pointer_to(pointee);
+      return pointee == nullptr || pointee->is_void() ? nullptr : ir::Type::pointer_to(pointee);
     }
     default: return nullptr;
   }

@@ -311,17 +311,44 @@ TEST(Interp, GlobalsPastTheArenaAreAnErrorNotAWrite) {
 }
 
 TEST(Interp, VoidTypedValuesAreRejectedByTheCodec) {
-  // A load through a void* is void-typed: it defines a value with no
-  // register, which the interpreter would write before its frame's slots.
+  // The IR cannot build a void-typed load, so the hostile bytes are a
+  // serialised i8 load through an i8* with one type byte patched to void.
+  // A void-typed load defines a value with no register, which the
+  // interpreter would write before its frame's slots; a void* is a type the
+  // IR forbids. Either must be a clean rejection, never an abort.
   auto m = straightline([](IRBuilder& b, Module& m) {
-    Value* p = b.bitcast(m.get_i64(100), Type::pointer_to(Type::void_ty()));
-    b.load(p);
+    Value* p = b.bitcast(m.get_i64(100), Type::pointer_to(Type::i8()), "p");
+    b.load(p, "v");
     return m.get_i32(0);
   });
-  auto decoded = serve::deserialize_module(serve::serialize_module(*m));
-  ASSERT_FALSE(decoded.is_ok());
-  EXPECT_NE(decoded.message().find("corrupt instruction type"), std::string::npos)
-      << decoded.message();
+  serve::ByteWriter payload;
+  serve::write_module(payload, *m);
+  const std::string bytes = payload.bytes();
+  const auto type_byte_after = [&](ir::Opcode op, const std::string& name) {
+    // Opcode, name, then the instruction's type; `name` is unique here.
+    serve::ByteWriter head;
+    head.u8(static_cast<std::uint8_t>(op));
+    head.str(name);
+    const std::size_t at = bytes.find(head.bytes());
+    EXPECT_NE(at, std::string::npos);
+    EXPECT_EQ(bytes.find(head.bytes(), at + 1), std::string::npos);
+    return at + head.bytes().size();
+  };
+  const std::size_t load_type = type_byte_after(ir::Opcode::kLoad, "v");
+  const std::size_t cast_type = type_byte_after(ir::Opcode::kBitCast, "p");
+  ASSERT_EQ(bytes[load_type], static_cast<char>(ir::TypeKind::kInt));
+  ASSERT_EQ(bytes[cast_type], static_cast<char>(ir::TypeKind::kPointer));
+  ASSERT_EQ(bytes[cast_type + 1], static_cast<char>(ir::TypeKind::kInt));
+
+  for (const std::size_t patch : {load_type, cast_type + 1}) {
+    std::string hostile = bytes;
+    hostile[patch] = static_cast<char>(ir::TypeKind::kVoid);
+    serve::ByteReader r(hostile);
+    auto decoded = serve::read_module(r);
+    ASSERT_FALSE(decoded.is_ok()) << "patched byte " << patch;
+    EXPECT_NE(decoded.message().find("corrupt instruction type"), std::string::npos)
+        << decoded.message();
+  }
 }
 
 // Seeded hostile-module fuzz. Each case builds a small program whose sizes
