@@ -2,8 +2,8 @@
 // leave on. Serves the same concurrent compile workload twice through one
 // CompileService — once with the process tracer off (production default:
 // every span site costs a single relaxed load + branch) and once with
-// tracing fully on (spans recorded through queue -> batcher -> decode ->
-// eval into the ring) — and gates on the throughput ratio: tracing on must
+// tracing fully on (spans recorded through queue -> decode -> eval into the
+// ring) — and gates on the throughput ratio: tracing on must
 // stay within 5% of tracing off. Metrics counters/histograms are live in
 // both passes; they are lock-free relaxed adds and part of the baseline.
 //
@@ -96,7 +96,7 @@ int run(int argc, char** argv) {
 
   // Warm pass: faults weights and fills the eval cache, so the measured
   // passes exercise the steady-state serving path the overhead claim is
-  // about (queue, batcher, decode, cache hits) rather than first-touch
+  // about (queue, decode, cache hits) rather than first-touch
   // simulator costs.
   obs::tracer().set_enabled(false);
   (void)run_pass(service, modules, requests);

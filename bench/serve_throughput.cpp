@@ -3,7 +3,7 @@
 // CompileService, and reports requests/sec plus p50/p95 latency as JSON
 // (machine-readable, CI trend tracking). Also cross-checks that every served
 // sequence is bit-identical to the single-threaded compile_sync path — the
-// batching/queueing layers must never change an answer.
+// queue and worker pool must never change an answer.
 //
 //   ./bench/serve_throughput [--full] [--seed N] [--programs N]
 //                            [--workers N] [--requests N]
@@ -117,7 +117,6 @@ int run(int argc, char** argv) {
   out.field("max_queue_depth", static_cast<std::uint64_t>(metrics.max_queue_depth));
   out.field("batched_forwards", metrics.batcher.batches);
   out.field("batched_rows", metrics.batcher.rows);
-  out.field("max_batch_rows", static_cast<std::uint64_t>(metrics.batcher.max_batch_rows));
   out.field("completed", static_cast<std::uint64_t>(metrics.completed));
   out.field("failed", static_cast<std::uint64_t>(metrics.failed));
   out.field("serial_identical", identical ? "true" : "false");

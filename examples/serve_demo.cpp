@@ -94,9 +94,10 @@ int main() {
   print_response("budget(2):", r_budget.value());
 
   const serve::ServeMetrics metrics = service.metrics();
-  std::printf("served %zu requests, p50 %.2f ms, p95 %.2f ms, %ju batched rows\n",
+  std::printf("served %zu requests, p50 %.2f ms, p95 %.2f ms, %ju policy rows in %ju forwards\n",
               metrics.completed, metrics.latency.p50_ms, metrics.latency.p95_ms,
-              static_cast<std::uintmax_t>(metrics.batcher.rows));
+              static_cast<std::uintmax_t>(metrics.batcher.rows),
+              static_cast<std::uintmax_t>(metrics.batcher.batches));
   std::filesystem::remove(path);
   return 0;
 }

@@ -33,8 +33,8 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   // row of the tile while it is hot in cache, cutting B traffic by the tile
   // height (the classic loop re-reads all of B for every row of A). Each
   // output element still accumulates over k in ascending order with the
-  // same zero-skip as before, so results stay bit-identical — the
-  // PolicyBatcher's row-identity contract depends on that.
+  // same zero-skip as before, so results stay bit-identical — a row's
+  // logits never depend on which other rows share its forward_batch.
   constexpr std::size_t kRowTile = 8;
   const std::size_t n = b.cols();
   for (std::size_t i0 = 0; i0 < a.rows(); i0 += kRowTile) {

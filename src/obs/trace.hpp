@@ -1,7 +1,7 @@
 // End-to-end request tracing. A TraceContext (128-bit trace id + 64-bit span
 // id) is allocated when a compile request enters the system and rides the
-// request through every stage — bounded queue, batcher fold, each beam-decode
-// step, the eval-cache lookup — and across the wire (a tagged optional field
+// request through every stage — bounded queue, each beam-decode step and its
+// policy forward, the eval-cache lookup — and across the wire (a tagged optional field
 // on the compile-request payload), so a remote compile stitches client and
 // owning-node spans into one trace.
 //

@@ -274,7 +274,8 @@ LatencyQuantiles latency_view(const obs::HistogramSnapshot& hist) {
 
 Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
                                       const CompileRequest& request,
-                                      runtime::EvalService& eval, PolicyBatcher* batcher) {
+                                      runtime::EvalService& eval, obs::Counter* forwards,
+                                      obs::Counter* rows) {
   if (request.module == nullptr) return Status::error("compile request has no module");
   if (artifact.action_groups != 1) {
     return Status::error("serving requires a single-action policy (action_groups == 1)");
@@ -331,8 +332,6 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
   ScalarSelection scalar(request.objective, width, meter);
   ParetoSelection multi(request.weights, width, meter, *request.module);
   SelectionPolicy& policy = pareto ? static_cast<SelectionPolicy&>(multi) : scalar;
-  // Rows of different objective mixes never share a batcher matmul.
-  const std::uint64_t group_key = pareto ? weights_key(request.weights) : 0;
 
   const auto t0 = Clock::now();
   AP_SPAN(serve_span, request.trace, "serve");
@@ -369,8 +368,7 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     AP_SPAN(step_span, serve_span.context(), "decode_step");
     step_span.attr("step", static_cast<std::uint64_t>(step));
     step_span.attr("beams", static_cast<std::uint64_t>(live.size()));
-    // One stacked forward for the whole beam front; through the batcher the
-    // rows additionally fold with other requests in flight.
+    // One stacked forward for the whole beam front.
     std::vector<std::vector<double>> observations;
     if (step == 0) {
       observations.push_back(root_observation);  // only the root beam exists
@@ -388,19 +386,9 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
       observations = rl::build_observation_batch(modules, histograms, obs_config, features);
       for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
-    std::vector<std::vector<double>> logits;
-    if (batcher != nullptr) {
-      std::size_t batch_rows = 0;
-      logits = batcher->infer_many(artifact, observations, &batch_rows, group_key,
-                                   request.deadline_at);
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(batch_rows));
-    } else {
-      const ml::Matrix out = artifact.policy.forward_batch(observations);
-      for (std::size_t r = 0; r < out.rows(); ++r) {
-        logits.emplace_back(out.row(r), out.row(r) + out.cols());
-      }
-      step_span.attr("batch_rows", static_cast<std::uint64_t>(observations.size()));
-    }
+    const ml::Matrix logits = artifact.policy.forward_batch(observations);
+    if (forwards != nullptr) forwards->inc();
+    if (rows != nullptr) rows->inc(observations.size());
 
     // Expand: per beam, its top-k actions; overall, the top-k candidates.
     // Every tiebreak is on (parent index, action index), so the expansion
@@ -415,14 +403,15 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     for (std::size_t b = 0; b < live.size(); ++b) {
       std::vector<std::size_t> order(arity);
       std::iota(order.begin(), order.end(), 0u);
+      const double* row = logits.row(b);
       std::sort(order.begin(), order.end(), [&](std::size_t x, std::size_t y) {
-        if (logits[b][x] != logits[b][y]) return logits[b][x] > logits[b][y];
+        if (row[x] != row[y]) return row[x] > row[y];
         return x < y;
       });
       if (greedy_alive && b == greedy) greedy_action = order[0];
       for (std::size_t k = 0; k < std::min(width, arity); ++k) {
         const std::size_t a = order[k];
-        candidates.push_back({b, a, live[b].score + ml::log_prob(logits[b].data(), arity, a)});
+        candidates.push_back({b, a, live[b].score + ml::log_prob(row, arity, a)});
       }
     }
     std::sort(candidates.begin(), candidates.end(), [](const Candidate& x, const Candidate& y) {
@@ -440,7 +429,7 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
           });
       if (!present) {
         const double score =
-            live[greedy].score + ml::log_prob(logits[greedy].data(), arity, greedy_action);
+            live[greedy].score + ml::log_prob(logits.row(greedy), arity, greedy_action);
         candidates.back() = {greedy, greedy_action, score};
       }
     }
@@ -546,7 +535,6 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
     : registry_(std::move(registry)),
       eval_(std::move(eval)),
       config_(config),
-      batcher_(config.batcher),
       started_(Clock::now()),
       metrics_registry_(std::make_shared<obs::MetricsRegistry>()),
       ctr_completed_(metrics_registry_->counter("serve_requests_completed")),
@@ -555,6 +543,8 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
       ctr_cancelled_(metrics_registry_->counter("serve_requests_cancelled")),
       ctr_shed_overload_(metrics_registry_->counter("serve_shed_overload")),
       ctr_shed_deadline_(metrics_registry_->counter("serve_shed_deadline")),
+      ctr_policy_forwards_(metrics_registry_->counter("serve_policy_forwards")),
+      ctr_policy_rows_(metrics_registry_->counter("serve_policy_rows")),
       gauge_max_queue_depth_(metrics_registry_->gauge("serve_queue_depth_max")),
       hist_latency_ms_(metrics_registry_->histogram("serve_latency_ms")),
       pool_(std::max<std::size_t>(1, config.workers)) {
@@ -582,25 +572,13 @@ CompileService::CompileService(std::shared_ptr<ModelRegistry> registry,
       return static_cast<double>(registry_view->size());
     });
   }
-  // Queue and batcher views capture `this`: both are members, so these
-  // gauges are valid exactly while the service (and thus its registry handle
-  // here) lives — the supported scrape pattern (ServeNode renders while
-  // serving). The depth is read from the queue itself at scrape time, so no
-  // path (dequeue, cancelling shutdown, shed) can leave a stale value.
+  // The queue view captures `this`: the queue is a member, so this gauge is
+  // valid exactly while the service (and thus its registry handle here)
+  // lives — the supported scrape pattern (ServeNode renders while serving).
+  // The depth is read from the queue itself at scrape time, so no path
+  // (dequeue, cancelling shutdown, shed) can leave a stale value.
   metrics_registry_->gauge_fn("serve_queue_depth", {},
                               [this] { return static_cast<double>(queue_depth()); });
-  metrics_registry_->gauge_fn("batcher_batches", {}, [this] {
-    return static_cast<double>(batcher_.stats().batches);
-  });
-  metrics_registry_->gauge_fn("batcher_rows", {}, [this] {
-    return static_cast<double>(batcher_.stats().rows);
-  });
-  metrics_registry_->gauge_fn("batcher_max_batch_rows", {}, [this] {
-    return static_cast<double>(batcher_.stats().max_batch_rows);
-  });
-  metrics_registry_->gauge_fn("batcher_window_clamps", {}, [this] {
-    return static_cast<double>(batcher_.stats().window_clamps);
-  });
   for (std::size_t i = 0; i < config_.workers; ++i) {
     pool_.submit([this] { worker_loop(); });
   }
@@ -690,7 +668,7 @@ void CompileService::finish_job(Job job) {
     tracer.record(std::move(queue_span));
     job.request.trace = req_ctx;  // serve-path spans become children of "request"
   }
-  Result<CompileResponse> result = run_request(job.request, &batcher_);
+  Result<CompileResponse> result = run_request(job.request);
   const bool ok = result.is_ok();
   if (ok) result.value().queue_nanos = wait_ns;
   const double total_ms =
@@ -805,8 +783,7 @@ void CompileService::set_provenance_hook(ProvenanceHook hook) {
   provenance_hook_ = std::move(hook);
 }
 
-Result<CompileResponse> CompileService::run_request(const CompileRequest& request,
-                                                    PolicyBatcher* batcher) {
+Result<CompileResponse> CompileService::run_request(const CompileRequest& request) {
   std::shared_ptr<const PolicyArtifact> artifact = registry_->get(request.model, request.version);
   if (artifact == nullptr) {
     return Status::error(strf("unknown model '%s' (version %lld)", request.model.c_str(),
@@ -827,7 +804,8 @@ Result<CompileResponse> CompileService::run_request(const CompileRequest& reques
       }
     }
   }
-  Result<CompileResponse> response = serve_compile(*artifact, request, *eval_, batcher);
+  Result<CompileResponse> response =
+      serve_compile(*artifact, request, *eval_, &ctr_policy_forwards_, &ctr_policy_rows_);
   if (response.is_ok()) response.value().provenance.canary = canary;
   return response;
 }
@@ -837,9 +815,9 @@ Result<CompileResponse> CompileService::compile_sync(const CompileRequest& reque
       request.deadline_at == std::chrono::steady_clock::time_point{}) {
     CompileRequest stamped = request;
     stamped.deadline_at = Clock::now() + std::chrono::milliseconds(request.deadline_ms);
-    return run_request(stamped, nullptr);
+    return run_request(stamped);
   }
-  return run_request(request, nullptr);
+  return run_request(request);
 }
 
 Result<WarmupReport> CompileService::warm_up_model(const std::string& name,
@@ -977,7 +955,7 @@ ServeMetrics CompileService::metrics() const {
   const obs::MetricsSnapshot snapshot = metrics_registry_->snapshot();
   m.per_model = per_model_breakdown(snapshot);
   m.objective_completed = objective_breakdown(snapshot);
-  m.batcher = batcher_.stats();
+  m.batcher = {ctr_policy_forwards_.value(), ctr_policy_rows_.value()};
   return m;
 }
 

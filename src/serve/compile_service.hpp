@@ -3,8 +3,8 @@
 // top-k beam over policy log-probability), measures the result through the
 // shared runtime::EvalService, and returns the optimized module with a
 // provenance record. Requests flow through a bounded priority queue into a
-// worker pool whose policy forwards are folded across requests by a
-// PolicyBatcher; overflow produces backpressure instead of unbounded memory.
+// worker pool; each decode step runs one policy forward over its beam front.
+// Overflow produces backpressure instead of unbounded memory.
 // Decoding is deterministic — no RNG anywhere on the serve path — so the
 // concurrent worker path returns bit-identical pass sequences to
 // compile_sync() on one thread.
@@ -28,7 +28,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "runtime/eval_service.hpp"
-#include "serve/batcher.hpp"
 #include "serve/model_registry.hpp"
 #include "serve/pareto.hpp"
 #include "support/status.hpp"
@@ -76,8 +75,7 @@ struct CompileRequest {
   /// the wire as kCompileTagDeadline (relative, so clock skew between client
   /// and server never matters); the admitting service stamps `deadline_at`
   /// from it. A queued job whose deadline passes is shed with an
-  /// "overloaded: " status instead of burning a worker, and the batcher never
-  /// holds its fold window open past a pending deadline.
+  /// "overloaded: " status instead of burning a worker.
   std::uint64_t deadline_ms = 0;
   /// Local bookkeeping: the absolute deadline, stamped at admission
   /// (submit/try_submit/compile_sync) from `deadline_ms`. Never serialized.
@@ -150,6 +148,14 @@ std::vector<ModelVersionStats> per_model_breakdown(const obs::MetricsSnapshot& s
 std::array<std::uint64_t, kNumObjectives> objective_breakdown(
     const obs::MetricsSnapshot& snapshot);
 
+/// Policy forwards the decode loop ran: forward_batch calls and the rows
+/// (beam-front observations) they inferred. perfbench's serve_mix reads these
+/// under the `batcher` name it has always had.
+struct BatcherStats {
+  std::uint64_t batches = 0;  // forward_batch calls
+  std::uint64_t rows = 0;     // observations inferred
+};
+
 struct ServeMetrics {
   std::size_t completed = 0;
   std::size_t failed = 0;     // resolved with an error status
@@ -184,7 +190,6 @@ struct CompileServiceConfig {
   /// backpressure and cancellation deterministically.
   std::size_t workers = 4;
   std::size_t queue_capacity = 64;
-  BatcherConfig batcher{};
   /// On shutdown/destruction: finish queued requests (true) or cancel them
   /// with an error response (false).
   bool drain_on_shutdown = true;
@@ -226,11 +231,13 @@ struct TrafficSplit {
 /// Decodes and measures one request against a resolved artifact — the shared
 /// core of the worker path and compile_sync. One beam decode serves scalar
 /// and Pareto requests alike; the request's weights pick its selection
-/// policy. `batcher` is optional; without one, policy forwards run inline
-/// (still via forward_batch for beam fronts).
+/// policy. Each decode step makes one forward_batch call over its beam
+/// front; when given, `forwards` counts those calls and `rows` their rows.
 Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
                                       const CompileRequest& request,
-                                      runtime::EvalService& eval, PolicyBatcher* batcher);
+                                      runtime::EvalService& eval,
+                                      obs::Counter* forwards = nullptr,
+                                      obs::Counter* rows = nullptr);
 
 /// What warm_up() did for one freshly installed artifact.
 struct WarmupReport {
@@ -269,8 +276,8 @@ class CompileService {
   std::optional<ResponseFuture> try_submit(CompileRequest request);
 
   /// Single-threaded reference path: runs the request inline on the caller
-  /// thread — no queue, no cross-request batching. Produces bit-identical
-  /// pass sequences to the worker path by construction.
+  /// thread, with no queue. Produces bit-identical pass sequences to the
+  /// worker path by construction.
   Result<CompileResponse> compile_sync(const CompileRequest& request);
 
   /// Idempotent; honours config.drain_on_shutdown. Called by the destructor,
@@ -334,7 +341,7 @@ class CompileService {
   };
 
   void worker_loop();
-  Result<CompileResponse> run_request(const CompileRequest& request, PolicyBatcher* batcher);
+  Result<CompileResponse> run_request(const CompileRequest& request);
   ResponseFuture rejected_future();
   /// Shared tail of submit/try_submit: builds the job, pushes it onto the
   /// heap, and handles wakeups + depth bookkeeping. Consumes `lock` (held on
@@ -349,7 +356,6 @@ class CompileService {
   std::shared_ptr<ModelRegistry> registry_;
   std::shared_ptr<runtime::EvalService> eval_;
   CompileServiceConfig config_;
-  PolicyBatcher batcher_;
   std::chrono::steady_clock::time_point started_;
 
   mutable std::mutex mutex_;
@@ -377,6 +383,8 @@ class CompileService {
   obs::Counter& ctr_cancelled_;
   obs::Counter& ctr_shed_overload_;  // jobs shed because the queue saturated
   obs::Counter& ctr_shed_deadline_;  // jobs shed because their deadline passed queued
+  obs::Counter& ctr_policy_forwards_;  // decode-step forward_batch calls
+  obs::Counter& ctr_policy_rows_;      // rows those forwards inferred
   obs::Gauge& gauge_max_queue_depth_;
   obs::Histogram& hist_latency_ms_;
 

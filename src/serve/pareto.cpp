@@ -2,10 +2,7 @@
 
 #include <algorithm>
 #include <array>
-#include <bit>
 #include <cstddef>
-
-#include "support/hash.hpp"
 
 namespace autophase::serve {
 
@@ -22,18 +19,6 @@ bool equal_on_active(const ParetoPoint& a, const ParetoPoint& b,
 }
 
 }  // namespace
-
-std::uint64_t weights_key(const ObjectiveWeights& weights) noexcept {
-  // Bit patterns, not values: the key must agree exactly with operator==,
-  // and going through doubles would fold values == compares apart (NaN) or
-  // collapse ones it distinguishes (-0.0 vs 0.0 never occurs here, but the
-  // bit_cast convention matches how weights travel on the wire).
-  std::uint64_t h = 0x9a7e70f407ULL;  // arbitrary seed
-  h = hash_combine(h, std::bit_cast<std::uint64_t>(weights.cycles));
-  h = hash_combine(h, std::bit_cast<std::uint64_t>(weights.area));
-  h = hash_combine(h, std::bit_cast<std::uint64_t>(weights.ir_size));
-  return h;
-}
 
 bool dominates(const ParetoPoint& a, const ParetoPoint& b,
                const ObjectiveWeights& weights) noexcept {

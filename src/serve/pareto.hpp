@@ -28,11 +28,6 @@ struct ObjectiveWeights {
   friend bool operator==(const ObjectiveWeights&, const ObjectiveWeights&) = default;
 };
 
-/// Stable 64-bit key over the weight bit patterns — the PolicyBatcher
-/// grouping key (rows of different objective mixes must not share a batch
-/// once value heads become objective-conditioned) and a cheap map key.
-[[nodiscard]] std::uint64_t weights_key(const ObjectiveWeights& weights) noexcept;
-
 /// One point on the front: a pass sequence and its measured objectives.
 /// `fingerprint` is the optimized module's fingerprint — the deterministic
 /// tie-break everywhere two points compare equal on the active objectives.
