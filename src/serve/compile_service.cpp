@@ -668,7 +668,7 @@ void CompileService::finish_job(Job job) {
     tracer.record(std::move(queue_span));
     job.request.trace = req_ctx;  // serve-path spans become children of "request"
   }
-  Result<CompileResponse> result = run_request(job.request);
+  Result<CompileResponse> result = compile_sync(job.request);
   const bool ok = result.is_ok();
   if (ok) result.value().queue_nanos = wait_ns;
   const double total_ms =
@@ -783,7 +783,7 @@ void CompileService::set_provenance_hook(ProvenanceHook hook) {
   provenance_hook_ = std::move(hook);
 }
 
-Result<CompileResponse> CompileService::run_request(const CompileRequest& request) {
+Result<CompileResponse> CompileService::compile_sync(const CompileRequest& request) {
   std::shared_ptr<const PolicyArtifact> artifact = registry_->get(request.model, request.version);
   if (artifact == nullptr) {
     return Status::error(strf("unknown model '%s' (version %lld)", request.model.c_str(),
@@ -808,16 +808,6 @@ Result<CompileResponse> CompileService::run_request(const CompileRequest& reques
       serve_compile(*artifact, request, *eval_, &ctr_policy_forwards_, &ctr_policy_rows_);
   if (response.is_ok()) response.value().provenance.canary = canary;
   return response;
-}
-
-Result<CompileResponse> CompileService::compile_sync(const CompileRequest& request) {
-  if (request.deadline_ms > 0 &&
-      request.deadline_at == std::chrono::steady_clock::time_point{}) {
-    CompileRequest stamped = request;
-    stamped.deadline_at = Clock::now() + std::chrono::milliseconds(request.deadline_ms);
-    return run_request(stamped);
-  }
-  return run_request(request);
 }
 
 Result<WarmupReport> CompileService::warm_up_model(const std::string& name,

@@ -78,7 +78,7 @@ struct CompileRequest {
   /// "overloaded: " status instead of burning a worker.
   std::uint64_t deadline_ms = 0;
   /// Local bookkeeping: the absolute deadline, stamped at admission
-  /// (submit/try_submit/compile_sync) from `deadline_ms`. Never serialized.
+  /// (submit/try_submit) from `deadline_ms`. Never serialized.
   /// {} = no deadline.
   std::chrono::steady_clock::time_point deadline_at{};
   /// Tracing identity. Invalid (all-zero, the default) means untraced;
@@ -276,8 +276,8 @@ class CompileService {
   std::optional<ResponseFuture> try_submit(CompileRequest request);
 
   /// Single-threaded reference path: runs the request inline on the caller
-  /// thread, with no queue. Produces bit-identical pass sequences to the
-  /// worker path by construction.
+  /// thread, with no queue. Workers run each dequeued request through it, so
+  /// both paths produce bit-identical pass sequences by construction.
   Result<CompileResponse> compile_sync(const CompileRequest& request);
 
   /// Idempotent; honours config.drain_on_shutdown. Called by the destructor,
@@ -341,7 +341,6 @@ class CompileService {
   };
 
   void worker_loop();
-  Result<CompileResponse> run_request(const CompileRequest& request);
   ResponseFuture rejected_future();
   /// Shared tail of submit/try_submit: builds the job, pushes it onto the
   /// heap, and handles wakeups + depth bookkeeping. Consumes `lock` (held on
@@ -367,7 +366,7 @@ class CompileService {
 
   /// Control-plane state read on the serve path (traffic splits, provenance
   /// hook). Guarded separately from mutex_ (the queue lock) so a split lookup
-  /// in run_request never contends with enqueue/dequeue.
+  /// in compile_sync never contends with enqueue/dequeue.
   mutable std::mutex control_mutex_;
   std::map<std::string, TrafficSplit> splits_;
   ProvenanceHook provenance_hook_;

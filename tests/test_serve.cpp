@@ -376,6 +376,11 @@ TEST(ServeCompile, ConcurrentServingMatchesSingleThreadedBitExactly) {
     expected.push_back(std::move(response.value().provenance));
   }
 
+  // The decode is deterministic, so the queued pass below must run exactly
+  // as many policy forwards and rows as the reference pass did.
+  const BatcherStats sync_forwards = service.metrics().batcher;
+  EXPECT_GT(sync_forwards.batches, 0u);
+
   // Now the same ten requests through the concurrent queue and worker path.
   std::vector<CompileService::ResponseFuture> futures;
   for (const auto& request : requests) futures.push_back(service.submit(request));
@@ -391,6 +396,8 @@ TEST(ServeCompile, ConcurrentServingMatchesSingleThreadedBitExactly) {
   EXPECT_EQ(metrics.completed, futures.size());
   EXPECT_EQ(metrics.failed, 0u);
   EXPECT_GT(metrics.batcher.rows, 0u);
+  EXPECT_EQ(metrics.batcher.batches, 2 * sync_forwards.batches);
+  EXPECT_EQ(metrics.batcher.rows, 2 * sync_forwards.rows);
   EXPECT_GT(metrics.latency.p95_ms, 0.0);
   EXPECT_GE(metrics.latency.p95_ms, metrics.latency.p50_ms);
 }
