@@ -149,8 +149,8 @@ std::array<std::uint64_t, kNumObjectives> objective_breakdown(
     const obs::MetricsSnapshot& snapshot);
 
 /// Policy forwards the decode loop ran: forward_batch calls and the rows
-/// (beam-front observations) they inferred. perfbench's serve_mix reads these
-/// under the `batcher` name it has always had.
+/// (beam-front observations) they inferred. Named for the cross-request
+/// batcher these counts once described; perfbench's serve_mix reads them.
 struct BatcherStats {
   std::uint64_t batches = 0;  // forward_batch calls
   std::uint64_t rows = 0;     // observations inferred
