@@ -113,6 +113,9 @@ ProvenanceLog::Program& ProvenanceLog::intern(std::uint64_t fingerprint, std::st
   for (auto it = first; it != last; ++it) {
     if (it->second.bytes == bytes) return it->second;
   }
+  // Serialised bytes arrive in a geometrically grown buffer, up to twice
+  // their size in capacity; the log may hold them for thousands of requests.
+  bytes.shrink_to_fit();
   return programs_.emplace(fingerprint, Program{std::move(bytes), 0})->second;
 }
 
