@@ -1,12 +1,9 @@
 #include "learn/provenance.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <utility>
 
 #include "passes/pass.hpp"
-#include "support/hash.hpp"
-#include "support/str.hpp"
 
 namespace autophase::learn {
 namespace {
@@ -66,42 +63,28 @@ bool read_provenance_record(serve::ByteReader& r, ProvenanceRecord& record,
 }
 
 std::string serialize_records(const std::vector<ProvenanceRecord>& records) {
-  serve::ByteWriter payload;
-  payload.u64(records.size());
-  for (const ProvenanceRecord& record : records) write_provenance_record(payload, record);
-  serve::ByteWriter framed;
-  framed.u32(std::bit_cast<std::uint32_t>(kRecordsMagic));
-  framed.u32(kProvenanceRecordVersion);
-  framed.str(payload.bytes());
-  framed.u64(fnv1a(payload.bytes()));
-  return framed.take();
+  const auto write_payload = [&](serve::ByteWriter& payload) {
+    serve::write_list(payload, records, write_provenance_record);
+  };
+  return serve::write_envelope(kRecordsMagic, kProvenanceRecordVersion, write_payload);
 }
 
 Result<std::vector<ProvenanceRecord>> deserialize_records(std::string_view bytes) {
-  serve::ByteReader r(bytes);
-  if (r.u32() != std::bit_cast<std::uint32_t>(kRecordsMagic)) {
-    return Status::error("provenance: bad magic");
-  }
-  const std::uint32_t version = r.u32();
-  if (version == 0 || version > kProvenanceRecordVersion) {
-    return Status::error(strf("provenance: unsupported record version %u", version));
-  }
-  const std::string payload = r.str();
-  const std::uint64_t checksum = r.u64();
-  if (!r.ok() || !r.at_end()) return Status::error("provenance: truncated or oversized");
-  if (fnv1a(payload) != checksum) return Status::error("provenance: checksum mismatch");
-  serve::ByteReader p(payload);
-  const std::uint64_t count = p.u64();
-  if (count > p.remaining() / kMinRecordBytes) {
+  auto envelope =
+      serve::read_envelope(bytes, kRecordsMagic, kProvenanceRecordVersion, "provenance");
+  if (!envelope.is_ok()) return envelope.status();
+  const std::uint32_t version = envelope.value().version;
+  serve::ByteReader p(envelope.value().payload);
+  const auto read_record = [version](serve::ByteReader& in, ProvenanceRecord& record) {
+    return read_provenance_record(in, record, version);
+  };
+  std::vector<ProvenanceRecord> records;
+  const serve::ListRead read = serve::read_list(p, kMinRecordBytes, records, read_record);
+  if (read == serve::ListRead::kBadCount) {
     return Status::error("provenance: record count exceeds payload");
   }
-  std::vector<ProvenanceRecord> records(static_cast<std::size_t>(count));
-  for (ProvenanceRecord& record : records) {
-    if (!read_provenance_record(p, record, version)) {
-      return Status::error("provenance: malformed record");
-    }
-  }
-  if (!p.ok() || !p.at_end()) return Status::error("provenance: trailing garbage in payload");
+  if (read != serve::ListRead::kOk) return Status::error("provenance: malformed record");
+  if (!p.at_end()) return Status::error("provenance: trailing garbage in payload");
   return records;
 }
 

@@ -285,40 +285,52 @@ std::string MembershipTable::digest() const {
 // Piggyback codec
 // ---------------------------------------------------------------------------
 
+namespace {
+
+// Each rumor takes >= 21 bytes: 8 host length + 4 port + 1 state + 8 incarnation.
+constexpr std::size_t kMinRumorBytes = 21;
+
+void write_rumor(ByteWriter& w, const MemberRumor& rumor) {
+  w.str(rumor.endpoint.host);
+  w.u32(rumor.endpoint.port);
+  w.u8(static_cast<std::uint8_t>(rumor.state));
+  w.u64(rumor.incarnation);
+}
+
+bool read_rumor(ByteReader& r, MemberRumor& rumor) {
+  rumor.endpoint.host = r.str();
+  const std::uint32_t port = r.u32();
+  const std::uint8_t state = r.u8();
+  rumor.incarnation = r.u64();
+  if (!r.ok() || port > 0xffff || state > static_cast<std::uint8_t>(MemberState::kLeft)) {
+    return false;
+  }
+  rumor.endpoint.port = static_cast<std::uint16_t>(port);
+  rumor.state = static_cast<MemberState>(state);
+  return true;
+}
+
+}  // namespace
+
+void write_member_rumors(ByteWriter& w, const std::vector<MemberRumor>& rumors) {
+  serve::write_list(w, rumors, write_rumor);
+}
+
 std::string encode_member_rumors(const std::vector<MemberRumor>& rumors) {
   ByteWriter w;
-  w.u64(rumors.size());
-  for (const MemberRumor& rumor : rumors) {
-    w.str(rumor.endpoint.host);
-    w.u32(rumor.endpoint.port);
-    w.u8(static_cast<std::uint8_t>(rumor.state));
-    w.u64(rumor.incarnation);
-  }
+  write_member_rumors(w, rumors);
   return w.take();
 }
 
-Status decode_member_rumors(const std::string& bytes, std::vector<MemberRumor>& out) {
+Status decode_member_rumors(std::string_view bytes, std::vector<MemberRumor>& out) {
   ByteReader r(bytes);
-  const std::uint64_t count = r.u64();
-  // Each rumor costs >= 21 bytes (8 host length + 4 port + 1 state + 8
-  // incarnation); a count promising more is hostile, reject before reserving.
-  if (!r.ok() || count > r.remaining() / 21) {
-    return Status::error("membership rumors: corrupt count");
-  }
-  out.clear();
-  out.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    MemberRumor rumor;
-    rumor.endpoint.host = r.str();
-    const std::uint32_t port = r.u32();
-    const std::uint8_t state = r.u8();
-    rumor.incarnation = r.u64();
-    if (!r.ok() || port > 0xffff || state > static_cast<std::uint8_t>(MemberState::kLeft)) {
+  switch (serve::read_list(r, kMinRumorBytes, out, read_rumor)) {
+    case serve::ListRead::kBadCount:
+      return Status::error("membership rumors: corrupt count");
+    case serve::ListRead::kBadEntry:
       return Status::error("membership rumors: corrupt entry");
-    }
-    rumor.endpoint.port = static_cast<std::uint16_t>(port);
-    rumor.state = static_cast<MemberState>(state);
-    out.push_back(std::move(rumor));
+    case serve::ListRead::kOk:
+      break;
   }
   if (!r.at_end()) return Status::error("membership rumors: trailing bytes");
   return Status::ok();

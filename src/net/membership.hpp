@@ -30,6 +30,7 @@
 #include <map>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "net/transport.hpp"
@@ -137,12 +138,11 @@ class MembershipTable {
   std::map<std::string, Record> records_;  // ordered => deterministic rumors()
 };
 
-/// Piggyback codec (ByteWriter/ByteReader discipline shared with wire.cpp):
-/// `u64 count`, then per rumor `str host, u32 port, u8 state, u64
-/// incarnation`. Hostile counts are bounded against the remaining bytes
-/// before any allocation.
+/// Piggyback codec, a serve::write_list list: `u64 count`, then per rumor
+/// `str host, u32 port, u8 state, u64 incarnation`. Hostile counts are
+/// bounded against the remaining bytes before any allocation.
+void write_member_rumors(serve::ByteWriter& w, const std::vector<MemberRumor>& rumors);
 [[nodiscard]] std::string encode_member_rumors(const std::vector<MemberRumor>& rumors);
-[[nodiscard]] Status decode_member_rumors(const std::string& bytes,
-                                          std::vector<MemberRumor>& out);
+[[nodiscard]] Status decode_member_rumors(std::string_view bytes, std::vector<MemberRumor>& out);
 
 }  // namespace autophase::net

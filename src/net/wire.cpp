@@ -15,6 +15,11 @@ namespace {
 
 using serve::ByteReader;
 using serve::ByteWriter;
+using serve::ListRead;
+using serve::read_fields;
+using serve::read_list;
+using serve::write_field;
+using serve::write_list;
 
 constexpr std::uint8_t kMaxObjective = static_cast<std::uint8_t>(serve::Objective::kFixedBudget);
 
@@ -45,13 +50,11 @@ serve::Provenance read_provenance(ByteReader& r) {
 /// Objective-weights field body (kCompileTagWeights): weight bit patterns +
 /// the requested front width. Weights travel as raw f64 bits like every
 /// other double on this wire, so a decoded request re-encodes bit-exactly.
-std::string weights_field(const serve::ObjectiveWeights& weights, int front_width) {
-  ByteWriter field;
-  field.f64(weights.cycles);
-  field.f64(weights.area);
-  field.f64(weights.ir_size);
-  field.u32(static_cast<std::uint32_t>(front_width));
-  return field.take();
+void write_weights(ByteWriter& w, const serve::ObjectiveWeights& weights, int front_width) {
+  w.f64(weights.cycles);
+  w.f64(weights.area);
+  w.f64(weights.ir_size);
+  w.u32(static_cast<std::uint32_t>(front_width));
 }
 
 /// False on a corrupt field: wrong size, non-finite or negative weights, or
@@ -75,18 +78,16 @@ bool read_weights_field(std::string_view field, serve::ObjectiveWeights& weights
 
 /// Pareto-front field body (kCompileTagFront): hypervolume + the point set
 /// in the canonical order the Pareto decode returned it in.
-std::string front_field(const serve::CompileResponse& response) {
-  ByteWriter field;
-  field.f64(response.front_hypervolume);
-  field.u32(static_cast<std::uint32_t>(response.front.size()));
+void write_front(ByteWriter& w, const serve::CompileResponse& response) {
+  w.f64(response.front_hypervolume);
+  w.u32(static_cast<std::uint32_t>(response.front.size()));
   for (const serve::ParetoPoint& p : response.front) {
-    field.i32_vec(p.sequence);
-    field.u64(p.cycles);
-    field.f64(p.area);
-    field.u64(p.ir_size);
-    field.u64(p.fingerprint);
+    w.i32_vec(p.sequence);
+    w.u64(p.cycles);
+    w.f64(p.area);
+    w.u64(p.ir_size);
+    w.u64(p.fingerprint);
   }
-  return field.take();
 }
 
 bool read_front_field(std::string_view field, serve::CompileResponse& response) {
@@ -94,9 +95,10 @@ bool read_front_field(std::string_view field, serve::CompileResponse& response) 
   response.front_hypervolume = f.f64();
   const std::uint32_t count = f.u32();
   if (!f.ok()) return false;
-  // Guard in entries, not bytes: each point is at least 36 bytes (empty
-  // sequence), so a corrupt count fails before it can size an allocation.
-  if (count == 0 || count > f.remaining() / 36) return false;
+  // Guard in entries, not bytes: each point is at least 40 bytes (an empty
+  // sequence's u64 length + four 8-byte fields), so a corrupt count fails
+  // before it can size an allocation.
+  if (count == 0 || count > f.remaining() / 40) return false;
   response.front.reserve(count);
   for (std::uint32_t i = 0; i < count && f.ok(); ++i) {
     serve::ParetoPoint p;
@@ -108,6 +110,47 @@ bool read_front_field(std::string_view field, serve::CompileResponse& response) 
     response.front.push_back(std::move(p));
   }
   return f.ok() && f.at_end();
+}
+
+/// Smallest encoded ModelSummary: an empty name's length prefix (8) + u32
+/// version + u64 blob bytes + u64 checksum.
+constexpr std::size_t kMinSummaryBytes = 28;
+
+void write_summary(ByteWriter& w, const ModelSummary& m) {
+  w.str(m.name);
+  w.u32(m.version);
+  w.u64(m.blob_bytes);
+  w.u64(m.blob_checksum);
+}
+
+bool read_summary(ByteReader& r, ModelSummary& m) {
+  m.name = r.str();
+  m.version = r.u32();
+  m.blob_bytes = r.u64();
+  m.blob_checksum = r.u64();
+  return true;
+}
+
+/// Smallest encoded SyncKey: an empty name's length prefix (8) + u32 version.
+constexpr std::size_t kMinSyncKeyBytes = 12;
+
+void write_sync_key(ByteWriter& w, const SyncKey& key) {
+  w.str(key.name);
+  w.u32(key.version);
+}
+
+bool read_sync_key(ByteReader& r, SyncKey& key) {
+  key.name = r.str();
+  key.version = r.u32();
+  return true;
+}
+
+/// A trailer field whose body is exactly one write_list list.
+template <typename T, typename ReadEntry>
+bool read_list_field(std::string_view body, std::size_t min_entry_bytes, std::vector<T>& out,
+                     ReadEntry&& read_entry) {
+  ByteReader f(body);
+  return read_list(f, min_entry_bytes, out, read_entry) == ListRead::kOk && f.at_end();
 }
 
 /// ok flag + error text; returns true when the payload continues with a body.
@@ -193,74 +236,68 @@ std::string encode_compile_request(const serve::CompileRequest& request) {
   // its bytes stay identical to the pre-trace encoding and old peers decode
   // them unchanged.
   if (request.trace.valid()) {
-    ByteWriter field;
-    field.u64(request.trace.trace.hi);
-    field.u64(request.trace.trace.lo);
-    field.u64(request.trace.span);
-    w.u8(kCompileTagTrace);
-    w.str(field.take());
+    write_field(w, kCompileTagTrace, [&](ByteWriter& f) {
+      f.u64(request.trace.trace.hi);
+      f.u64(request.trace.trace.lo);
+      f.u64(request.trace.span);
+    });
   }
   // Same discipline for the v4 objective-weights field: scalar requests emit
   // nothing and stay byte-identical to the v3 encoding.
   if (request.weights.active()) {
-    w.u8(kCompileTagWeights);
-    w.str(weights_field(request.weights, request.front_width));
+    write_field(w, kCompileTagWeights, [&](ByteWriter& f) {
+      write_weights(f, request.weights, request.front_width);
+    });
   }
   // And for the v5 deadline field: deadline-less requests emit nothing and
   // stay byte-identical to the v4 encoding.
   if (request.deadline_ms > 0) {
-    ByteWriter field;
-    field.u64(request.deadline_ms);
-    w.u8(kCompileTagDeadline);
-    w.str(field.take());
+    write_field(w, kCompileTagDeadline, [&](ByteWriter& f) { f.u64(request.deadline_ms); });
   }
   return w.take();
 }
 
 Result<DecodedCompileRequest> decode_compile_request(std::string_view payload) {
   ByteReader r(payload);
-  const std::string module_blob = r.str();
+  const std::string_view module_blob = r.str_view();
   DecodedCompileRequest out;
+  serve::CompileRequest& request = out.request;
   const std::uint8_t objective = r.u8();
   if (objective > kMaxObjective) return Status::error("compile request: unknown objective");
-  out.request.objective = static_cast<serve::Objective>(objective);
-  out.request.pass_budget = r.i32();
-  out.request.beam_width = r.i32();
-  out.request.model = r.str();
-  out.request.version = std::bit_cast<std::int64_t>(r.u64());
-  out.request.priority = r.i32();
-  // Tagged optional trailer: every field is length-prefixed, so a decoder
-  // skips tags it does not recognise — fields added later pass through old
-  // decoders instead of failing them.
-  while (r.ok() && !r.at_end()) {
-    const std::uint8_t tag = r.u8();
-    const std::string field = r.str();
-    if (!r.ok()) break;
-    if (tag == kCompileTagTrace) {
-      ByteReader f(field);
-      out.request.trace.trace.hi = f.u64();
-      out.request.trace.trace.lo = f.u64();
-      out.request.trace.span = f.u64();
-      if (!f.ok() || !f.at_end()) {
-        return Status::error("compile request: corrupt trace field");
-      }
-    } else if (tag == kCompileTagWeights) {
-      if (!read_weights_field(field, out.request.weights, out.request.front_width)) {
-        return Status::error("compile request: corrupt weights field");
-      }
-    } else if (tag == kCompileTagDeadline) {
-      ByteReader f(field);
-      out.request.deadline_ms = f.u64();
-      if (!f.ok() || !f.at_end() || out.request.deadline_ms == 0) {
-        return Status::error("compile request: corrupt deadline field");
-      }
-    }
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("compile request: truncated payload");
+  request.objective = static_cast<serve::Objective>(objective);
+  request.pass_budget = r.i32();
+  request.beam_width = r.i32();
+  request.model = r.str();
+  request.version = std::bit_cast<std::int64_t>(r.u64());
+  request.priority = r.i32();
+  const Status fields =
+      read_fields(r, "compile request", [&](std::uint8_t tag, std::string_view body) {
+        ByteReader f(body);
+        switch (tag) {
+          case kCompileTagTrace:
+            request.trace.trace.hi = f.u64();
+            request.trace.trace.lo = f.u64();
+            request.trace.span = f.u64();
+            if (f.ok() && f.at_end()) return Status::ok();
+            return Status::error("compile request: corrupt trace field");
+          case kCompileTagWeights:
+            if (read_weights_field(body, request.weights, request.front_width)) {
+              return Status::ok();
+            }
+            return Status::error("compile request: corrupt weights field");
+          case kCompileTagDeadline:
+            request.deadline_ms = f.u64();
+            if (f.ok() && f.at_end() && request.deadline_ms != 0) return Status::ok();
+            return Status::error("compile request: corrupt deadline field");
+          default:  // a newer peer's field: skipped
+            return Status::ok();
+        }
+      });
+  if (!fields.is_ok()) return fields;
   auto module = serve::deserialize_module(module_blob);
   if (!module.is_ok()) return Status::error("compile request: " + module.message());
   out.module = std::move(module).value();
-  out.request.module = out.module.get();
+  request.module = out.module.get();
   return out;
 }
 
@@ -276,16 +313,12 @@ std::string encode_compile_response(const Result<serve::CompileResponse>& respon
     // emitted for non-canary responses, so shadow-off serving stays
     // byte-identical to the pre-canary encoding.
     if (response.value().provenance.canary) {
-      ByteWriter field;
-      field.u8(1);
-      w.u8(kCompileTagCanary);
-      w.str(field.take());
+      write_field(w, kCompileTagCanary, [](ByteWriter& f) { f.u8(1); });
     }
     // Pareto front (v4): present exactly when the request carried active
     // weights; scalar responses stay byte-identical to the v3 encoding.
     if (!response.value().front.empty()) {
-      w.u8(kCompileTagFront);
-      w.str(front_field(response.value()));
+      write_field(w, kCompileTagFront, [&](ByteWriter& f) { write_front(f, response.value()); });
     }
   }
   return w.take();
@@ -296,27 +329,29 @@ Result<serve::CompileResponse> decode_compile_response(std::string_view payload)
   if (const Status prefix = read_status_prefix(r); !prefix.is_ok()) return prefix;
   serve::CompileResponse response;
   response.provenance = read_provenance(r);
-  const std::string module_blob = r.str();
+  const std::string_view module_blob = r.str_view();
   response.queue_nanos = r.u64();
   response.serve_nanos = r.u64();
-  while (r.ok() && !r.at_end()) {
-    const std::uint8_t tag = r.u8();
-    const std::string field = r.str();
-    if (!r.ok()) break;
-    if (tag == kCompileTagCanary) {
-      ByteReader f(field);
-      const std::uint8_t flag = f.u8();
-      if (!f.ok() || !f.at_end() || flag > 1) {
-        return Status::error("compile response: corrupt canary field");
-      }
-      response.provenance.canary = flag != 0;
-    } else if (tag == kCompileTagFront) {
-      if (!read_front_field(field, response)) {
-        return Status::error("compile response: corrupt front field");
-      }
-    }
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("compile response: truncated payload");
+  const Status fields =
+      read_fields(r, "compile response", [&](std::uint8_t tag, std::string_view body) {
+        switch (tag) {
+          case kCompileTagCanary: {
+            ByteReader f(body);
+            const std::uint8_t flag = f.u8();
+            if (!f.ok() || !f.at_end() || flag > 1) {
+              return Status::error("compile response: corrupt canary field");
+            }
+            response.provenance.canary = flag != 0;
+            return Status::ok();
+          }
+          case kCompileTagFront:
+            if (read_front_field(body, response)) return Status::ok();
+            return Status::error("compile response: corrupt front field");
+          default:
+            return Status::ok();
+        }
+      });
+  if (!fields.is_ok()) return fields;
   auto module = serve::deserialize_module(module_blob);
   if (!module.is_ok()) return Status::error("compile response: " + module.message());
   response.module = std::move(module).value();
@@ -330,7 +365,7 @@ std::string response_identity_bytes(const serve::CompileResponse& response) {
   // The front is part of the response's identity — two replicas serving a
   // Pareto request must agree on the whole nondominated set, not just the
   // representative point. Scalar responses append nothing (pre-v4 bytes).
-  if (!response.front.empty()) w.str(front_field(response));
+  if (!response.front.empty()) w.prefixed([&](ByteWriter& f) { write_front(f, response); });
   return w.take();
 }
 
@@ -384,35 +419,17 @@ Result<PublishReply> decode_publish_reply(std::string_view payload) {
 std::string encode_model_list(const std::vector<ModelSummary>& models) {
   ByteWriter w;
   w.u8(1);
-  w.u64(models.size());
-  for (const ModelSummary& m : models) {
-    w.str(m.name);
-    w.u32(m.version);
-    w.u64(m.blob_bytes);
-    w.u64(m.blob_checksum);
-  }
+  write_list(w, models, write_summary);
   return w.take();
 }
 
 Result<std::vector<ModelSummary>> decode_model_list(std::string_view payload) {
   ByteReader r(payload);
   if (const Status prefix = read_status_prefix(r); !prefix.is_ok()) return prefix;
-  const std::uint64_t n = r.u64();
-  // Each entry is at least a name length prefix (8) + u32 + u64 + u64: the
-  // count guard must be in entries, not bytes, or a corrupt count triggers a
-  // count-sized allocation before the per-entry reads can fail.
-  if (!r.ok() || n > r.remaining() / 28) return Status::error("model list: corrupt count");
   std::vector<ModelSummary> models;
-  models.reserve(n);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    ModelSummary m;
-    m.name = r.str();
-    m.version = r.u32();
-    m.blob_bytes = r.u64();
-    m.blob_checksum = r.u64();
-    models.push_back(std::move(m));
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("model list: truncated payload");
+  const ListRead read = read_list(r, kMinSummaryBytes, models, read_summary);
+  if (read == ListRead::kBadCount) return Status::error("model list: corrupt count");
+  if (read != ListRead::kOk || !r.at_end()) return Status::error("model list: truncated payload");
   return models;
 }
 
@@ -553,10 +570,7 @@ std::string encode_provenance_reply(const Result<ProvenanceBatch>& reply) {
   w.u32(learn::kProvenanceRecordVersion);
   w.u64(batch.remaining);
   w.u64(batch.dropped);
-  w.u64(batch.records.size());
-  for (const learn::ProvenanceRecord& record : batch.records) {
-    learn::write_provenance_record(w, record);
-  }
+  write_list(w, batch.records, learn::write_provenance_record);
   return w.take();
 }
 
@@ -570,19 +584,18 @@ Result<ProvenanceBatch> decode_provenance_reply(std::string_view payload) {
   ProvenanceBatch batch;
   batch.remaining = r.u64();
   batch.dropped = r.u64();
-  const std::uint64_t n = r.u64();
-  // Guard in minimum encoded records, not bytes: a hostile count must fail
-  // before it can size the vector.
-  if (!r.ok() || n > r.remaining() / learn::kMinRecordBytes) {
-    return Status::error("provenance reply: corrupt record count");
-  }
-  batch.records.resize(static_cast<std::size_t>(n));
-  for (learn::ProvenanceRecord& record : batch.records) {
-    if (!learn::read_provenance_record(r, record, version)) {
+  const auto read_record = [version](ByteReader& in, learn::ProvenanceRecord& record) {
+    return learn::read_provenance_record(in, record, version);
+  };
+  switch (read_list(r, learn::kMinRecordBytes, batch.records, read_record)) {
+    case ListRead::kBadCount:
+      return Status::error("provenance reply: corrupt record count");
+    case ListRead::kBadEntry:
       return Status::error("provenance reply: malformed record");
-    }
+    case ListRead::kOk:
+      break;
   }
-  if (!r.ok() || !r.at_end()) return Status::error("provenance reply: truncated payload");
+  if (!r.at_end()) return Status::error("provenance reply: truncated payload");
   return batch;
 }
 
@@ -630,85 +643,19 @@ Result<CanaryControl> decode_canary_control(std::string_view payload) {
 // Replication catch-up
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Field body shared by kSyncTagInventory (and the kInventory offer body's
-/// layout): u64 count + (name, version, bytes, checksum) per model.
-std::string model_summaries_field(const std::vector<ModelSummary>& models) {
-  ByteWriter field;
-  field.u64(models.size());
-  for (const ModelSummary& m : models) {
-    field.str(m.name);
-    field.u32(m.version);
-    field.u64(m.blob_bytes);
-    field.u64(m.blob_checksum);
-  }
-  return field.take();
-}
-
-bool read_model_summaries_field(std::string_view bytes, std::vector<ModelSummary>& out) {
-  ByteReader f(bytes);
-  const std::uint64_t n = f.u64();
-  if (!f.ok() || n > f.remaining() / 28) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n && f.ok(); ++i) {
-    ModelSummary m;
-    m.name = f.str();
-    m.version = f.u32();
-    m.blob_bytes = f.u64();
-    m.blob_checksum = f.u64();
-    out.push_back(std::move(m));
-  }
-  return f.ok() && f.at_end();
-}
-
-/// Field body for kSyncTagWants: u64 count + (name, version) per key.
-std::string sync_keys_field(const std::vector<SyncKey>& keys) {
-  ByteWriter field;
-  field.u64(keys.size());
-  for (const SyncKey& key : keys) {
-    field.str(key.name);
-    field.u32(key.version);
-  }
-  return field.take();
-}
-
-bool read_sync_keys_field(std::string_view bytes, std::vector<SyncKey>& out) {
-  ByteReader f(bytes);
-  const std::uint64_t n = f.u64();
-  if (!f.ok() || n > f.remaining() / 12) return false;
-  out.clear();
-  out.reserve(n);
-  for (std::uint64_t i = 0; i < n && f.ok(); ++i) {
-    SyncKey key;
-    key.name = f.str();
-    key.version = f.u32();
-    out.push_back(std::move(key));
-  }
-  return f.ok() && f.at_end();
-}
-
-}  // namespace
-
 std::string encode_sync_request(const SyncRequest& request) {
   ByteWriter w;
   w.u8(static_cast<std::uint8_t>(request.mode));
-  w.u64(request.keys.size());
-  for (const SyncKey& key : request.keys) {
-    w.str(key.name);
-    w.u32(key.version);
-  }
+  write_list(w, request.keys, write_sync_key);
   // Optional tagged trailer (v5). A request from a node without membership
   // or hybrid push emits zero trailer fields — byte-identical to the v4
   // encoding — which is what the bit-identity tests pin.
   if (!request.rumors.empty()) {
-    w.u8(kSyncTagRumors);
-    w.str(encode_member_rumors(request.rumors));
+    write_field(w, kSyncTagRumors, [&](ByteWriter& f) { write_member_rumors(f, request.rumors); });
   }
   if (!request.push_inventory.empty()) {
-    w.u8(kSyncTagInventory);
-    w.str(model_summaries_field(request.push_inventory));
+    write_field(w, kSyncTagInventory,
+                [&](ByteWriter& f) { write_list(f, request.push_inventory, write_summary); });
   }
   return w.take();
 }
@@ -721,33 +668,28 @@ Result<SyncRequest> decode_sync_request(std::string_view payload) {
     return Status::error("sync request: unknown mode");
   }
   request.mode = static_cast<SyncMode>(mode);
-  const std::uint64_t n = r.u64();
-  // Each key is at least a name length prefix (8) + u32 version.
-  if (!r.ok() || n > r.remaining() / 12) return Status::error("sync request: corrupt key count");
-  request.keys.reserve(n);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    SyncKey key;
-    key.name = r.str();
-    key.version = r.u32();
-    request.keys.push_back(std::move(key));
+  // A truncated key leaves the reader failed, and read_fields reports it.
+  if (read_list(r, kMinSyncKeyBytes, request.keys, read_sync_key) == ListRead::kBadCount) {
+    return Status::error("sync request: corrupt key count");
   }
-  // Tagged optional trailer: unknown tags are skipped, known tags with
-  // corrupt bodies are hard errors — same rules as compile payloads.
-  while (r.ok() && !r.at_end()) {
-    const std::uint8_t tag = r.u8();
-    const std::string field = r.str();
-    if (!r.ok()) break;
-    if (tag == kSyncTagRumors) {
-      if (const Status s = decode_member_rumors(field, request.rumors); !s.is_ok()) {
-        return Status::error("sync request: " + s.message());
-      }
-    } else if (tag == kSyncTagInventory) {
-      if (!read_model_summaries_field(field, request.push_inventory)) {
-        return Status::error("sync request: corrupt push inventory field");
-      }
-    }
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("sync request: truncated payload");
+  const Status fields =
+      read_fields(r, "sync request", [&](std::uint8_t tag, std::string_view body) {
+        switch (tag) {
+          case kSyncTagRumors:
+            if (const Status s = decode_member_rumors(body, request.rumors); !s.is_ok()) {
+              return Status::error("sync request: " + s.message());
+            }
+            return Status::ok();
+          case kSyncTagInventory:
+            if (read_list_field(body, kMinSummaryBytes, request.push_inventory, read_summary)) {
+              return Status::ok();
+            }
+            return Status::error("sync request: corrupt push inventory field");
+          default:
+            return Status::ok();
+        }
+      });
+  if (!fields.is_ok()) return fields;
   if (request.mode == SyncMode::kInventory && !request.keys.empty()) {
     return Status::error("sync request: inventory query carries keys");
   }
@@ -761,26 +703,17 @@ std::string encode_sync_offer(const Result<SyncOffer>& offer) {
   const SyncOffer& o = offer.value();
   w.u8(static_cast<std::uint8_t>(o.mode));
   if (o.mode == SyncMode::kInventory) {
-    w.u64(o.inventory.size());
-    for (const ModelSummary& m : o.inventory) {
-      w.str(m.name);
-      w.u32(m.version);
-      w.u64(m.blob_bytes);
-      w.u64(m.blob_checksum);
-    }
+    write_list(w, o.inventory, write_summary);
   } else {
-    w.u64(o.blobs.size());
-    for (const std::string& blob : o.blobs) w.str(blob);
+    write_list(w, o.blobs, [](ByteWriter& out, const std::string& blob) { out.str(blob); });
   }
   // Optional tagged trailer (v5), mirroring the request side: offers from
   // membership-less nodes emit zero new bytes.
   if (!o.rumors.empty()) {
-    w.u8(kSyncTagRumors);
-    w.str(encode_member_rumors(o.rumors));
+    write_field(w, kSyncTagRumors, [&](ByteWriter& f) { write_member_rumors(f, o.rumors); });
   }
   if (!o.wants.empty()) {
-    w.u8(kSyncTagWants);
-    w.str(sync_keys_field(o.wants));
+    write_field(w, kSyncTagWants, [&](ByteWriter& f) { write_list(f, o.wants, write_sync_key); });
   }
   return w.take();
 }
@@ -794,39 +727,32 @@ Result<SyncOffer> decode_sync_offer(std::string_view payload) {
     return Status::error("sync offer: unknown mode");
   }
   offer.mode = static_cast<SyncMode>(mode);
-  const std::uint64_t n = r.u64();
-  if (offer.mode == SyncMode::kInventory) {
-    if (!r.ok() || n > r.remaining() / 28) return Status::error("sync offer: corrupt count");
-    offer.inventory.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-      ModelSummary m;
-      m.name = r.str();
-      m.version = r.u32();
-      m.blob_bytes = r.u64();
-      m.blob_checksum = r.u64();
-      offer.inventory.push_back(std::move(m));
-    }
-  } else {
-    // Each blob is at least its own length prefix.
-    if (!r.ok() || n > r.remaining() / 8) return Status::error("sync offer: corrupt count");
-    offer.blobs.reserve(n);
-    for (std::uint64_t i = 0; i < n && r.ok(); ++i) offer.blobs.push_back(r.str());
-  }
-  while (r.ok() && !r.at_end()) {
-    const std::uint8_t tag = r.u8();
-    const std::string field = r.str();
-    if (!r.ok()) break;
-    if (tag == kSyncTagRumors) {
-      if (const Status s = decode_member_rumors(field, offer.rumors); !s.is_ok()) {
-        return Status::error("sync offer: " + s.message());
-      }
-    } else if (tag == kSyncTagWants) {
-      if (!read_sync_keys_field(field, offer.wants)) {
+  const auto read_blob = [](ByteReader& in, std::string& blob) {
+    blob = in.str();
+    return true;
+  };
+  // Each blob is at least its own length prefix.
+  const ListRead read = offer.mode == SyncMode::kInventory
+                            ? read_list(r, kMinSummaryBytes, offer.inventory, read_summary)
+                            : read_list(r, 8, offer.blobs, read_blob);
+  if (read == ListRead::kBadCount) return Status::error("sync offer: corrupt count");
+  const Status fields = read_fields(r, "sync offer", [&](std::uint8_t tag, std::string_view body) {
+    switch (tag) {
+      case kSyncTagRumors:
+        if (const Status s = decode_member_rumors(body, offer.rumors); !s.is_ok()) {
+          return Status::error("sync offer: " + s.message());
+        }
+        return Status::ok();
+      case kSyncTagWants:
+        if (read_list_field(body, kMinSyncKeyBytes, offer.wants, read_sync_key)) {
+          return Status::ok();
+        }
         return Status::error("sync offer: corrupt wants field");
-      }
+      default:
+        return Status::ok();
     }
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("sync offer: truncated payload");
+  });
+  if (!fields.is_ok()) return fields;
   return offer;
 }
 

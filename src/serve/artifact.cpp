@@ -76,7 +76,8 @@ PolicyArtifact make_artifact(const rl::PolicyExport& exported, const rl::EnvConf
                           .policy = *exported.policy,
                           .value = std::nullopt,
                           .forest = std::nullopt,
-                          .normalizer = std::move(normalizer)};
+                          .normalizer = std::move(normalizer),
+                          .baselines = {}};
   if (exported.value != nullptr) artifact.value = *exported.value;
   return artifact;
 }

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "ir/verifier.hpp"
-#include "support/hash.hpp"
 #include "support/str.hpp"
 
 namespace autophase::serve {
@@ -242,15 +241,15 @@ class ModuleDecoder {
   Result<std::unique_ptr<ir::Module>> run() {
     auto module = std::make_unique<ir::Module>(r_.str());
 
-    const std::uint64_t nglobals = r_.u64();
-    if (!r_.ok() || nglobals > r_.remaining()) return corrupt("global count");
+    const std::uint64_t nglobals = r_.count(1);
+    if (!r_.ok()) return corrupt("global count");
     for (std::uint64_t g = 0; g < nglobals; ++g) {
       if (const Status s = read_global(*module); !s.is_ok()) return s;
     }
     globals_cache_ = module->globals();
 
-    const std::uint64_t nfuncs = r_.u64();
-    if (!r_.ok() || nfuncs > r_.remaining()) return corrupt("function count");
+    const std::uint64_t nfuncs = r_.count(1);
+    if (!r_.ok()) return corrupt("function count");
     for (std::uint64_t f = 0; f < nfuncs; ++f) {
       if (const Status s = read_signature(*module); !s.is_ok()) return s;
     }
@@ -274,9 +273,9 @@ class ModuleDecoder {
     ir::Type* element = read_type(r_);
     const std::uint64_t count = r_.u64();
     const bool constant_data = r_.u8() != 0;
-    const std::uint64_t ninit = r_.u64();
+    const std::uint64_t ninit = r_.count(8);
     if (!r_.ok() || element == nullptr || element->is_void() || count == 0 ||
-        count > (1u << 28) || ninit > count || ninit > r_.remaining() / 8) {
+        count > (1u << 28) || ninit > count) {
       return corrupt("global");
     }
     std::vector<std::int64_t> init;
@@ -333,8 +332,8 @@ class ModuleDecoder {
   }
 
   Status read_body(ir::Function* func) {
-    const std::uint64_t nblocks = r_.u64();
-    if (!r_.ok() || nblocks > r_.remaining()) return corrupt("block count");
+    const std::uint64_t nblocks = r_.count(1);
+    if (!r_.ok()) return corrupt("block count");
 
     // Pass A: read every record first — forward references (phis, branches
     // to later blocks, uses of later definitions) need the full table before
@@ -343,8 +342,8 @@ class ModuleDecoder {
     std::vector<InstRec> recs;
     for (std::uint64_t b = 0; b < nblocks; ++b) {
       block_names.push_back(r_.str());
-      const std::uint64_t ninsts = r_.u64();
-      if (!r_.ok() || ninsts > r_.remaining()) return corrupt("instruction count");
+      const std::uint64_t ninsts = r_.count(1);
+      if (!r_.ok()) return corrupt("instruction count");
       for (std::uint64_t i = 0; i < ninsts; ++i) {
         InstRec rec;
         rec.block = static_cast<std::uint32_t>(b);
@@ -421,9 +420,9 @@ class ModuleDecoder {
       case ir::Opcode::kBitCast:
       case ir::Opcode::kLoad: take_refs(1); break;
       case ir::Opcode::kPhi: {
-        const std::uint64_t n = r_.u64();
         // Each incoming is at least a 2-byte ref + 4-byte block index.
-        if (!r_.ok() || n > r_.remaining() / 6) return corrupt("phi arity");
+        const std::uint64_t n = r_.count(6);
+        if (!r_.ok()) return corrupt("phi arity");
         for (std::uint64_t k = 0; k < n && r_.ok() && r_ok_; ++k) {
           RefRec ref = read_ref();
           rec.incoming.emplace_back(ref, r_.u32());
@@ -440,9 +439,9 @@ class ModuleDecoder {
         break;
       case ir::Opcode::kCall: {
         rec.callee = r_.u32();
-        const std::uint64_t n = r_.u64();
         // The smallest encodable ref (undef + one-byte type) is 2 bytes.
-        if (!r_.ok() || n > r_.remaining() / 2) return corrupt("call arity");
+        const std::uint64_t n = r_.count(2);
+        if (!r_.ok()) return corrupt("call arity");
         take_refs(n);
         break;
       }
@@ -455,9 +454,9 @@ class ModuleDecoder {
       case ir::Opcode::kSwitch: {
         take_refs(1);
         rec.successors.push_back(r_.u32());
-        const std::uint64_t n = r_.u64();
         // Each case is a type (>= 2 bytes for int), an i64, and a block u32.
-        if (!r_.ok() || n > r_.remaining() / 14) return corrupt("switch cases");
+        const std::uint64_t n = r_.count(14);
+        if (!r_.ok()) return corrupt("switch cases");
         for (std::uint64_t k = 0; k < n && r_.ok(); ++k) {
           CaseRec c;
           c.type = read_type(r_);
@@ -741,30 +740,14 @@ Result<std::unique_ptr<ir::Module>> read_module(ByteReader& r) {
 }
 
 std::string serialize_module(const ir::Module& module) {
-  ByteWriter payload;
-  write_module(payload, module);
-  ByteWriter framed;
-  framed.u32(std::bit_cast<std::uint32_t>(kModuleMagic));
-  framed.u32(kModuleFormatVersion);
-  framed.str(payload.bytes());
-  framed.u64(fnv1a(payload.bytes()));
-  return framed.take();
+  return write_envelope(kModuleMagic, kModuleFormatVersion,
+                        [&](ByteWriter& payload) { write_module(payload, module); });
 }
 
 Result<std::unique_ptr<ir::Module>> deserialize_module(std::string_view bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != std::bit_cast<std::uint32_t>(kModuleMagic)) {
-    return Status::error("module blob: bad magic");
-  }
-  const std::uint32_t format = r.u32();
-  if (format == 0 || format > kModuleFormatVersion) {
-    return Status::error(strf("module blob: unsupported format version %u", format));
-  }
-  const std::string payload = r.str();
-  const std::uint64_t checksum = r.u64();
-  if (!r.ok() || !r.at_end()) return Status::error("module blob: truncated or oversized");
-  if (fnv1a(payload) != checksum) return Status::error("module blob: checksum mismatch");
-  ByteReader p(payload);
+  auto envelope = read_envelope(bytes, kModuleMagic, kModuleFormatVersion, "module blob");
+  if (!envelope.is_ok()) return envelope.status();
+  ByteReader p(envelope.value().payload);
   auto result = read_module(p);
   if (!result.is_ok()) return result;
   if (!p.ok() || !p.at_end()) return Status::error("module blob: trailing garbage in payload");

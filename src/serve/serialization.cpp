@@ -46,31 +46,27 @@ Status validate_artifact(const PolicyArtifact& a) {
 
 void write_baselines_section(ByteWriter& w, const PolicyArtifact& artifact) {
   w.u64(artifact.baselines_config);  // measuring eval service's fingerprint
-  w.u64(artifact.baselines.size());
-  for (const CorpusBaseline& b : artifact.baselines) {
-    w.u64(b.fingerprint);
-    w.u64(b.cycles);
-    w.f64(b.area);
-  }
+  write_list(w, artifact.baselines, [](ByteWriter& out, const CorpusBaseline& b) {
+    out.u64(b.fingerprint);
+    out.u64(b.cycles);
+    out.f64(b.area);
+  });
 }
 
 Status read_baselines_section(std::string_view bytes, PolicyArtifact& artifact) {
   ByteReader r(bytes);
   artifact.baselines_config = r.u64();
-  const std::uint64_t n = r.u64();
-  // 24 bytes per entry: a corrupt count must fail before the reserve.
-  if (!r.ok() || n > r.remaining() / 24) {
-    return Status::error("artifact baselines: corrupt entry count");
+  const auto read_baseline = [](ByteReader& in, CorpusBaseline& b) {
+    b.fingerprint = in.u64();
+    b.cycles = in.u64();
+    b.area = in.f64();
+    return true;
+  };
+  const ListRead read = read_list(r, /*min_entry_bytes=*/24, artifact.baselines, read_baseline);
+  if (read == ListRead::kBadCount) return Status::error("artifact baselines: corrupt entry count");
+  if (read != ListRead::kOk || !r.at_end()) {
+    return Status::error("artifact baselines: truncated section");
   }
-  artifact.baselines.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    CorpusBaseline b;
-    b.fingerprint = r.u64();
-    b.cycles = r.u64();
-    b.area = r.f64();
-    artifact.baselines.push_back(b);
-  }
-  if (!r.ok() || !r.at_end()) return Status::error("artifact baselines: truncated section");
   return Status::ok();
 }
 
@@ -107,6 +103,10 @@ void ByteWriter::f64_vec(const std::vector<double>& v) {
 void ByteWriter::i32_vec(const std::vector<int>& v) {
   u64(v.size());
   for (const int x : v) i32(x);
+}
+
+void ByteWriter::patch_u64(std::size_t at, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) buf_[at + i] = static_cast<char>((v >> (8 * i)) & 0xff);
 }
 
 bool ByteReader::take(void* out, std::size_t n) {
@@ -146,23 +146,17 @@ std::int32_t ByteReader::i32() { return static_cast<std::int32_t>(u32()); }
 
 double ByteReader::f64() { return std::bit_cast<double>(u64()); }
 
-std::string ByteReader::str() {
-  const std::uint64_t n = u64();
-  if (!ok_ || n > remaining()) {
-    ok_ = false;
-    return {};
-  }
-  std::string out(data_.substr(pos_, n));
+std::string ByteReader::str() { return std::string(str_view()); }
+
+std::string_view ByteReader::str_view() {
+  const std::uint64_t n = count(1);
+  const std::string_view out = data_.substr(pos_, n);
   pos_ += n;
   return out;
 }
 
 std::vector<double> ByteReader::f64_vec() {
-  const std::uint64_t n = u64();
-  if (!ok_ || n > remaining() / 8) {
-    ok_ = false;
-    return {};
-  }
+  const std::uint64_t n = count(8);
   std::vector<double> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(f64());
@@ -170,15 +164,44 @@ std::vector<double> ByteReader::f64_vec() {
 }
 
 std::vector<int> ByteReader::i32_vec() {
-  const std::uint64_t n = u64();
-  if (!ok_ || n > remaining() / 4) {
-    ok_ = false;
-    return {};
-  }
+  const std::uint64_t n = count(4);
   std::vector<int> out;
   out.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) out.push_back(i32());
   return out;
+}
+
+std::uint64_t ByteReader::count(std::size_t min_entry_bytes) {
+  const std::uint64_t n = u64();
+  if (!ok_ || n > remaining() / min_entry_bytes) {
+    ok_ = false;
+    return 0;
+  }
+  return n;
+}
+
+// ---------------------------------------------------------------------------
+// Blob envelope
+// ---------------------------------------------------------------------------
+
+Result<Envelope> read_envelope(std::string_view blob, const char (&magic)[4],
+                               std::uint32_t max_version, const char* what) {
+  if (blob.substr(0, 4) != std::string_view(magic, 4)) {
+    return Status::error(strf("%s: bad magic", what));
+  }
+  ByteReader r(blob.substr(4));
+  Envelope envelope;
+  envelope.version = r.u32();
+  if (envelope.version == 0 || envelope.version > max_version) {
+    return Status::error(strf("%s: unsupported format version %u", what, envelope.version));
+  }
+  envelope.payload = r.str_view();
+  const std::uint64_t checksum = r.u64();
+  if (!r.ok() || !r.at_end()) return Status::error(strf("%s: truncated or oversized", what));
+  if (fnv1a(envelope.payload) != checksum) {
+    return Status::error(strf("%s: checksum mismatch", what));
+  }
+  return envelope;
 }
 
 // ---------------------------------------------------------------------------
@@ -329,67 +352,41 @@ Result<FeatureNormalizer> read_normalizer(ByteReader& r) {
 // ---------------------------------------------------------------------------
 
 std::string serialize_artifact(const PolicyArtifact& artifact) {
-  ByteWriter payload;
-  payload.str(artifact.name);
-  payload.u32(artifact.version);
-  payload.i32(artifact.spec.episode_length);
-  payload.u8(static_cast<std::uint8_t>(artifact.spec.observation));
-  payload.u8(static_cast<std::uint8_t>(artifact.spec.normalization));
-  payload.u8(artifact.spec.include_terminate ? 1 : 0);
-  payload.u8(artifact.spec.log_reward ? 1 : 0);
-  payload.i32_vec(artifact.spec.feature_subset);
-  payload.i32_vec(artifact.spec.action_subset);
-  payload.u64(artifact.action_groups);
-  payload.u64(artifact.action_arity);
-  write_mlp(payload, artifact.policy);
-  payload.u8(artifact.value.has_value() ? 1 : 0);
-  if (artifact.value) write_mlp(payload, *artifact.value);
-  payload.u8(artifact.forest.has_value() ? 1 : 0);
-  if (artifact.forest) write_forest(payload, *artifact.forest);
-  write_normalizer(payload, artifact.normalizer);
-
   // Optional sections (format v2). An artifact with none serializes as v1,
   // so pre-v2 blobs and their checksums are reproduced bit-identically and
   // replication across mixed-version fleets keeps converging.
   const bool has_sections = !artifact.baselines.empty();
-  std::uint32_t format = 1;
-  if (has_sections) {
-    format = kFormatVersion;
-    std::uint32_t sections = 0;
-    if (!artifact.baselines.empty()) ++sections;
-    payload.u32(sections);
-    if (!artifact.baselines.empty()) {
-      payload.u32(static_cast<std::uint32_t>(ArtifactSection::kCorpusBaselines));
-      ByteWriter section;
-      write_baselines_section(section, artifact);
-      payload.str(section.bytes());  // length-prefixed: unknown tags are skippable
-    }
-  }
-
-  ByteWriter framed;
-  framed.u32(std::bit_cast<std::uint32_t>(kMagic));
-  framed.u32(format);
-  framed.str(payload.bytes());  // length-prefixed payload
-  framed.u64(fnv1a(payload.bytes()));
-  return framed.take();
+  return write_envelope(kMagic, has_sections ? kFormatVersion : 1, [&](ByteWriter& payload) {
+    payload.str(artifact.name);
+    payload.u32(artifact.version);
+    payload.i32(artifact.spec.episode_length);
+    payload.u8(static_cast<std::uint8_t>(artifact.spec.observation));
+    payload.u8(static_cast<std::uint8_t>(artifact.spec.normalization));
+    payload.u8(artifact.spec.include_terminate ? 1 : 0);
+    payload.u8(artifact.spec.log_reward ? 1 : 0);
+    payload.i32_vec(artifact.spec.feature_subset);
+    payload.i32_vec(artifact.spec.action_subset);
+    payload.u64(artifact.action_groups);
+    payload.u64(artifact.action_arity);
+    write_mlp(payload, artifact.policy);
+    payload.u8(artifact.value.has_value() ? 1 : 0);
+    if (artifact.value) write_mlp(payload, *artifact.value);
+    payload.u8(artifact.forest.has_value() ? 1 : 0);
+    if (artifact.forest) write_forest(payload, *artifact.forest);
+    write_normalizer(payload, artifact.normalizer);
+    if (!has_sections) return;
+    payload.u32(1);  // section count: the baselines are the only section
+    payload.u32(static_cast<std::uint32_t>(ArtifactSection::kCorpusBaselines));
+    // Length-prefixed: readers skip section tags they do not know.
+    payload.prefixed([&](ByteWriter& section) { write_baselines_section(section, artifact); });
+  });
 }
 
 Result<PolicyArtifact> deserialize_artifact(std::string_view bytes) {
-  ByteReader r(bytes);
-  if (r.u32() != std::bit_cast<std::uint32_t>(kMagic)) {
-    return Status::error("artifact: bad magic (not an AutoPhase model blob)");
-  }
-  const std::uint32_t format = r.u32();
-  if (format == 0 || format > kFormatVersion) {
-    return Status::error(strf("artifact: unsupported format version %u (reader supports <= %u)",
-                              format, kFormatVersion));
-  }
-  const std::string payload = r.str();
-  const std::uint64_t checksum = r.u64();
-  if (!r.ok() || !r.at_end()) return Status::error("artifact: truncated or oversized blob");
-  if (fnv1a(payload) != checksum) return Status::error("artifact: checksum mismatch");
-
-  ByteReader p(payload);
+  auto envelope = read_envelope(bytes, kMagic, kFormatVersion, "artifact");
+  if (!envelope.is_ok()) return envelope.status();
+  const std::uint32_t format = envelope.value().version;
+  ByteReader p(envelope.value().payload);
   std::string name = p.str();
   const std::uint32_t version = p.u32();
   ObservationSpec spec;
@@ -421,7 +418,8 @@ Result<PolicyArtifact> deserialize_artifact(std::string_view bytes) {
                           .policy = std::move(policy).value(),
                           .value = std::nullopt,
                           .forest = std::nullopt,
-                          .normalizer = {}};
+                          .normalizer = {},
+                          .baselines = {}};
   if (p.u8() != 0) {
     auto value = read_mlp(p);
     if (!value.is_ok()) return Status::error("artifact value: " + value.message());
@@ -440,7 +438,7 @@ Result<PolicyArtifact> deserialize_artifact(std::string_view bytes) {
     if (!p.ok() || sections > 64) return Status::error("artifact: corrupt section count");
     for (std::uint32_t s = 0; s < sections; ++s) {
       const std::uint32_t tag = p.u32();
-      const std::string section = p.str();
+      const std::string_view section = p.str_view();
       if (!p.ok()) return Status::error("artifact: truncated section table");
       switch (static_cast<ArtifactSection>(tag)) {
         case ArtifactSection::kCorpusBaselines: {
