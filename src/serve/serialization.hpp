@@ -110,7 +110,7 @@ std::string write_envelope(const char (&magic)[4], std::uint32_t version,
   for (const char c : magic) w.u8(static_cast<std::uint8_t>(c));
   w.u32(version);
   w.prefixed(write_payload);
-  w.u64(fnv1a(std::string_view(w.bytes()).substr(16)));
+  w.u64(fnv1a(std::string_view(w.bytes()).substr(16)));  // the payload, after the header
   return w.take();
 }
 
