@@ -225,7 +225,7 @@ bool read_histogram(ByteReader& r, obs::HistogramSnapshot& h) {
 
 std::string encode_compile_request(const serve::CompileRequest& request) {
   ByteWriter w;
-  w.str(serve::serialize_module(*request.module));
+  w.prefixed([&](ByteWriter& blob) { serve::serialize_module(blob, *request.module); });
   w.u8(static_cast<std::uint8_t>(request.objective));
   w.i32(request.pass_budget);
   w.i32(request.beam_width);
@@ -306,7 +306,7 @@ std::string encode_compile_response(const Result<serve::CompileResponse>& respon
   write_status_prefix(w, response.status());
   if (response.is_ok()) {
     write_provenance(w, response.value().provenance);
-    w.str(serve::serialize_module(*response.value().module));
+    w.prefixed([&](ByteWriter& blob) { serve::serialize_module(blob, *response.value().module); });
     w.u64(response.value().queue_nanos);
     w.u64(response.value().serve_nanos);
     // Optional tagged trailer, mirroring the request side: nothing is
@@ -361,7 +361,7 @@ Result<serve::CompileResponse> decode_compile_response(std::string_view payload)
 std::string response_identity_bytes(const serve::CompileResponse& response) {
   ByteWriter w;
   write_provenance(w, response.provenance);
-  w.str(serve::serialize_module(*response.module));
+  w.prefixed([&](ByteWriter& blob) { serve::serialize_module(blob, *response.module); });
   // The front is part of the response's identity — two replicas serving a
   // Pareto request must agree on the whole nondominated set, not just the
   // representative point. Scalar responses append nothing (pre-v4 bytes).

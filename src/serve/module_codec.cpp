@@ -739,9 +739,15 @@ Result<std::unique_ptr<ir::Module>> read_module(ByteReader& r) {
   return decoder.run();
 }
 
+void serialize_module(ByteWriter& w, const ir::Module& module) {
+  write_envelope(w, kModuleMagic, kModuleFormatVersion,
+                 [&](ByteWriter& payload) { write_module(payload, module); });
+}
+
 std::string serialize_module(const ir::Module& module) {
-  return write_envelope(kModuleMagic, kModuleFormatVersion,
-                        [&](ByteWriter& payload) { write_module(payload, module); });
+  ByteWriter w;
+  serialize_module(w, module);
+  return w.take();
 }
 
 Result<std::unique_ptr<ir::Module>> deserialize_module(std::string_view bytes) {

@@ -27,6 +27,8 @@ Result<std::unique_ptr<ir::Module>> read_module(ByteReader& r);
 /// Standalone blob framed like the artifact format: magic + format version +
 /// length-prefixed payload + FNV-1a checksum.
 std::string serialize_module(const ir::Module& module);
+/// Appends the same blob to `w`.
+void serialize_module(ByteWriter& w, const ir::Module& module);
 Result<std::unique_ptr<ir::Module>> deserialize_module(std::string_view bytes);
 
 }  // namespace autophase::serve

@@ -102,15 +102,24 @@ class ByteReader {
 
 /// The blob envelope of the artifact (APSB), module (APMB) and provenance
 /// (APPV) formats: 4-byte magic, u32 version, u64 payload length, payload,
-/// u64 FNV-1a of the payload. The payload is written in place.
+/// u64 FNV-1a of the payload. Appends the blob to `w`, payload in place, so
+/// a message can carry a blob without building it in a second buffer.
+template <typename WritePayload>
+void write_envelope(ByteWriter& w, const char (&magic)[4], std::uint32_t version,
+                    WritePayload&& write_payload) {
+  const std::size_t at = w.bytes().size();
+  for (const char c : magic) w.u8(static_cast<std::uint8_t>(c));
+  w.u32(version);
+  w.prefixed(write_payload);
+  w.u64(fnv1a(std::string_view(w.bytes()).substr(at + 16)));  // the payload, after the header
+}
+
+/// The envelope as a blob of its own.
 template <typename WritePayload>
 std::string write_envelope(const char (&magic)[4], std::uint32_t version,
                            WritePayload&& write_payload) {
   ByteWriter w;
-  for (const char c : magic) w.u8(static_cast<std::uint8_t>(c));
-  w.u32(version);
-  w.prefixed(write_payload);
-  w.u64(fnv1a(std::string_view(w.bytes()).substr(16)));  // the payload, after the header
+  write_envelope(w, magic, version, write_payload);
   return w.take();
 }
 
