@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks of the substrate itself: the components
 // on AutoPhase's critical path (Fig. 4 block diagram) — IR cloning, feature
 // extraction, HLS scheduling, cycle profiling, pass application, module
-// fingerprinting — the end-to-end environment step, and one PPO minibatch
-// of network work.
+// fingerprinting — the end-to-end environment step, the dense kernels under
+// the policy network, and one PPO minibatch of network work.
 #include <benchmark/benchmark.h>
 
 #include "features/features.hpp"
@@ -11,6 +11,7 @@
 #include "ir/builder.hpp"
 #include "ir/clone.hpp"
 #include "ir/printer.hpp"
+#include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "passes/pass.hpp"
 #include "passes/pipelines.hpp"
@@ -166,6 +167,44 @@ void BM_EnvStepCacheCold(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EnvStepCacheCold);
+
+/// The dense kernels at the policy network's hidden shape (256x256 weights).
+/// rows:1 is a one-observation forward (serving's greedy decode), rows:4 a
+/// beam front, rows:64 a PPO minibatch. The Tn and Nt variants are the
+/// backward pass's weight and input gradients at the minibatch shape.
+void BM_Matmul(benchmark::State& state) {
+  const auto rows = static_cast<std::size_t>(state.range(0));
+  Rng rng(3);
+  const ml::Matrix x = ml::Matrix::randn(rng, rows, 256, 1.0);
+  const ml::Matrix w = ml::Matrix::randn(rng, 256, 256, 0.0625);
+  for (auto _ : state) {
+    const ml::Matrix out = ml::matmul(x, w);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+}
+BENCHMARK(BM_Matmul)->ArgName("rows")->Arg(1)->Arg(4)->Arg(64)->Unit(benchmark::kMicrosecond);
+
+void BM_MatmulTn(benchmark::State& state) {
+  Rng rng(3);
+  const ml::Matrix input = ml::Matrix::randn(rng, 64, 256, 1.0);
+  const ml::Matrix grad = ml::Matrix::randn(rng, 64, 256, 1.0);
+  for (auto _ : state) {
+    const ml::Matrix out = ml::matmul_tn(input, grad);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+}
+BENCHMARK(BM_MatmulTn)->Unit(benchmark::kMicrosecond);
+
+void BM_MatmulNt(benchmark::State& state) {
+  Rng rng(3);
+  const ml::Matrix grad = ml::Matrix::randn(rng, 64, 256, 1.0);
+  const ml::Matrix w = ml::Matrix::randn(rng, 256, 256, 0.0625);
+  for (auto _ : state) {
+    const ml::Matrix out = ml::matmul_nt(grad, w);
+    benchmark::DoNotOptimize(out.data().data());
+  }
+}
+BENCHMARK(BM_MatmulNt)->Unit(benchmark::kMicrosecond);
 
 /// One PPO minibatch of one network at perfbench's train_ppo shape: forward
 /// with a cache, then backward, over 64 observations of the paper's env

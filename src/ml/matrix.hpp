@@ -1,6 +1,15 @@
-// Minimal dense row-major matrix for the policy/value networks. The paper's
-// networks are 256x256 fully-connected MLPs — small enough that a clean
-// cache-friendly triple loop outperforms anything fancier at this scale.
+// Minimal dense row-major matrix for the policy/value networks (the paper's
+// 256x256 fully-connected MLPs).
+//
+// matmul, matmul_tn and matmul_nt are compiled for baseline x86-64 and, in
+// x86-64 GCC/Clang builds, for AVX2; the first call picks the one the CPU
+// runs. Every path gives the same bits, which remote == local needs on a
+// fleet of mixed CPUs: each output element rounds the product, then the
+// sum, over k in ascending order from 0.0. Vectors run only across
+// independent output columns, nothing is reassociated, no multiply and add
+// fuse, and every NaN result is the one quiet NaN. Products of 8 rows or
+// more keep a register tile across k; fewer rows stream B row by row.
+// Neither choice moves a bit either.
 #pragma once
 
 #include <cassert>

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 
 #include "ml/distributions.hpp"
+#include "ml/kernels.hpp"
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
 #include "ml/optimizer.hpp"
@@ -80,6 +84,123 @@ TEST(Matrix, TransposedVariantsAgree) {
   for (std::size_t i = 0; i < x.rows(); ++i) {
     EXPECT_TRUE(std::isnan(poisoned.at(i, 1))) << "row " << i;
     EXPECT_EQ(poisoned.at(i, 0), dot_reference(x, c).at(i, 0)) << "row " << i;
+  }
+}
+
+/// Raw bit patterns, so -0.0 differs from 0.0 and NaNs compare equal to
+/// themselves.
+std::vector<std::uint64_t> bits_of(const Matrix& m) {
+  std::vector<std::uint64_t> out;
+  for (const double v : m.data()) out.push_back(std::bit_cast<std::uint64_t>(v));
+  return out;
+}
+
+/// Gaussian entries with a quarter replaced by edge values: zeros of both
+/// signs and subnormals always, infinities and NaN when `non_finite`.
+Matrix edge_matrix(Rng& rng, std::size_t rows, std::size_t cols, bool non_finite) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double finite_edges[] = {0.0, -0.0, std::numeric_limits<double>::denorm_min(),
+                                 -4.9e-320, 1e-300};
+  const double non_finite_edges[] = {kInf, -kInf, std::numeric_limits<double>::quiet_NaN()};
+  Matrix m = Matrix::randn(rng, rows, cols, 1.0);
+  for (double& v : m.data()) {
+    if (rng.uniform() >= 0.25) continue;
+    if (non_finite && rng.uniform() < 0.3) {
+      v = non_finite_edges[rng.uniform_int(0, 2)];
+    } else {
+      v = finite_edges[rng.uniform_int(0, 4)];
+    }
+  }
+  return m;
+}
+
+// Every instruction set computes the definition, bit for bit, or a fleet of
+// mixed CPUs would serve different answers: each element sums its products
+// over k in ascending order from 0.0, skipping a zero of A in matmul and
+// matmul_tn, and any NaN it ends with is the one quiet NaN. Row counts 1-17
+// cross the 8-row tile threshold and the 4-row tile; column counts 7 and 45
+// leave a tail after every vector and tile width.
+TEST(MatrixIsa, EveryPathGivesTheDefinedBits) {
+  using detail::Isa;
+  std::printf("ml kernels on this host: %s\n", detail::isa_name(detail::active_isa()));
+  const bool avx2 = detail::isa_supported(Isa::kAvx2);
+  const auto reference = [](const Matrix& a, const Matrix& b, bool skip_zero) {
+    Matrix out(a.rows(), b.cols());
+    for (std::size_t i = 0; i < a.rows(); ++i) {
+      for (std::size_t j = 0; j < b.cols(); ++j) {
+        double acc = 0.0;
+        for (std::size_t k = 0; k < a.cols(); ++k) {
+          if (skip_zero && a.at(i, k) == 0.0) continue;
+          acc += a.at(i, k) * b.at(k, j);
+        }
+        out.at(i, j) = std::isnan(acc) ? std::numeric_limits<double>::quiet_NaN() : acc;
+      }
+    }
+    return out;
+  };
+  const auto transpose = [](const Matrix& m) {
+    Matrix t(m.cols(), m.rows());
+    for (std::size_t i = 0; i < m.rows(); ++i) {
+      for (std::size_t j = 0; j < m.cols(); ++j) t.at(j, i) = m.at(i, j);
+    }
+    return t;
+  };
+  // The baseline kernel against the definition, then AVX2 against the baseline.
+  const auto check = [&](Matrix (*kernel)(const Matrix&, const Matrix&, Isa), const Matrix& x,
+                         const Matrix& y, const Matrix& expected) {
+    const std::vector<std::uint64_t> baseline = bits_of(kernel(x, y, Isa::kBaseline));
+    EXPECT_EQ(baseline, bits_of(expected));
+    if (avx2) EXPECT_EQ(bits_of(kernel(x, y, Isa::kAvx2)), baseline);
+  };
+  Rng rng(23);
+  constexpr std::size_t kDepth = 11;
+  for (const bool non_finite : {false, true}) {
+    for (std::size_t rows = 1; rows <= 17; ++rows) {
+      for (const std::size_t cols : {std::size_t{7}, std::size_t{45}}) {
+        SCOPED_TRACE(testing::Message() << "rows " << rows << ", cols " << cols
+                                        << (non_finite ? ", with inf and NaN" : ""));
+        const Matrix a = edge_matrix(rng, rows, kDepth, non_finite);
+        const Matrix b = edge_matrix(rng, kDepth, cols, non_finite);
+        check(detail::matmul, a, b, reference(a, b, true));
+        check(detail::matmul_tn, transpose(a), b, reference(a, b, true));
+        check(detail::matmul_nt, a, transpose(b), reference(a, b, false));
+      }
+    }
+  }
+  if (!avx2) GTEST_SKIP() << "no AVX2 on this host or build: only the baseline kernels ran";
+}
+
+// On every instruction set and on both sides of the tile threshold, matmul
+// and matmul_tn skip a zero of A against an infinite B, and matmul_nt keeps
+// the product (0 * inf = NaN).
+TEST(MatrixIsa, ZeroSkipOnEveryPath) {
+  using detail::Isa;
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  for (const Isa isa : {Isa::kBaseline, Isa::kAvx2}) {
+    if (!detail::isa_supported(isa)) continue;
+    for (const std::size_t rows : {std::size_t{1}, std::size_t{9}}) {
+      SCOPED_TRACE(testing::Message() << detail::isa_name(isa) << ", rows " << rows);
+      Matrix a(rows, 2);  // column 0 zero, column 1 one
+      for (std::size_t i = 0; i < rows; ++i) a.at(i, 1) = 1.0;
+      Matrix b(2, 9);  // row 0 infinite, row 1 two
+      for (std::size_t j = 0; j < 9; ++j) {
+        b.at(0, j) = kInf;
+        b.at(1, j) = 2.0;
+      }
+      Matrix a_t(2, rows);
+      for (std::size_t i = 0; i < rows; ++i) a_t.at(1, i) = 1.0;
+      Matrix b_t(9, 2);
+      for (std::size_t j = 0; j < 9; ++j) {
+        b_t.at(j, 0) = kInf;
+        b_t.at(j, 1) = 2.0;
+      }
+      const Matrix skipped = detail::matmul(a, b, isa);
+      const Matrix skipped_tn = detail::matmul_tn(a_t, b, isa);
+      const Matrix kept = detail::matmul_nt(a, b_t, isa);
+      for (const double v : skipped.data()) EXPECT_EQ(v, 2.0);
+      for (const double v : skipped_tn.data()) EXPECT_EQ(v, 2.0);
+      for (const double v : kept.data()) EXPECT_TRUE(std::isnan(v));
+    }
   }
 }
 
