@@ -10,6 +10,7 @@
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
 #include "ir/clone.hpp"
+#include "ir/loop_info.hpp"
 #include "ir/printer.hpp"
 #include "ml/matrix.hpp"
 #include "ml/mlp.hpp"
@@ -118,6 +119,49 @@ void BM_O3Pipeline(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_O3Pipeline);
+
+/// Sets the per-iteration counts of the dominator trees and loop infos the
+/// analysis cache built on this thread since `before`.
+void report_cfg_analysis_builds(benchmark::State& state, const ir::CfgAnalysisBuilds& before) {
+  const ir::CfgAnalysisBuilds after = ir::cfg_analysis_builds();
+  const auto per_iteration = [](std::uint64_t n) {
+    return benchmark::Counter(static_cast<double>(n), benchmark::Counter::kAvgIterations);
+  };
+  state.counters["dom_builds"] = per_iteration(after.dominator_trees - before.dominator_trees);
+  state.counters["loop_builds"] = per_iteration(after.loop_infos - before.loop_infos);
+}
+
+/// eval_search's unit of work: one seeded random 45-pass sequence applied to
+/// a rollout clone of a kernel.
+void BM_PassSequence45(benchmark::State& state) {
+  const auto kernel = progen::build_chstone_like("gsm");
+  Rng rng(1);
+  std::vector<int> sequence(45);
+  for (int& pass : sequence) pass = static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1));
+  const ir::CfgAnalysisBuilds before = ir::cfg_analysis_builds();
+  for (auto _ : state) {
+    auto m = ir::clone_module_for_rollout(*kernel);
+    benchmark::DoNotOptimize(passes::apply_pass_sequence(*m, sequence));
+  }
+  report_cfg_analysis_builds(state, before);
+}
+BENCHMARK(BM_PassSequence45)->Unit(benchmark::kMicrosecond);
+
+/// A loop pass that finds nothing to do: -loop-deletion, twice per
+/// iteration, on an -O3-optimised kernel it has already run on.
+void BM_NoopLoopPass(benchmark::State& state) {
+  auto m = progen::build_chstone_like("gsm");
+  passes::run_o3(*m);
+  const int loop_deletion = passes::PassRegistry::instance().index_of("-loop-deletion");
+  passes::apply_pass(*m, loop_deletion);
+  const ir::CfgAnalysisBuilds before = ir::cfg_analysis_builds();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(passes::apply_pass(*m, loop_deletion));
+    benchmark::DoNotOptimize(passes::apply_pass(*m, loop_deletion));
+  }
+  report_cfg_analysis_builds(state, before);
+}
+BENCHMARK(BM_NoopLoopPass)->Unit(benchmark::kMicrosecond);
 
 void BM_RandomProgramGeneration(benchmark::State& state) {
   std::uint64_t seed = 1;

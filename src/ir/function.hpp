@@ -2,6 +2,7 @@
 // block is the entry block. Functions are owned by a Module.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -12,6 +13,8 @@
 namespace autophase::ir {
 
 class Module;
+class DominatorTree;
+class LoopInfo;
 
 /// Attributes inferred by -functionattrs / -prune-eh and consumed by the
 /// scalar optimisations (CSE/GVN/LICM/ADCE treat readnone calls as pure).
@@ -107,6 +110,17 @@ class Function {
 
  private:
   friend std::unique_ptr<Module> clone_module_for_rollout(const Module& src);
+  friend std::shared_ptr<const DominatorTree> dominators(Function& f);
+  friend std::shared_ptr<const LoopInfo> loop_info(Function& f);
+
+  /// What dominators() and loop_info() cache (see ir/loop_info.hpp): the
+  /// analyses and the CFG snapshot they were built from. Empty in a new
+  /// function, so clones start without analyses.
+  struct CfgAnalyses {
+    std::vector<std::uintptr_t> cfg;
+    std::shared_ptr<const DominatorTree> tree;
+    std::shared_ptr<const LoopInfo> loops;
+  };
 
   /// Out-of-line slow path of materialize(); defined in clone.cpp (it runs
   /// the clone_blocks / bind_operand machinery). Logically-const lazy init:
@@ -122,6 +136,7 @@ class Function {
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
   FunctionAttrs attrs_;
   const Function* cow_source_ = nullptr;
+  CfgAnalyses cfg_analyses_;
 };
 
 }  // namespace autophase::ir

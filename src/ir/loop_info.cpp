@@ -1,6 +1,7 @@
 #include "ir/loop_info.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <map>
 #include <unordered_set>
 
@@ -188,5 +189,98 @@ int LoopInfo::depth_of(const BasicBlock* bb) const {
   const Loop* l = loop_for(bb);
   return l == nullptr ? 0 : l->depth();
 }
+
+namespace {
+
+thread_local CfgAnalysisBuilds t_builds;
+
+/// Feeds `emit` the CFG snapshot of `f`, one word at a time: per block in
+/// block order, the block, its successor count and successors (as
+/// BasicBlock::successors() reports them), then its predecessor count and
+/// predecessors. The counts make the sequence decode one way only.
+template <typename Emit>
+void walk_cfg(const Function& f, Emit&& emit) {
+  const auto word = [](const BasicBlock* bb) { return reinterpret_cast<std::uintptr_t>(bb); };
+  for (std::size_t i = 0, n = f.block_count(); i < n; ++i) {
+    const BasicBlock* bb = f.block(i);
+    emit(word(bb));
+    const Instruction* term = bb->terminator();
+    const std::size_t succs = term == nullptr ? 0 : term->successor_count();
+    emit(succs);
+    for (std::size_t s = 0; s < succs; ++s) emit(word(term->successor(s)));
+    emit(bb->predecessors().size());
+    for (const BasicBlock* p : bb->predecessors()) emit(word(p));
+  }
+}
+
+bool matches_snapshot(const Function& f, const std::vector<std::uintptr_t>& snapshot) {
+  std::size_t pos = 0;
+  bool same = true;
+  walk_cfg(f, [&](std::uintptr_t w) {
+    same = same && pos < snapshot.size() && snapshot[pos] == w;
+    ++pos;
+  });
+  return same && pos == snapshot.size();
+}
+
+#ifndef NDEBUG
+bool same_tree(const DominatorTree& a, const DominatorTree& b) {
+  if (a.rpo() != b.rpo()) return false;
+  for (const BasicBlock* bb : a.rpo()) {
+    if (a.idom(bb) != b.idom(bb) || a.children(bb) != b.children(bb)) return false;
+  }
+  return true;
+}
+
+bool same_loops(const LoopInfo& a, const LoopInfo& b) {
+  const auto header_of = [](const Loop* l) { return l == nullptr ? nullptr : l->header(); };
+  const auto la = a.all_loops();
+  const auto lb = b.all_loops();
+  if (la.size() != lb.size()) return false;
+  for (std::size_t i = 0; i < la.size(); ++i) {
+    const Loop& x = *la[i];
+    const Loop& y = *lb[i];
+    if (x.header() != y.header() || x.blocks() != y.blocks() ||
+        header_of(x.parent()) != header_of(y.parent()) ||
+        x.subloops().size() != y.subloops().size()) {
+      return false;
+    }
+    for (std::size_t j = 0; j < x.subloops().size(); ++j) {
+      if (x.subloops()[j]->header() != y.subloops()[j]->header()) return false;
+    }
+  }
+  return true;
+}
+#endif
+
+}  // namespace
+
+std::shared_ptr<const DominatorTree> dominators(Function& f) {
+  Function::CfgAnalyses& cache = f.cfg_analyses_;
+  if (cache.tree != nullptr && matches_snapshot(f, cache.cfg)) {
+    assert(same_tree(*cache.tree, DominatorTree(f)) && "cached dominator tree is stale");
+    return cache.tree;
+  }
+  cache.cfg.clear();
+  walk_cfg(f, [&](std::uintptr_t w) { cache.cfg.push_back(w); });
+  cache.tree = std::make_shared<const DominatorTree>(f);
+  cache.loops.reset();
+  ++t_builds.dominator_trees;
+  return cache.tree;
+}
+
+std::shared_ptr<const LoopInfo> loop_info(Function& f) {
+  const auto tree = dominators(f);  // re-validates the snapshot
+  Function::CfgAnalyses& cache = f.cfg_analyses_;
+  if (cache.loops != nullptr) {
+    assert(same_loops(*cache.loops, LoopInfo(f, DominatorTree(f))) && "cached loop info is stale");
+    return cache.loops;
+  }
+  cache.loops = std::make_shared<const LoopInfo>(f, *tree);
+  ++t_builds.loop_infos;
+  return cache.loops;
+}
+
+CfgAnalysisBuilds cfg_analysis_builds() noexcept { return t_builds; }
 
 }  // namespace autophase::ir

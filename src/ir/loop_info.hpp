@@ -5,6 +5,7 @@
 // which strengthens the ordering sensitivity the paper studies.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
 #include <utility>
@@ -75,5 +76,46 @@ class LoopInfo {
   std::vector<Loop*> top_level_;
   std::unordered_map<const BasicBlock*, Loop*> innermost_;
 };
+
+// ---------------------------------------------------------------------------
+// Cached CFG analyses. The passes reach a function's DominatorTree and
+// LoopInfo through dominators() and loop_info(), which keep them in the
+// function until its CFG changes. The contract:
+//
+// * The cache is checked against an exact snapshot of the CFG the analyses
+//   were built from: the block order, each terminator's successor list and
+//   each block's predecessor list. Both analyses are pure functions of that
+//   pointer graph, and value_dominates() reads instruction order live, so a
+//   hit always equals a fresh build. Nothing trusts a pass's `changed` bit
+//   and no pass invalidates anything: an instruction-only rewrite (instcombine,
+//   GVN, DCE) keeps the analyses, and any CFG edit rebuilds them at the next
+//   call. A hit costs one walk over the blocks and edges. In builds without
+//   NDEBUG every hit is also compared with a fresh build, and a difference
+//   aborts.
+// * Only the function's owner fills its cache. The accessors take a mutable
+//   Function because the CoW source modules of rollout clones are read by many
+//   threads at once and must never be written. A cloned function starts with
+//   an empty cache.
+// * A returned analysis stays valid, and unchanged, for as long as the caller
+//   holds it, even after a rebuild replaces it in the cache. Like a locally
+//   built one, it describes the CFG of the call, not later edits.
+// * The verifier and the tests build fresh analyses with the constructors, so
+//   what checks the passes never shares their cache.
+// ---------------------------------------------------------------------------
+
+/// The function's dominator tree, rebuilt only if its CFG changed.
+[[nodiscard]] std::shared_ptr<const DominatorTree> dominators(Function& f);
+
+/// The function's loop info (over dominators(f)), rebuilt only if its CFG
+/// changed.
+[[nodiscard]] std::shared_ptr<const LoopInfo> loop_info(Function& f);
+
+/// Fresh builds made by dominators() and loop_info() on the calling thread
+/// (cache misses), since the thread started.
+struct CfgAnalysisBuilds {
+  std::uint64_t dominator_trees = 0;
+  std::uint64_t loop_infos = 0;
+};
+[[nodiscard]] CfgAnalysisBuilds cfg_analysis_builds() noexcept;
 
 }  // namespace autophase::ir

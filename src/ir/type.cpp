@@ -38,7 +38,13 @@ std::size_t Type::size_in_bytes() const noexcept {
 std::string Type::to_string() const {
   switch (kind_) {
     case TypeKind::kVoid: return "void";
-    case TypeKind::kInt: return "i" + std::to_string(bits_);
+    case TypeKind::kInt: {
+      // Appended, not `"i" + std::to_string(...)`: GCC 12 warns (-Wrestrict)
+      // on that form's inlined insert at -O3.
+      std::string name = "i";
+      name += std::to_string(bits_);
+      return name;
+    }
     case TypeKind::kPointer: return pointee_->to_string() + "*";
   }
   return "?";

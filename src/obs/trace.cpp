@@ -216,7 +216,11 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans,
     for (const auto& [key, value] : ev.attrs) {
       if (!first_attr) out += ",";
       first_attr = false;
-      out += "\"" + json_escape(key) + "\":\"" + json_escape(value) + "\"";
+      out += '"';
+      out += json_escape(key);
+      out += "\":\"";
+      out += json_escape(value);
+      out += '"';
     }
     out += "}}";
   }

@@ -587,8 +587,8 @@ class GVNPass {
     exprs_.clear();
     block_loads_.clear();
     changed_ = false;
-    DominatorTree dt(f);
-    if (f.entry() != nullptr) walk(f.entry(), dt);
+    const auto dt = ir::dominators(f);
+    if (f.entry() != nullptr) walk(f.entry(), *dt);
     return changed_;
   }
 };
@@ -991,12 +991,11 @@ class SinkPass {
 
  private:
   bool run_on_function(Function& f) {
-    DominatorTree dt(f);
-    ir::LoopInfo li(f, dt);
+    const auto li = ir::loop_info(f);
     bool changed = false;
     for (BasicBlock* bb : ir::post_order(f)) {
       for (Instruction* inst : bb->instructions()) {
-        changed |= try_sink(inst, li);
+        changed |= try_sink(inst, *li);
       }
     }
     return changed;
@@ -1114,7 +1113,8 @@ class CorrelatedPropagationPass {
   }
 
   bool run_on_function(Module& m, Function& f) {
-    DominatorTree dt(f);
+    const auto tree = ir::dominators(f);
+    const DominatorTree& dt = *tree;
     bool changed = false;
     for (BasicBlock* bb : f.blocks()) {
       Instruction* term = bb->terminator();
@@ -1160,14 +1160,14 @@ class JumpThreadingPass {
   bool run_on_function(Function& f) {
     bool changed = false;
     // Threading rewires edges, which can invalidate dominance facts; the
-    // tree is recomputed after every successful rewrite (cheap at our IR
-    // sizes, and jump-threading opportunities are rare).
-    auto dt = std::make_unique<DominatorTree>(f);
+    // tree is fetched again after every successful rewrite, and the cache
+    // rebuilds it because the CFG changed.
+    auto dt = ir::dominators(f);
     for (BasicBlock* bb : f.blocks()) {
       if (bb == f.entry()) continue;
       if (thread_block(*bb, *dt)) {
         changed = true;
-        dt = std::make_unique<DominatorTree>(f);
+        dt = ir::dominators(f);
       }
     }
     if (changed) remove_unreachable_blocks(f);

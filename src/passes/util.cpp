@@ -360,7 +360,8 @@ std::size_t promote_allocas(Function& f, const std::vector<Instruction*>& alloca
   ir::remove_unreachable_blocks(f);
   st.current.assign(st.allocas.size(), nullptr);
 
-  ir::DominatorTree dt(f);
+  const auto tree = ir::dominators(f);
+  const ir::DominatorTree& dt = *tree;
   const auto frontiers = dt.dominance_frontiers();
 
   // Phi placement at the iterated dominance frontier of each alloca's stores.
@@ -532,9 +533,9 @@ BasicBlock* unique_outside_predecessor(const ir::Loop& loop) {
 bool sweep_loops(Module& m, const std::function<bool(ir::Loop&, const ir::DominatorTree&)>& visit) {
   bool changed = false;
   for (Function* f : m.functions()) {
-    const ir::DominatorTree dt(*f);
-    const ir::LoopInfo li(*f, dt);
-    for (ir::Loop* loop : li.loops_innermost_first()) changed |= visit(*loop, dt);
+    const auto dt = ir::dominators(*f);
+    const auto li = ir::loop_info(*f);
+    for (ir::Loop* loop : li->loops_innermost_first()) changed |= visit(*loop, *dt);
   }
   return changed;
 }
@@ -544,10 +545,9 @@ bool rewrite_loops_until_stable(Module& m, int max_rounds, LoopOrder order,
   bool changed = false;
   for (Function* f : m.functions()) {
     for (int round = 0; round < max_rounds; ++round) {
-      const ir::DominatorTree dt(*f);
-      const ir::LoopInfo li(*f, dt);
+      const auto li = ir::loop_info(*f);
       const std::vector<ir::Loop*> loops =
-          order == LoopOrder::kOuterFirst ? li.all_loops() : li.loops_innermost_first();
+          order == LoopOrder::kOuterFirst ? li->all_loops() : li->loops_innermost_first();
       bool rewrote = false;
       for (ir::Loop* loop : loops) {
         rewrote = rewrite(*f, *loop);

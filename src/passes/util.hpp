@@ -74,10 +74,10 @@ ir::BasicBlock* unique_outside_predecessor(const ir::Loop& loop);
 
 // ---------------------------------------------------------------------------
 // Loop-pass drivers. Every loop pass reaches its loops through one of these
-// two, so they are the only place the loop passes build a DominatorTree and
-// LoopInfo. Neither short-circuits: a change in one function or loop never
-// stops the visit of the next. Each returns whether any callback reported a
-// change.
+// two, so they are the only place the loop passes fetch a DominatorTree and
+// LoopInfo (from the function's cache, ir::dominators / ir::loop_info).
+// Neither short-circuits: a change in one function or loop never stops the
+// visit of the next. Each returns whether any callback reported a change.
 // ---------------------------------------------------------------------------
 
 /// Sweep: one DominatorTree + LoopInfo per function, then `visit` on every
@@ -88,11 +88,11 @@ bool sweep_loops(ir::Module& m,
 /// Order in which rewrite_loops_until_stable offers loops.
 enum class LoopOrder { kOuterFirst, kInnermostFirst };
 
-/// Restart-on-change: per function, up to `max_rounds` rounds of building a
-/// DominatorTree + LoopInfo and offering the loops in `order` to `rewrite`.
-/// A rewrite that returns true invalidated the analyses, so the round ends
-/// there and the next one rebuilds them; a round without a rewrite ends the
-/// function. For passes that restructure the CFG.
+/// Restart-on-change: per function, up to `max_rounds` rounds of fetching
+/// the LoopInfo and offering the loops in `order` to `rewrite`. A rewrite
+/// that returns true invalidated the analyses, so the round ends there and
+/// the next one fetches them again (rebuilt if the CFG changed); a round
+/// without a rewrite ends the function. For passes that restructure the CFG.
 bool rewrite_loops_until_stable(ir::Module& m, int max_rounds, LoopOrder order,
                                 const std::function<bool(ir::Function&, ir::Loop&)>& rewrite);
 

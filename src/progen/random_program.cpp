@@ -18,11 +18,20 @@ using ir::Opcode;
 using ir::Type;
 using ir::Value;
 
+/// `prefix` followed by `n` in decimal. Appending, unlike
+/// `"x" + std::to_string(n)`, keeps GCC 12's -O3 -Wrestrict false positive
+/// on the inlined std::string insert away.
+template <typename Int>
+std::string numbered(std::string prefix, Int n) {
+  prefix += std::to_string(n);
+  return prefix;
+}
+
 class ProgramGenerator {
  public:
   ProgramGenerator(const GeneratorConfig& config)
       : config_(config), rng_(config.seed), module_(std::make_unique<ir::Module>(
-                                                "rand" + std::to_string(config.seed))) {}
+                                                numbered("rand", config.seed))) {}
 
   std::unique_ptr<ir::Module> generate() {
     // Optional constant lookup table (ROM), used by some expressions.
@@ -167,7 +176,7 @@ class ProgramGenerator {
         if (loop_depth_ >= config_.max_loop_depth) break;
         const std::int64_t trips = rng_.uniform_int(2, config_.max_trip_count);
         if (dynamic_weight_ * trips > config_.max_dynamic_weight) break;
-        Value* iv = g_->local_i32("i" + std::to_string(var_id_++));
+        Value* iv = g_->local_i32(numbered("i", var_id_++));
         scope_.scalars.push_back(iv);
         ++loop_depth_;
         dynamic_weight_ *= trips;
@@ -210,17 +219,17 @@ class ProgramGenerator {
     scope_ = Scope{};
     var_id_ = 0;
     for (int i = 0; i < scalars; ++i) {
-      Value* v = g_->local_i32("v" + std::to_string(var_id_++));
+      Value* v = g_->local_i32(numbered("v", var_id_++));
       g_->set(v, rng_.uniform_int(-64, 64));
       scope_.scalars.push_back(v);
     }
     for (int i = 0; i < arrays; ++i) {
       const std::size_t size = 1u << rng_.uniform_int(3, 6);  // 8..64
-      Value* a = g_->array(Type::i32(), size, "a" + std::to_string(var_id_++));
+      Value* a = g_->array(Type::i32(), size, numbered("a", var_id_++));
       scope_.arrays.emplace_back(a, size);
       // Initialise with a tiny fill loop so reads are deterministic even
       // before any optimisation.
-      Value* iv = g_->local_i32("ii" + std::to_string(var_id_++));
+      Value* iv = g_->local_i32(numbered("ii", var_id_++));
       g_->count_loop(iv, 0, static_cast<std::int64_t>(size), [&] {
         Value* i_val = g_->get(iv);
         g_->set(g_->elem_masked(scope_.arrays.back().first, i_val, size),
@@ -232,8 +241,7 @@ class ProgramGenerator {
   void emit_helper(int index) {
     const int params = static_cast<int>(rng_.uniform_int(1, 3));
     std::vector<Type*> param_types(static_cast<std::size_t>(params), Type::i32());
-    Function* f = module_->create_function("helper" + std::to_string(index), Type::i32(),
-                                           param_types);
+    Function* f = module_->create_function(numbered("helper", index), Type::i32(), param_types);
     CodeGen g(*module_, *f);
     g_ = &g;
     loop_depth_ = 0;
@@ -243,7 +251,7 @@ class ProgramGenerator {
     // Copy parameters into locals (the O0 way).
     std::vector<Value*> param_ptrs;
     for (int i = 0; i < params; ++i) {
-      Value* p = g.local_i32("p" + std::to_string(i));
+      Value* p = g.local_i32(numbered("p", i));
       g.set(p, f->arg(static_cast<std::size_t>(i)));
       param_ptrs.push_back(p);
       scope_.scalars.push_back(p);
@@ -285,7 +293,7 @@ class ProgramGenerator {
       g.set(sum, g.b().add(g.b().mul(g.get(sum), c32(31)), g.get(s)));
     }
     for (const auto& [arr, size] : scope_.arrays) {
-      Value* iv = g.local_i32("ci" + std::to_string(var_id_++));
+      Value* iv = g.local_i32(numbered("ci", var_id_++));
       g.count_loop(iv, 0, static_cast<std::int64_t>(size), [&] {
         Value* v = g.get(g.elem_masked(arr, g.get(iv), size));
         g.set(sum, g.b().xor_(g.b().add(g.get(sum), g.get(sum)), v));
@@ -317,7 +325,7 @@ std::unique_ptr<ir::Module> generate_filtered_program(std::uint64_t seed) {
     return module;
   }
   // Fall back to a minimal safe program (cannot fail).
-  auto module = std::make_unique<ir::Module>("fallback" + std::to_string(seed));
+  auto module = std::make_unique<ir::Module>(numbered("fallback", seed));
   Function* f = module->create_function("main", Type::i32(), {});
   CodeGen g(*module, *f);
   Value* v = g.local_i32("v");

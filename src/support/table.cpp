@@ -19,7 +19,9 @@ std::string TextTable::render() const {
     out += "|";
     for (std::size_t c = 0; c < widths.size(); ++c) {
       const std::string cell = c < row.size() ? row[c] : std::string();
-      out += " " + pad_right(cell, widths[c]) + " |";
+      out += ' ';
+      out += pad_right(cell, widths[c]);
+      out += " |";
     }
     out += "\n";
   };

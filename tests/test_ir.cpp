@@ -260,6 +260,150 @@ TEST(LoopInfo, NestedLoopsDepth) {
   EXPECT_GE(inner_first.front()->depth(), inner_first.back()->depth());
 }
 
+/// entry -> header <-> body, header -> exit, plus an unreachable `dead`
+/// block that returns. Blocks in that order.
+Function* cached_loop_function(Module& m) {
+  Function* f = m.create_function("main", Type::i32(), {});
+  BasicBlock* entry = f->create_block("entry");
+  BasicBlock* header = f->create_block("header");
+  BasicBlock* body = f->create_block("body");
+  BasicBlock* exit = f->create_block("exit");
+  BasicBlock* dead = f->create_block("dead");
+  IRBuilder b(m);
+  b.set_insert_point(entry);
+  b.br(header);
+  b.set_insert_point(header);
+  Instruction* iv = b.phi(Type::i32(), "i");
+  b.cond_br(b.icmp_slt(iv, m.get_i32(10)), body, exit);
+  b.set_insert_point(body);
+  Value* next = b.add(iv, m.get_i32(1));
+  b.br(header);
+  iv->add_incoming(m.get_i32(0), entry);
+  iv->add_incoming(next, body);
+  b.set_insert_point(exit);
+  b.ret(m.get_i32(0));
+  b.set_insert_point(dead);
+  b.ret(m.get_i32(1));
+  return f;
+}
+
+/// {dominator trees, loop infos} built by the cache.
+using BuildCounts = std::pair<std::uint64_t, std::uint64_t>;
+
+/// Fresh builds by the cache on this thread since `before`.
+BuildCounts builds_since(const CfgAnalysisBuilds& before) {
+  const CfgAnalysisBuilds now = cfg_analysis_builds();
+  return {now.dominator_trees - before.dominator_trees, now.loop_infos - before.loop_infos};
+}
+
+TEST(CfgAnalyses, InstructionEditKeepsCachedObjects) {
+  Module m("cache");
+  Function* f = cached_loop_function(m);
+  BasicBlock* body = f->block(2);
+  const auto dt = dominators(*f);
+  const auto li = loop_info(*f);
+  const CfgAnalysisBuilds before = cfg_analysis_builds();
+
+  Instruction* extra = body->insert_before_terminator(
+      Instruction::binary(Opcode::kMul, body->front(), m.get_i32(3), "extra"));
+  EXPECT_EQ(dominators(*f), dt);
+  EXPECT_EQ(loop_info(*f), li);
+  extra->erase_from_parent();
+  EXPECT_EQ(dominators(*f), dt);
+  EXPECT_EQ(loop_info(*f), li);
+  EXPECT_EQ(builds_since(before), (BuildCounts{0, 0}));
+}
+
+enum class CfgEdit { kEraseBlock, kRetargetBranch, kMoveEntry, kAddPredecessorEdge };
+
+/// One CFG edit on cached_loop_function()'s blocks.
+void apply_cfg_edit(Function& f, CfgEdit edit) {
+  BasicBlock* dead = f.block(4);
+  switch (edit) {
+    case CfgEdit::kEraseBlock:
+      f.erase_block(dead);
+      break;
+    case CfgEdit::kRetargetBranch:  // header exits to `dead` instead of `exit`
+      f.block(1)->terminator()->set_successor(1, dead);
+      break;
+    case CfgEdit::kMoveEntry:
+      f.move_block(f.entry(), 1);
+      break;
+    case CfgEdit::kAddPredecessorEdge:
+      // `dead` stays unreachable, so the analyses come out the same; the
+      // snapshot is exact, not semantic, and rebuilds anyway.
+      dead->terminator()->erase_from_parent();
+      dead->push_back(Instruction::br(f.block(3)));
+      break;
+  }
+}
+
+TEST(CfgAnalyses, EachCfgEditRebuilds) {
+  // Each edit runs on its own function, starting from a filled cache; the
+  // old analyses are held, so a rebuild cannot reuse their address.
+  for (const CfgEdit edit : {CfgEdit::kEraseBlock, CfgEdit::kRetargetBranch, CfgEdit::kMoveEntry,
+                             CfgEdit::kAddPredecessorEdge}) {
+    SCOPED_TRACE(static_cast<int>(edit));
+    Module m("cache");
+    Function* f = cached_loop_function(m);
+    const auto old_dt = dominators(*f);
+    const auto old_li = loop_info(*f);
+    const CfgAnalysisBuilds before = cfg_analysis_builds();
+    apply_cfg_edit(*f, edit);
+    const auto dt = dominators(*f);
+    const auto li = loop_info(*f);
+    EXPECT_NE(dt, old_dt);
+    EXPECT_NE(li, old_li);
+    EXPECT_EQ(builds_since(before), (BuildCounts{1, 1}));
+    const DominatorTree fresh(*f);
+    EXPECT_EQ(dt->rpo(), fresh.rpo());
+    for (const BasicBlock* bb : fresh.rpo()) EXPECT_EQ(dt->idom(bb), fresh.idom(bb));
+    // The rebuilt analyses are cached in turn.
+    EXPECT_EQ(dominators(*f), dt);
+    EXPECT_EQ(loop_info(*f), li);
+    EXPECT_EQ(builds_since(before), (BuildCounts{1, 1}));
+  }
+}
+
+TEST(CfgAnalyses, HeldAnalysesOutliveARebuild) {
+  Module m("cache");
+  Function* f = cached_loop_function(m);
+  const auto dt = dominators(*f);
+  const auto li = loop_info(*f);
+  const std::vector<BasicBlock*> rpo = dt->rpo();
+  std::vector<BasicBlock*> idoms;
+  for (const BasicBlock* bb : rpo) idoms.push_back(dt->idom(bb));
+  ASSERT_EQ(li->top_level().size(), 1u);
+  const Loop* loop = li->top_level()[0];
+  const std::vector<BasicBlock*> loop_blocks = loop->blocks();
+
+  // The cache rebuilds; the held objects must neither dangle nor change.
+  apply_cfg_edit(*f, CfgEdit::kRetargetBranch);
+  EXPECT_NE(dominators(*f), dt);
+  EXPECT_NE(loop_info(*f), li);
+  EXPECT_EQ(dt->rpo(), rpo);
+  for (std::size_t i = 0; i < rpo.size(); ++i) EXPECT_EQ(dt->idom(rpo[i]), idoms[i]);
+  ASSERT_EQ(li->top_level().size(), 1u);
+  EXPECT_EQ(li->top_level()[0], loop);
+  EXPECT_EQ(loop->blocks(), loop_blocks);
+}
+
+TEST(CfgAnalyses, ClonesStartEmpty) {
+  auto src = progen::build_chstone_like("matmul");
+  for (Function* f : src->functions()) (void)loop_info(*f);
+  const CfgAnalysisBuilds before = cfg_analysis_builds();
+  const auto deep = clone_module(*src);
+  const auto rollout = clone_module_for_rollout(*src);
+  const auto n = static_cast<std::uint64_t>(src->functions().size());
+  for (Function* f : deep->functions()) (void)loop_info(*f);
+  EXPECT_EQ(builds_since(before), (BuildCounts{n, n}));
+  for (Function* f : rollout->functions()) (void)loop_info(*f);
+  EXPECT_EQ(builds_since(before), (BuildCounts{2 * n, 2 * n}));
+  // Cloning did not disturb the source's cache.
+  for (Function* f : src->functions()) (void)loop_info(*f);
+  EXPECT_EQ(builds_since(before), (BuildCounts{2 * n, 2 * n}));
+}
+
 TEST(Verifier, CatchesMissingTerminator) {
   Module m("bad");
   Function* f = m.create_function("main", Type::i32(), {});
