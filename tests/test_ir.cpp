@@ -9,7 +9,11 @@
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
 #include "interp/interpreter.hpp"
+#include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
+#include "progen/random_program.hpp"
+#include "support/hash.hpp"
+#include "support/rng.hpp"
 
 namespace autophase::ir {
 namespace {
@@ -443,6 +447,192 @@ TEST(Printer, DeterministicAndDistinct) {
   EXPECT_EQ(module_fingerprint(*a), module_fingerprint(*b));
   auto c = progen::build_chstone_like("aes");
   EXPECT_NE(module_fingerprint(*a), module_fingerprint(*c));
+}
+
+// ---------------------------------------------------------------------------
+// Fingerprint: module_fingerprint is the FNV-1a of print_module's bytes, on
+// every module the search and training paths key — kernels and corpus
+// programs after each step of a pass sequence, lazy rollout clones included.
+// The pinned digests fold in every printed text and every fingerprint, so a
+// printer change that moves one byte of one module fails here.
+// ---------------------------------------------------------------------------
+
+struct PrintDigests {
+  std::uint64_t texts = kFnvOffset;
+  std::uint64_t fingerprints = kFnvOffset;
+  std::size_t modules = 0;
+};
+
+void fold_module(const Module& m, PrintDigests& digests) {
+  const std::string text = print_module(m);
+  const std::uint64_t fingerprint = module_fingerprint(m);
+  EXPECT_EQ(fingerprint, fnv1a(text)) << "module " << digests.modules << ":\n" << text;
+  digests.texts = fnv1a(text, digests.texts);
+  char bytes[8];
+  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>(fingerprint >> (8 * i));
+  digests.fingerprints = fnv1a(std::string_view(bytes, sizeof bytes), digests.fingerprints);
+  ++digests.modules;
+}
+
+/// Folds `program`, then each step of `sequences` seeded random 45-pass
+/// sequences the way an env step takes it: a lazy rollout clone of the
+/// previous step (folded before the pass, while it still reads through its
+/// source), then the same clone after the pass.
+void fold_pass_sequences(const Module& program, std::uint64_t seed, int sequences,
+                         PrintDigests& digests) {
+  fold_module(program, digests);
+  Rng rng(seed);
+  for (int s = 0; s < sequences; ++s) {
+    std::unique_ptr<Module> current = clone_module(program);
+    for (int step = 0; step < passes::kNumPasses; ++step) {
+      auto next = clone_module_for_rollout(*current);
+      ASSERT_TRUE(next->has_lazy_functions());
+      fold_module(*next, digests);
+      passes::apply_pass(*next, static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1)));
+      fold_module(*next, digests);
+      current = std::move(next);
+    }
+  }
+}
+
+TEST(Fingerprint, KernelPassSequences) {
+  PrintDigests digests;
+  std::uint64_t seed = 1;
+  for (const auto& name : progen::chstone_benchmark_names()) {
+    fold_pass_sequences(*progen::build_chstone_like(name), seed++, 3, digests);
+  }
+  EXPECT_EQ(digests.modules, 9u * (1 + 3 * 2 * passes::kNumPasses));
+  EXPECT_EQ(digests.texts, 0x077fd69678b587b5ULL);
+  EXPECT_EQ(digests.fingerprints, 0xfdca8fd2ccde45e3ULL);
+}
+
+TEST(Fingerprint, CorpusPassSequences) {
+  PrintDigests digests;
+  for (const std::uint64_t seed : {11u, 12u, 13u, 14u}) {
+    fold_pass_sequences(*progen::generate_filtered_program(seed), seed, 2, digests);
+  }
+  EXPECT_EQ(digests.modules, 4u * (1 + 2 * 2 * passes::kNumPasses));
+  EXPECT_EQ(digests.texts, 0x16e26282fe338a3aULL);
+  EXPECT_EQ(digests.fingerprints, 0xe06611a6648500b3ULL);
+}
+
+/// One module that reaches every corner of the printer: named and unnamed
+/// values and blocks, a join whose predecessor labels sort differently as
+/// text than as numbers, globals with and without initializers, switch,
+/// condbr, phi with undef, casts, a pointer-to-pointer alloca, negative
+/// constants and a void call.
+std::unique_ptr<Module> printer_edge_case_module() {
+  auto m = std::make_unique<Module>("edges");
+  GlobalVariable* table = m->create_global(Type::i16(), 4, "table", {-3, 0, 7, -32768}, true);
+  m->create_global(Type::i32(), 2, "scratch");
+  Function* sink = m->create_function("sink", Type::void_ty(), {Type::i32()}, {"v"});
+  sink->attrs().readnone = true;
+  sink->attrs().nounwind = true;
+  IRBuilder b(*m);
+  b.set_insert_point(sink->create_block("entry"));
+  b.ret_void();
+
+  Function* f = m->create_function("main", Type::i32(), {Type::i32(), Type::i64()}, {"n", ""});
+  std::vector<BasicBlock*> bb;
+  bb.push_back(f->create_block("entry"));
+  for (int i = 1; i < 12; ++i) bb.push_back(f->create_block(i == 5 ? "body" : ""));
+
+  b.set_insert_point(bb[0]);
+  Instruction* slot = b.alloca_scalar(Type::pointer_to(Type::i32()), "pp");
+  Instruction* buf = b.alloca_array(Type::i32(), 3);
+  b.store(buf, slot);
+  Value* x = b.add(f->arg(0), m->get_i32(-5), "x");
+  b.call(sink, {x});
+  Value* elem = b.load(b.gep(table, m->get_i64(-1)));
+  Value* wide = b.sext(elem, Type::i32());
+  Instruction* sw = b.switch_inst(f->arg(0), bb[1]);
+  sw->add_switch_case(m->get_i32(-1), bb[2]);
+  sw->add_switch_case(m->get_i32(3), bb[9]);
+  sw->add_switch_case(m->get_i32(4), bb[10]);
+
+  b.set_insert_point(bb[1]);
+  b.br(bb[11]);
+  b.set_insert_point(bb[2]);
+  b.cond_br(b.icmp_slt(wide, m->get_i32(-7), "neg"), bb[3], bb[9]);
+  for (int i = 3; i < 8; ++i) {
+    b.set_insert_point(bb[i]);
+    b.br(bb[i + 1]);
+  }
+  b.set_insert_point(bb[8]);
+  b.br(bb[11]);
+  b.set_insert_point(bb[9]);
+  b.br(bb[11]);
+  b.set_insert_point(bb[10]);
+  b.br(bb[11]);
+
+  b.set_insert_point(bb[11]);
+  Instruction* phi = b.phi(Type::i32(), "r");
+  phi->add_incoming(x, bb[1]);
+  phi->add_incoming(m->get_i32(-2147483648LL), bb[8]);
+  phi->add_incoming(m->get_undef(Type::i32()), bb[9]);
+  phi->add_incoming(wide, bb[10]);
+  Value* narrow = b.trunc(phi, Type::i8(), "t");
+  b.ret(b.zext(narrow, Type::i32()));
+  return m;
+}
+
+TEST(Fingerprint, PrinterEdgeCases) {
+  const auto m = printer_edge_case_module();
+  ASSERT_TRUE(verify_module(*m).is_ok());
+  const std::string text = print_module(*m);
+  EXPECT_EQ(text, R"(; module 'edges'
+@table = global [4 x i16] constant {-3,0,7,-32768}
+@scratch = global [2 x i32]
+
+define void @sink(i32 %v.0) readnone nounwind {
+entry.0:
+  ret
+}
+
+define i32 @main(i32 %n.0, i64 %1) {
+entry.0:
+  %pp.2 = alloca i32*, count 1
+  %3 = alloca i32, count 3
+  store i32* %3, i32** %pp.2
+  %x.4 = add i32 %n.0, i32 -5
+  call @sink(i32 %x.4)
+  %5 = getelementptr i16* @table, i64 -1
+  %6 = load i16* %5
+  %7 = sext to i32 i16 %6
+  switch i32 %n.0, default %1 [-1 -> %2, 3 -> %9, 4 -> %10]
+1:  ; preds: entry.0
+  br label %11
+2:  ; preds: entry.0
+  %neg.8 = icmp slt i32 %7, i32 -7
+  condbr i1 %neg.8, label %3, label %9
+3:  ; preds: 2
+  br label %4
+4:  ; preds: 3
+  br label %body.5
+body.5:  ; preds: 4
+  br label %6
+6:  ; preds: body.5
+  br label %7
+7:  ; preds: 6
+  br label %8
+8:  ; preds: 7
+  br label %11
+9:  ; preds: 2 entry.0
+  br label %11
+10:  ; preds: entry.0
+  br label %11
+11:  ; preds: 1 10 8 9
+  %r.9 = phi i32 [ i32 %x.4, %1 ], [ i32 -2147483648, %8 ], [ i32 undef, %9 ], [ i32 %7, %10 ]
+  %t.10 = trunc to i8 i32 %r.9
+  %11 = zext to i32 i8 %t.10
+  ret i32 %11
+}
+)");
+  EXPECT_EQ(module_fingerprint(*m), fnv1a(text));
+  // A lazy rollout clone prints through its source, byte for byte.
+  const auto rollout = clone_module_for_rollout(*m);
+  EXPECT_EQ(print_module(*rollout), text);
+  EXPECT_EQ(module_fingerprint(*rollout), fnv1a(text));
 }
 
 TEST(Clone, ModuleCloneIsDeepAndEquivalent) {
