@@ -1,8 +1,10 @@
 #include "ir/printer.hpp"
 
 #include <algorithm>
-#include <sstream>
-#include <unordered_map>
+#include <bit>
+#include <charconv>
+#include <string_view>
+#include <vector>
 
 #include "support/hash.hpp"
 
@@ -10,196 +12,386 @@ namespace autophase::ir {
 
 namespace {
 
-class FunctionPrinter {
+// One printer body writes every byte into a sink. print_module hands it a
+// StringSink, which keeps the bytes; module_fingerprint hands it an
+// FnvSink, which folds each byte into FNV-1a as it arrives. So the
+// fingerprint is the hash of the printed text by construction, and the
+// text never exists on the fingerprint path.
+
+class StringSink {
  public:
-  explicit FunctionPrinter(const Function& f) : f_(f) {
-    // Assign deterministic labels: arguments first, then instructions in
-    // block order. User-provided names are kept but suffixed with the slot
-    // so labels stay unique even after name-mangling passes.
-    unsigned slot = 0;
-    for (std::size_t i = 0; i < f.arg_count(); ++i) assign(f.arg(i), slot++);
-    unsigned block_slot = 0;
-    for (BasicBlock* bb : f.blocks()) {
-      block_labels_[bb] = label_for(bb->name(), block_slot++);
-      for (Instruction* inst : bb->instructions()) {
-        if (!inst->type()->is_void()) assign(inst, slot++);
-      }
-    }
+  explicit StringSink(std::string& out) noexcept : out_(out) {}
+  void put(char c) { out_.push_back(c); }
+  void put(std::string_view s) { out_.append(s); }
+
+ private:
+  std::string& out_;
+};
+
+class FnvSink {
+ public:
+  void put(char c) noexcept { hash_ = (hash_ ^ static_cast<std::uint8_t>(c)) * kFnvPrime; }
+  void put(std::string_view s) noexcept { hash_ = fnv1a(s, hash_); }
+  [[nodiscard]] std::uint64_t hash() const noexcept { return hash_; }
+
+ private:
+  std::uint64_t hash_ = kFnvOffset;
+};
+
+template <class Sink, class Int>
+void put_int(Sink& sink, Int value) {
+  char digits[24];
+  const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
+  sink.put(std::string_view(digits, static_cast<std::size_t>(end - digits)));
+}
+
+/// Type::to_string, written in place.
+template <class Sink>
+void put_type(Sink& sink, const Type* type) {
+  switch (type->kind()) {
+    case TypeKind::kVoid: sink.put("void"); return;
+    case TypeKind::kInt:
+      sink.put('i');
+      put_int(sink, type->bits());
+      return;
+    case TypeKind::kPointer:
+      put_type(sink, type->pointee());
+      sink.put('*');
+      return;
+  }
+  sink.put('?');
+}
+
+/// Instructions and blocks in `f`'s body: its share of module_ir_size.
+std::size_t body_size(const Function& f) {
+  std::size_t size = 0;
+  for (std::size_t b = 0; b < f.block_count(); ++b) size += 1 + f.block(b)->size();
+  return size;
+}
+
+/// Per-function slot numbers of arguments, instructions and blocks. The
+/// printed label of a node is its user name suffixed with its slot (names
+/// are kept but need not be unique after name-mangling passes), or the bare
+/// slot when unnamed; the name is read off the node itself, so the table
+/// holds only the slot. Open addressing on the node's address, sized once
+/// per function from its node count, so it never rehashes.
+class SlotTable {
+ public:
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  void reset(std::size_t nodes) {
+    const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(16, 2 * nodes));
+    shift_ = 64 - std::countr_zero(capacity);
+    entries_.assign(capacity, Entry{});
   }
 
-  std::string print() {
-    std::ostringstream os;
-    os << "define " << f_.return_type()->to_string() << " @" << f_.name() << "(";
-    for (std::size_t i = 0; i < f_.arg_count(); ++i) {
-      if (i != 0) os << ", ";
-      os << f_.arg(i)->type()->to_string() << " %" << value_labels_.at(f_.arg(i));
+  void assign(const void* node, std::uint32_t slot) {
+    std::size_t i = home(node);
+    while (entries_[i].node != nullptr && entries_[i].node != node) i = (i + 1) & mask();
+    entries_[i] = {node, slot};
+  }
+
+  [[nodiscard]] std::uint32_t find(const void* node) const {
+    for (std::size_t i = home(node);; i = (i + 1) & mask()) {
+      if (entries_[i].node == node) return entries_[i].slot;
+      if (entries_[i].node == nullptr) return kMissing;
     }
-    os << ")";
-    const auto& attrs = f_.attrs();
-    if (attrs.readnone) os << " readnone";
-    if (attrs.readonly) os << " readonly";
-    if (attrs.nounwind) os << " nounwind";
-    os << " {\n";
-    for (BasicBlock* bb : f_.blocks()) {
-      os << block_labels_.at(bb) << ":";
-      if (!bb->predecessors().empty()) {
-        // Sorted so the print (and hence the module fingerprint) does not
-        // depend on predecessor-list bookkeeping order, which cloning and
-        // edge rewiring legitimately permute.
-        std::vector<std::string> preds;
-        for (BasicBlock* p : bb->predecessors()) preds.push_back(block_labels_.at(p));
-        std::sort(preds.begin(), preds.end());
-        os << "  ; preds:";
-        for (const auto& p : preds) os << " " << p;
-      }
-      os << "\n";
-      for (Instruction* inst : bb->instructions()) print_inst(os, inst);
-    }
-    os << "}\n";
-    return os.str();
   }
 
  private:
-  void assign(const Value* v, unsigned slot) {
-    value_labels_[v] = label_for(v->name(), slot);
+  struct Entry {
+    const void* node = nullptr;
+    std::uint32_t slot = 0;
+  };
+
+  [[nodiscard]] std::size_t mask() const noexcept { return entries_.size() - 1; }
+  [[nodiscard]] std::size_t home(const void* node) const noexcept {
+    return static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(node) * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
 
-  static std::string label_for(const std::string& name, unsigned slot) {
-    return name.empty() ? std::to_string(slot) : name + "." + std::to_string(slot);
+  std::vector<Entry> entries_;
+  int shift_ = 64;
+};
+
+template <class Sink>
+class Printer {
+ public:
+  explicit Printer(Sink& out) noexcept : out_(out) {}
+
+  void print(const Module& module) {
+    out_.put("; module '");
+    out_.put(module.name());
+    out_.put("'\n");
+    for (std::size_t i = 0; i < module.global_count(); ++i) global(*module.global(i));
+    for (std::size_t i = 0; i < module.function_count(); ++i) {
+      out_.put('\n');
+      // While a rollout clone's body is CoW-lazy its blocks still live in
+      // the source function; name, signature, attributes and body are all
+      // bit-identical by construction, so printing the source *is* printing
+      // this function, without forcing a deep copy. This keeps
+      // fingerprinting an unmutated clone (the EvalService cache-hit path)
+      // allocation-free on the IR side.
+      function(*module.function(i)->reading_body());
+    }
   }
 
-  std::string ref(const Value* v) const {
+ private:
+  void global(const GlobalVariable& g) {
+    out_.put('@');
+    out_.put(g.name());
+    out_.put(" = global [");
+    put_int(out_, g.element_count());
+    out_.put(" x ");
+    put_type(out_, g.element_type());
+    out_.put(']');
+    if (g.is_constant_data()) out_.put(" constant");
+    const auto& init = g.init();
+    if (!init.empty()) {
+      out_.put(" {");
+      for (std::size_t j = 0; j < init.size(); ++j) {
+        if (j != 0) out_.put(',');
+        put_int(out_, init[j]);
+      }
+      out_.put('}');
+    }
+    out_.put('\n');
+  }
+
+  /// Slots: arguments first, then instructions in block order; blocks count
+  /// separately.
+  void number(const Function& f) {
+    slots_.reset(f.arg_count() + body_size(f));
+    std::uint32_t slot = 0;
+    for (std::size_t i = 0; i < f.arg_count(); ++i) slots_.assign(f.arg(i), slot++);
+    for (std::size_t b = 0; b < f.block_count(); ++b) {
+      const BasicBlock* bb = f.block(b);
+      slots_.assign(bb, static_cast<std::uint32_t>(b));
+      for (std::size_t i = 0; i < bb->size(); ++i) {
+        const Instruction* inst = bb->inst(i);
+        if (!inst->type()->is_void()) slots_.assign(inst, slot++);
+      }
+    }
+  }
+
+  template <class To>
+  void label(To& to, const std::string& name, const void* node) const {
+    const std::uint32_t slot = slots_.find(node);
+    if (slot == SlotTable::kMissing) {
+      to.put('?');
+      return;
+    }
+    if (!name.empty()) {
+      to.put(name);
+      to.put('.');
+    }
+    put_int(to, slot);
+  }
+
+  void local(const Value* v) {
+    out_.put('%');
+    label(out_, v->name(), v);
+  }
+
+  void block_ref(const BasicBlock* bb) {
+    out_.put('%');
+    label(out_, bb->name(), bb);
+  }
+
+  void ref(const Value* v) {
+    put_type(out_, v->type());
     switch (v->value_kind()) {
       case ValueKind::kConstantInt:
-        return v->type()->to_string() + " " +
-               std::to_string(static_cast<const ConstantInt*>(v)->value());
-      case ValueKind::kUndef: return v->type()->to_string() + " undef";
-      case ValueKind::kGlobalVariable: return v->type()->to_string() + " @" + v->name();
+        out_.put(' ');
+        put_int(out_, static_cast<const ConstantInt*>(v)->value());
+        return;
+      case ValueKind::kUndef: out_.put(" undef"); return;
+      case ValueKind::kGlobalVariable:
+        out_.put(" @");
+        out_.put(v->name());
+        return;
       default: break;
     }
-    const auto it = value_labels_.find(v);
-    return v->type()->to_string() + " %" + (it != value_labels_.end() ? it->second : "?");
+    out_.put(' ');
+    local(v);
   }
 
-  std::string blabel(const BasicBlock* bb) const {
-    const auto it = block_labels_.find(bb);
-    return "%" + (it != block_labels_.end() ? it->second : std::string("?"));
+  void function(const Function& f) {
+    number(f);
+    out_.put("define ");
+    put_type(out_, f.return_type());
+    out_.put(" @");
+    out_.put(f.name());
+    out_.put('(');
+    for (std::size_t i = 0; i < f.arg_count(); ++i) {
+      if (i != 0) out_.put(", ");
+      put_type(out_, f.arg(i)->type());
+      out_.put(' ');
+      local(f.arg(i));
+    }
+    out_.put(')');
+    const auto& attrs = f.attrs();
+    if (attrs.readnone) out_.put(" readnone");
+    if (attrs.readonly) out_.put(" readonly");
+    if (attrs.nounwind) out_.put(" nounwind");
+    out_.put(" {\n");
+    for (std::size_t b = 0; b < f.block_count(); ++b) {
+      const BasicBlock* bb = f.block(b);
+      label(out_, bb->name(), bb);
+      out_.put(':');
+      predecessors(*bb);
+      out_.put('\n');
+      for (std::size_t i = 0; i < bb->size(); ++i) instruction(*bb->inst(i));
+    }
+    out_.put("}\n");
   }
 
-  void print_inst(std::ostringstream& os, const Instruction* inst) const {
-    os << "  ";
-    if (!inst->type()->is_void()) os << "%" << value_labels_.at(inst) << " = ";
-    switch (inst->opcode()) {
+  void predecessors(const BasicBlock& bb) {
+    const auto& preds = bb.predecessors();
+    if (preds.empty()) return;
+    out_.put("  ; preds:");
+    // Sorted by label text so the print (and hence the module fingerprint)
+    // does not depend on predecessor-list bookkeeping order, which cloning
+    // and edge rewiring legitimately permute.
+    pred_text_.clear();
+    pred_ends_.clear();
+    StringSink text(pred_text_);
+    for (const BasicBlock* p : preds) {
+      label(text, p->name(), p);
+      pred_ends_.push_back(pred_text_.size());
+    }
+    pred_labels_.clear();
+    std::size_t begin = 0;
+    for (const std::size_t end : pred_ends_) {
+      pred_labels_.emplace_back(pred_text_.data() + begin, end - begin);
+      begin = end;
+    }
+    std::sort(pred_labels_.begin(), pred_labels_.end());
+    for (const std::string_view p : pred_labels_) {
+      out_.put(' ');
+      out_.put(p);
+    }
+  }
+
+  void instruction(const Instruction& inst) {
+    out_.put("  ");
+    if (!inst.type()->is_void()) {
+      local(&inst);
+      out_.put(" = ");
+    }
+    switch (inst.opcode()) {
       case Opcode::kICmp:
-        os << "icmp " << icmp_pred_name(inst->icmp_pred()) << " " << ref(inst->operand(0)) << ", "
-           << ref(inst->operand(1));
+        out_.put("icmp ");
+        out_.put(icmp_pred_name(inst.icmp_pred()));
+        out_.put(' ');
+        ref(inst.operand(0));
+        out_.put(", ");
+        ref(inst.operand(1));
         break;
       case Opcode::kAlloca:
-        os << "alloca " << inst->allocated_type()->to_string() << ", count "
-           << inst->alloca_count();
+        out_.put("alloca ");
+        put_type(out_, inst.allocated_type());
+        out_.put(", count ");
+        put_int(out_, inst.alloca_count());
         break;
-      case Opcode::kPhi: {
-        os << "phi " << inst->type()->to_string();
-        for (std::size_t i = 0; i < inst->incoming_count(); ++i) {
-          os << (i == 0 ? " " : ", ") << "[ " << ref(inst->incoming_value(i)) << ", "
-             << blabel(inst->incoming_block(i)) << " ]";
+      case Opcode::kPhi:
+        out_.put("phi ");
+        put_type(out_, inst.type());
+        for (std::size_t i = 0; i < inst.incoming_count(); ++i) {
+          out_.put(i == 0 ? " [ " : ", [ ");
+          ref(inst.incoming_value(i));
+          out_.put(", ");
+          block_ref(inst.incoming_block(i));
+          out_.put(" ]");
         }
         break;
-      }
-      case Opcode::kCall: {
-        os << "call @" << inst->callee()->name() << "(";
-        for (std::size_t i = 0; i < inst->operand_count(); ++i) {
-          if (i != 0) os << ", ";
-          os << ref(inst->operand(i));
+      case Opcode::kCall:
+        out_.put("call @");
+        out_.put(inst.callee()->name());
+        out_.put('(');
+        for (std::size_t i = 0; i < inst.operand_count(); ++i) {
+          if (i != 0) out_.put(", ");
+          ref(inst.operand(i));
         }
-        os << ")";
+        out_.put(')');
         break;
-      }
-      case Opcode::kBr: os << "br label " << blabel(inst->successor(0)); break;
+      case Opcode::kBr:
+        out_.put("br label ");
+        block_ref(inst.successor(0));
+        break;
       case Opcode::kCondBr:
-        os << "condbr " << ref(inst->operand(0)) << ", label " << blabel(inst->successor(0))
-           << ", label " << blabel(inst->successor(1));
+        out_.put("condbr ");
+        ref(inst.operand(0));
+        out_.put(", label ");
+        block_ref(inst.successor(0));
+        out_.put(", label ");
+        block_ref(inst.successor(1));
         break;
-      case Opcode::kSwitch: {
-        os << "switch " << ref(inst->operand(0)) << ", default " << blabel(inst->successor(0))
-           << " [";
-        for (std::size_t c = 0; c < inst->switch_case_count(); ++c) {
-          if (c != 0) os << ", ";
-          os << static_cast<const ConstantInt*>(inst->operand(1 + c))->value() << " -> "
-             << blabel(inst->successor(1 + c));
+      case Opcode::kSwitch:
+        out_.put("switch ");
+        ref(inst.operand(0));
+        out_.put(", default ");
+        block_ref(inst.successor(0));
+        out_.put(" [");
+        for (std::size_t c = 0; c < inst.switch_case_count(); ++c) {
+          if (c != 0) out_.put(", ");
+          put_int(out_, static_cast<const ConstantInt*>(inst.operand(1 + c))->value());
+          out_.put(" -> ");
+          block_ref(inst.successor(1 + c));
         }
-        os << "]";
+        out_.put(']');
         break;
-      }
       case Opcode::kRet:
-        os << "ret";
-        if (inst->operand_count() > 0) os << " " << ref(inst->operand(0));
-        break;
-      default: {
-        os << opcode_name(inst->opcode());
-        if (inst->is_cast()) os << " to " << inst->type()->to_string();
-        for (std::size_t i = 0; i < inst->operand_count(); ++i) {
-          os << (i == 0 ? " " : ", ") << ref(inst->operand(i));
+        out_.put("ret");
+        if (inst.operand_count() > 0) {
+          out_.put(' ');
+          ref(inst.operand(0));
         }
         break;
-      }
+      default:
+        out_.put(opcode_name(inst.opcode()));
+        if (inst.is_cast()) {
+          out_.put(" to ");
+          put_type(out_, inst.type());
+        }
+        for (std::size_t i = 0; i < inst.operand_count(); ++i) {
+          out_.put(i == 0 ? " " : ", ");
+          ref(inst.operand(i));
+        }
+        break;
     }
-    os << "\n";
+    out_.put('\n');
   }
 
-  const Function& f_;
-  std::unordered_map<const Value*, std::string> value_labels_;
-  std::unordered_map<const BasicBlock*, std::string> block_labels_;
+  Sink& out_;
+  SlotTable slots_;
+  // Scratch for sorting one block's predecessor labels, reused across blocks.
+  std::string pred_text_;
+  std::vector<std::size_t> pred_ends_;
+  std::vector<std::string_view> pred_labels_;
 };
 
 }  // namespace
 
-std::string print_function(const Function& function) {
-  // While a rollout clone's body is CoW-lazy its blocks still live in the
-  // source function; name, signature, attributes, and body are all
-  // bit-identical by construction, so printing the source *is* printing
-  // this function — without forcing a deep copy. This is what keeps
-  // fingerprinting an unmutated clone (the EvalService cache-hit path)
-  // allocation-free on the IR side.
-  return FunctionPrinter(*function.reading_body()).print();
-}
-
 std::string print_module(const Module& module) {
-  std::ostringstream os;
-  os << "; module '" << module.name() << "'\n";
-  for (std::size_t i = 0; i < module.global_count(); ++i) {
-    const GlobalVariable* g = module.global(i);
-    os << "@" << g->name() << " = global [" << g->element_count() << " x "
-       << g->element_type()->to_string() << "]";
-    if (g->is_constant_data()) os << " constant";
-    const auto& init = g->init();
-    if (!init.empty()) {
-      os << " {";
-      for (std::size_t j = 0; j < init.size(); ++j) {
-        if (j != 0) os << ",";
-        os << init[j];
-      }
-      os << "}";
-    }
-    os << "\n";
-  }
-  for (std::size_t i = 0; i < module.function_count(); ++i) {
-    os << "\n" << print_function(*module.function(i));
-  }
-  return os.str();
+  std::string text;
+  StringSink sink(text);
+  Printer<StringSink>(sink).print(module);
+  return text;
 }
 
 std::uint64_t module_fingerprint(const Module& module) {
-  return fnv1a(print_module(module));
+  FnvSink sink;
+  Printer<FnvSink>(sink).print(module);
+  return sink.hash();
 }
 
 std::uint64_t module_ir_size(const Module& module) {
   std::uint64_t size = 0;
   for (std::size_t i = 0; i < module.function_count(); ++i) {
-    // Same CoW read-through as print_function: sizing an unmutated rollout
+    // Same CoW read-through as the printer: sizing an unmutated rollout
     // clone walks the source body instead of materializing a copy.
-    const Function* f = module.function(i)->reading_body();
-    for (BasicBlock* bb : f->blocks()) size += 1 + bb->instructions().size();
+    size += body_size(*module.function(i)->reading_body());
   }
   return size;
 }
