@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <charconv>
+#include <concepts>
 #include <string_view>
 #include <vector>
 
@@ -43,23 +44,6 @@ void put_int(Sink& sink, Int value) {
   char digits[24];
   const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
   sink.put(std::string_view(digits, static_cast<std::size_t>(end - digits)));
-}
-
-/// Type::to_string, written in place.
-template <class Sink>
-void put_type(Sink& sink, const Type* type) {
-  switch (type->kind()) {
-    case TypeKind::kVoid: sink.put("void"); return;
-    case TypeKind::kInt:
-      sink.put('i');
-      put_int(sink, type->bits());
-      return;
-    case TypeKind::kPointer:
-      put_type(sink, type->pointee());
-      sink.put('*');
-      return;
-  }
-  sink.put('?');
 }
 
 /// Instructions and blocks in `f`'s body: its share of module_ir_size.
@@ -120,12 +104,18 @@ class Printer {
   explicit Printer(Sink& out) noexcept : out_(out) {}
 
   void print(const Module& module) {
-    out_.put("; module '");
-    out_.put(module.name());
-    out_.put("'\n");
-    for (std::size_t i = 0; i < module.global_count(); ++i) global(*module.global(i));
+    emit("; module '", module.name(), "'\n");
+    for (std::size_t i = 0; i < module.global_count(); ++i) {
+      const GlobalVariable* g = module.global(i);
+      emit('@', g->name(), " = global [", g->element_count(), " x ", g->element_type(), ']');
+      if (g->is_constant_data()) emit(" constant");
+      const auto& init = g->init();
+      for (std::size_t j = 0; j < init.size(); ++j) emit(j == 0 ? " {" : ",", init[j]);
+      if (!init.empty()) emit('}');
+      emit('\n');
+    }
     for (std::size_t i = 0; i < module.function_count(); ++i) {
-      out_.put('\n');
+      emit('\n');
       // While a rollout clone's body is CoW-lazy its blocks still live in
       // the source function; name, signature, attributes and body are all
       // bit-identical by construction, so printing the source *is* printing
@@ -137,25 +127,42 @@ class Printer {
   }
 
  private:
-  void global(const GlobalVariable& g) {
-    out_.put('@');
-    out_.put(g.name());
-    out_.put(" = global [");
-    put_int(out_, g.element_count());
-    out_.put(" x ");
-    put_type(out_, g.element_type());
-    out_.put(']');
-    if (g.is_constant_data()) out_.put(" constant");
-    const auto& init = g.init();
-    if (!init.empty()) {
-      out_.put(" {");
-      for (std::size_t j = 0; j < init.size(); ++j) {
-        if (j != 0) out_.put(',');
-        put_int(out_, init[j]);
-      }
-      out_.put('}');
+  /// Writes each part in turn: text and integers as text, a Type* as its
+  /// name, a Value* as a typed operand ("i32 %x.4", "i32 -5", "i16* @t"),
+  /// and a BasicBlock* as "%label".
+  template <class... Parts>
+  void emit(const Parts&... parts) {
+    (part(parts), ...);
+  }
+  void part(char c) { out_.put(c); }
+  void part(std::string_view s) { out_.put(s); }
+  template <std::integral Int>
+  void part(Int value) {
+    put_int(out_, value);
+  }
+  void part(const Type* type) {  // Type::to_string, written in place
+    switch (type->kind()) {
+      case TypeKind::kVoid: emit("void"); return;
+      case TypeKind::kInt: emit('i', type->bits()); return;
+      case TypeKind::kPointer: emit(type->pointee(), '*'); return;
     }
-    out_.put('\n');
+    emit('?');
+  }
+  void part(const BasicBlock* bb) {
+    out_.put('%');
+    label(out_, bb->name(), bb);
+  }
+  void part(const Value* v) {
+    switch (v->value_kind()) {
+      case ValueKind::kConstantInt:
+        emit(v->type(), ' ', static_cast<const ConstantInt*>(v)->value());
+        return;
+      case ValueKind::kUndef: emit(v->type(), " undef"); return;
+      case ValueKind::kGlobalVariable: emit(v->type(), " @", v->name()); return;
+      default: break;
+    }
+    emit(v->type(), " %");
+    label(out_, v->name(), v);
   }
 
   /// Slots: arguments first, then instructions in block order; blocks count
@@ -188,68 +195,34 @@ class Printer {
     put_int(to, slot);
   }
 
-  void local(const Value* v) {
-    out_.put('%');
-    label(out_, v->name(), v);
-  }
-
-  void block_ref(const BasicBlock* bb) {
-    out_.put('%');
-    label(out_, bb->name(), bb);
-  }
-
-  void ref(const Value* v) {
-    put_type(out_, v->type());
-    switch (v->value_kind()) {
-      case ValueKind::kConstantInt:
-        out_.put(' ');
-        put_int(out_, static_cast<const ConstantInt*>(v)->value());
-        return;
-      case ValueKind::kUndef: out_.put(" undef"); return;
-      case ValueKind::kGlobalVariable:
-        out_.put(" @");
-        out_.put(v->name());
-        return;
-      default: break;
-    }
-    out_.put(' ');
-    local(v);
-  }
-
   void function(const Function& f) {
     number(f);
-    out_.put("define ");
-    put_type(out_, f.return_type());
-    out_.put(" @");
-    out_.put(f.name());
-    out_.put('(');
+    emit("define ", f.return_type(), " @", f.name(), '(');
     for (std::size_t i = 0; i < f.arg_count(); ++i) {
-      if (i != 0) out_.put(", ");
-      put_type(out_, f.arg(i)->type());
-      out_.put(' ');
-      local(f.arg(i));
+      if (i != 0) emit(", ");
+      emit(f.arg(i));
     }
-    out_.put(')');
+    emit(')');
     const auto& attrs = f.attrs();
-    if (attrs.readnone) out_.put(" readnone");
-    if (attrs.readonly) out_.put(" readonly");
-    if (attrs.nounwind) out_.put(" nounwind");
-    out_.put(" {\n");
+    if (attrs.readnone) emit(" readnone");
+    if (attrs.readonly) emit(" readonly");
+    if (attrs.nounwind) emit(" nounwind");
+    emit(" {\n");
     for (std::size_t b = 0; b < f.block_count(); ++b) {
       const BasicBlock* bb = f.block(b);
       label(out_, bb->name(), bb);
-      out_.put(':');
+      emit(':');
       predecessors(*bb);
-      out_.put('\n');
+      emit('\n');
       for (std::size_t i = 0; i < bb->size(); ++i) instruction(*bb->inst(i));
     }
-    out_.put("}\n");
+    emit("}\n");
   }
 
   void predecessors(const BasicBlock& bb) {
     const auto& preds = bb.predecessors();
     if (preds.empty()) return;
-    out_.put("  ; preds:");
+    emit("  ; preds:");
     // Sorted by label text so the print (and hence the module fingerprint)
     // does not depend on predecessor-list bookkeeping order, which cloning
     // and edge rewiring legitimately permute.
@@ -267,100 +240,66 @@ class Printer {
       begin = end;
     }
     std::sort(pred_labels_.begin(), pred_labels_.end());
-    for (const std::string_view p : pred_labels_) {
-      out_.put(' ');
-      out_.put(p);
-    }
+    for (const std::string_view p : pred_labels_) emit(' ', p);
   }
 
   void instruction(const Instruction& inst) {
-    out_.put("  ");
+    emit("  ");
     if (!inst.type()->is_void()) {
-      local(&inst);
-      out_.put(" = ");
+      emit('%');
+      label(out_, inst.name(), &inst);
+      emit(" = ");
     }
     switch (inst.opcode()) {
       case Opcode::kICmp:
-        out_.put("icmp ");
-        out_.put(icmp_pred_name(inst.icmp_pred()));
-        out_.put(' ');
-        ref(inst.operand(0));
-        out_.put(", ");
-        ref(inst.operand(1));
+        emit("icmp ", icmp_pred_name(inst.icmp_pred()), ' ', inst.operand(0), ", ",
+             inst.operand(1));
         break;
       case Opcode::kAlloca:
-        out_.put("alloca ");
-        put_type(out_, inst.allocated_type());
-        out_.put(", count ");
-        put_int(out_, inst.alloca_count());
+        emit("alloca ", inst.allocated_type(), ", count ", inst.alloca_count());
         break;
       case Opcode::kPhi:
-        out_.put("phi ");
-        put_type(out_, inst.type());
+        emit("phi ", inst.type());
         for (std::size_t i = 0; i < inst.incoming_count(); ++i) {
-          out_.put(i == 0 ? " [ " : ", [ ");
-          ref(inst.incoming_value(i));
-          out_.put(", ");
-          block_ref(inst.incoming_block(i));
-          out_.put(" ]");
+          emit(i == 0 ? " [ " : ", [ ", inst.incoming_value(i), ", ", inst.incoming_block(i),
+               " ]");
         }
         break;
       case Opcode::kCall:
-        out_.put("call @");
-        out_.put(inst.callee()->name());
-        out_.put('(');
+        emit("call @", inst.callee()->name(), '(');
         for (std::size_t i = 0; i < inst.operand_count(); ++i) {
-          if (i != 0) out_.put(", ");
-          ref(inst.operand(i));
+          if (i != 0) emit(", ");
+          emit(inst.operand(i));
         }
-        out_.put(')');
+        emit(')');
         break;
-      case Opcode::kBr:
-        out_.put("br label ");
-        block_ref(inst.successor(0));
-        break;
+      case Opcode::kBr: emit("br label ", inst.successor(0)); break;
       case Opcode::kCondBr:
-        out_.put("condbr ");
-        ref(inst.operand(0));
-        out_.put(", label ");
-        block_ref(inst.successor(0));
-        out_.put(", label ");
-        block_ref(inst.successor(1));
+        emit("condbr ", inst.operand(0), ", label ", inst.successor(0), ", label ",
+             inst.successor(1));
         break;
       case Opcode::kSwitch:
-        out_.put("switch ");
-        ref(inst.operand(0));
-        out_.put(", default ");
-        block_ref(inst.successor(0));
-        out_.put(" [");
+        emit("switch ", inst.operand(0), ", default ", inst.successor(0), " [");
         for (std::size_t c = 0; c < inst.switch_case_count(); ++c) {
-          if (c != 0) out_.put(", ");
-          put_int(out_, static_cast<const ConstantInt*>(inst.operand(1 + c))->value());
-          out_.put(" -> ");
-          block_ref(inst.successor(1 + c));
+          if (c != 0) emit(", ");
+          emit(static_cast<const ConstantInt*>(inst.operand(1 + c))->value(), " -> ",
+               inst.successor(1 + c));
         }
-        out_.put(']');
+        emit(']');
         break;
       case Opcode::kRet:
-        out_.put("ret");
-        if (inst.operand_count() > 0) {
-          out_.put(' ');
-          ref(inst.operand(0));
-        }
+        emit("ret");
+        if (inst.operand_count() > 0) emit(' ', inst.operand(0));
         break;
       default:
-        out_.put(opcode_name(inst.opcode()));
-        if (inst.is_cast()) {
-          out_.put(" to ");
-          put_type(out_, inst.type());
-        }
+        emit(opcode_name(inst.opcode()));
+        if (inst.is_cast()) emit(" to ", inst.type());
         for (std::size_t i = 0; i < inst.operand_count(); ++i) {
-          out_.put(i == 0 ? " " : ", ");
-          ref(inst.operand(i));
+          emit(i == 0 ? " " : ", ", inst.operand(i));
         }
         break;
     }
-    out_.put('\n');
+    emit('\n');
   }
 
   Sink& out_;
