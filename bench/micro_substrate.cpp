@@ -90,13 +90,50 @@ void BM_CycleEstimateEndToEnd(benchmark::State& state) {
 }
 BENCHMARK(BM_CycleEstimateEndToEnd);
 
+/// Reports the printed text's bytes per second: the fingerprint and the
+/// printer walk the same bytes, and plain FNV-1a over them is the floor.
+void report_text_bytes(benchmark::State& state, const ir::Module& m) {
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(ir::print_module(m).size()));
+}
+
+/// A seeded corpus program of the size train_ppo and serve_mix key: the
+/// first generate_filtered_program draw with 1500..3000 instructions and
+/// blocks.
+std::unique_ptr<ir::Module> corpus_program() {
+  for (std::uint64_t seed = 1;; ++seed) {
+    auto m = progen::generate_filtered_program(seed);
+    const std::uint64_t size = ir::module_ir_size(*m);
+    if (size >= 1500 && size <= 3000) return m;
+  }
+}
+
 void BM_ModuleFingerprint(benchmark::State& state) {
   auto m = progen::build_chstone_like("gsm");
   for (auto _ : state) {
     benchmark::DoNotOptimize(ir::module_fingerprint(*m));
   }
+  report_text_bytes(state, *m);
 }
-BENCHMARK(BM_ModuleFingerprint);
+BENCHMARK(BM_ModuleFingerprint)->Unit(benchmark::kMicrosecond);
+
+void BM_ModuleFingerprintCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ir::module_fingerprint(*m));
+  }
+  report_text_bytes(state, *m);
+}
+BENCHMARK(BM_ModuleFingerprintCorpus)->Unit(benchmark::kMicrosecond);
+
+void BM_PrintModule(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ir::print_module(*m));
+  }
+  report_text_bytes(state, *m);
+}
+BENCHMARK(BM_PrintModule)->Unit(benchmark::kMicrosecond);
 
 void BM_PassMem2Reg(benchmark::State& state) {
   auto original = progen::build_chstone_like("gsm");
