@@ -39,7 +39,7 @@ class FnvSink {
   std::uint64_t hash_ = kFnvOffset;
 };
 
-template <class Sink, class Int>
+template <typename Sink, typename Int>
 void put_int(Sink& sink, Int value) {
   char digits[24];
   const char* end = std::to_chars(digits, digits + sizeof digits, value).ptr;
@@ -98,7 +98,7 @@ class SlotTable {
   int shift_ = 64;
 };
 
-template <class Sink>
+template <typename Sink>
 class Printer {
  public:
   explicit Printer(Sink& out) noexcept : out_(out) {}
@@ -130,7 +130,7 @@ class Printer {
   /// Writes each part in turn: text and integers as text, a Type* as its
   /// name, a Value* as a typed operand ("i32 %x.4", "i32 -5", "i16* @t"),
   /// and a BasicBlock* as "%label".
-  template <class... Parts>
+  template <typename... Parts>
   void emit(const Parts&... parts) {
     (part(parts), ...);
   }
@@ -181,7 +181,7 @@ class Printer {
     }
   }
 
-  template <class To>
+  template <typename To>
   void label(To& to, const std::string& name, const void* node) const {
     const std::uint32_t slot = slots_.find(node);
     if (slot == SlotTable::kMissing) {
@@ -198,10 +198,7 @@ class Printer {
   void function(const Function& f) {
     number(f);
     emit("define ", f.return_type(), " @", f.name(), '(');
-    for (std::size_t i = 0; i < f.arg_count(); ++i) {
-      if (i != 0) emit(", ");
-      emit(f.arg(i));
-    }
+    for (std::size_t i = 0; i < f.arg_count(); ++i) emit(i == 0 ? "" : ", ", f.arg(i));
     emit(')');
     const auto& attrs = f.attrs();
     if (attrs.readnone) emit(" readnone");
@@ -268,8 +265,7 @@ class Printer {
       case Opcode::kCall:
         emit("call @", inst.callee()->name(), '(');
         for (std::size_t i = 0; i < inst.operand_count(); ++i) {
-          if (i != 0) emit(", ");
-          emit(inst.operand(i));
+          emit(i == 0 ? "" : ", ", inst.operand(i));
         }
         emit(')');
         break;
@@ -281,9 +277,8 @@ class Printer {
       case Opcode::kSwitch:
         emit("switch ", inst.operand(0), ", default ", inst.successor(0), " [");
         for (std::size_t c = 0; c < inst.switch_case_count(); ++c) {
-          if (c != 0) emit(", ");
-          emit(static_cast<const ConstantInt*>(inst.operand(1 + c))->value(), " -> ",
-               inst.successor(1 + c));
+          emit(c == 0 ? "" : ", ", static_cast<const ConstantInt*>(inst.operand(1 + c))->value(),
+               " -> ", inst.successor(1 + c));
         }
         emit(']');
         break;
