@@ -369,11 +369,51 @@ TEST(CfgAnalyses, EachCfgEditRebuilds) {
   }
 }
 
+/// Everything a DominatorTree and a LoopInfo answer about `bb`, with
+/// dominance asked against each of `blocks`.
+struct HeldAnswers {
+  bool reachable = false;
+  const BasicBlock* idom = nullptr;
+  std::vector<bool> dominates;
+  std::vector<BasicBlock*> children;
+  const Loop* loop = nullptr;
+  int depth = 0;
+  std::vector<bool> in_loops;  // Loop::contains, over all_loops()
+
+  bool operator==(const HeldAnswers&) const = default;
+};
+
+HeldAnswers held_answers(const DominatorTree& dt, const LoopInfo& li, const BasicBlock* bb,
+                         const std::vector<BasicBlock*>& blocks) {
+  HeldAnswers a;
+  a.reachable = dt.is_reachable(bb);
+  if (a.reachable) {
+    a.idom = dt.idom(bb);
+    for (const BasicBlock* other : blocks) {
+      a.dominates.push_back(dt.is_reachable(other) && dt.dominates(bb, other));
+    }
+    const auto& children = dt.children(bb);
+    a.children.assign(children.begin(), children.end());
+  }
+  a.loop = li.loop_for(bb);
+  a.depth = li.depth_of(bb);
+  for (const Loop* l : li.all_loops()) a.in_loops.push_back(l->contains(bb));
+  return a;
+}
+
 TEST(CfgAnalyses, HeldAnalysesOutliveARebuild) {
   Module m("cache");
   Function* f = cached_loop_function(m);
+  BasicBlock* header = f->block(1);
+  BasicBlock* body = f->block(2);
+  BasicBlock* exit = f->block(3);
+  BasicBlock* dead = f->block(4);
   const auto dt = dominators(*f);
   const auto li = loop_info(*f);
+  // The blocks that outlive every edit below (`exit` is erased last).
+  const std::vector<BasicBlock*> survivors{f->entry(), header, body, dead};
+  std::vector<HeldAnswers> answers;
+  for (const BasicBlock* bb : survivors) answers.push_back(held_answers(*dt, *li, bb, survivors));
   const std::vector<BasicBlock*> rpo = dt->rpo();
   std::vector<BasicBlock*> idoms;
   for (const BasicBlock* bb : rpo) idoms.push_back(dt->idom(bb));
@@ -390,6 +430,29 @@ TEST(CfgAnalyses, HeldAnalysesOutliveARebuild) {
   ASSERT_EQ(li->top_level().size(), 1u);
   EXPECT_EQ(li->top_level()[0], loop);
   EXPECT_EQ(loop->blocks(), loop_blocks);
+
+  // A block created after the held analyses, inside the loop: body ->
+  // latch -> header.
+  BasicBlock* latch = f->create_block_after(body, "latch");
+  body->terminator()->set_successor(0, latch);
+  latch->push_back(Instruction::br(header));
+  header->front()->replace_incoming_block(body, latch);
+  // A reordering, and the erasure of a block the retarget left unreachable.
+  f->move_block(dead, 1);
+  f->erase_block(exit);
+  ASSERT_TRUE(verify_function(*f).is_ok());
+
+  for (std::size_t i = 0; i < survivors.size(); ++i) {
+    SCOPED_TRACE(survivors[i]->name());
+    EXPECT_EQ(held_answers(*dt, *li, survivors[i], survivors), answers[i]);
+  }
+  EXPECT_FALSE(dt->is_reachable(latch));
+  EXPECT_EQ(li->loop_for(latch), nullptr);
+  EXPECT_EQ(li->depth_of(latch), 0);
+  for (const Loop* l : li->all_loops()) EXPECT_FALSE(l->contains(latch));
+  // The live analyses see the new block.
+  EXPECT_TRUE(dominators(*f)->is_reachable(latch));
+  EXPECT_EQ(loop_info(*f)->depth_of(latch), 1);
 }
 
 TEST(CfgAnalyses, ClonesStartEmpty) {
