@@ -5,8 +5,10 @@
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <stdexcept>
 #include <vector>
 
+#include "ir/id_table.hpp"
 #include "support/hash.hpp"
 #include "support/str.hpp"
 
@@ -197,19 +199,25 @@ struct Interpreter::Impl {
   void decode_function(const Function& f, DecodedFunction& out) {
     out.src = &f;
     out.arg_count = static_cast<int>(f.arg_count());
-    std::unordered_map<const Value*, int> slot;
-    int next_slot = 0;
-    for (std::size_t a = 0; a < f.arg_count(); ++a) slot[f.arg(a)] = next_slot++;
-
-    std::unordered_map<const BasicBlock*, int> block_index;
+    // Slots: arguments first, then the non-void instructions in block order.
+    // A foreign or void operand has no slot, and at() throws for it.
+    ir::IdTable<Instruction, int> inst_slot(f, -1);
+    ir::IdTable<BasicBlock, int> block_index(f, -1);
+    int next_slot = static_cast<int>(f.arg_count());
     const auto blocks = const_cast<Function&>(f).blocks();
-    for (std::size_t b = 0; b < blocks.size(); ++b) block_index[blocks[b]] = static_cast<int>(b);
-    for (BasicBlock* bb : blocks) {
-      for (Instruction* inst : bb->instructions()) {
-        if (!inst->type()->is_void()) slot[inst] = next_slot++;
+    for (std::size_t b = 0; b < blocks.size(); ++b) {
+      block_index[blocks[b]] = static_cast<int>(b);
+      for (Instruction* inst : blocks[b]->instructions()) {
+        if (!inst->type()->is_void()) inst_slot[inst] = next_slot++;
       }
     }
     out.slot_count = next_slot;
+    const auto slot = [&](const Value* v) -> int {
+      if (const Instruction* inst = ir::as_instruction(v)) return inst_slot.at(inst);
+      const auto* arg = static_cast<const ir::Argument*>(v);
+      if (arg->parent() != &f) throw std::out_of_range("interpreter: foreign argument");
+      return static_cast<int>(arg->index());
+    };
 
     auto make_ref = [&](Value* v) -> OperandRef {
       OperandRef r;
@@ -224,7 +232,7 @@ struct Interpreter::Impl {
         r.imm = static_cast<std::int64_t>(global_base.at(g));
       } else {
         r.kind = OperandKind::kSlot;
-        r.slot = slot.at(v);
+        r.slot = slot(v);
       }
       return r;
     };
@@ -237,7 +245,7 @@ struct Interpreter::Impl {
       for (Instruction* inst : bb->instructions()) {
         if (inst->is_phi()) {
           DecodedPhi phi;
-          phi.dest_slot = slot.at(inst);
+          phi.dest_slot = slot(inst);
           for (std::size_t i = 0; i < inst->incoming_count(); ++i) {
             phi.incoming.emplace_back(block_index.at(inst->incoming_block(i)),
                                       make_ref(inst->incoming_value(i)));
@@ -249,7 +257,7 @@ struct Interpreter::Impl {
         d.op = inst->opcode();
         d.src = inst;
         if (!inst->type()->is_void()) {
-          d.dest_slot = slot.at(inst);
+          d.dest_slot = slot(inst);
           if (inst->type()->is_int()) d.bits = inst->type()->bits();
         }
         for (Value* op : inst->operands()) d.ops.push_back(make_ref(op));

@@ -63,12 +63,7 @@ int BasicBlock::index_of(const Instruction* inst) const noexcept {
 }
 
 Instruction* BasicBlock::push_back(std::unique_ptr<Instruction> inst) {
-  assert(inst != nullptr && inst->parent_ == nullptr);
-  Instruction* raw = inst.get();
-  raw->parent_ = this;
-  insts_.push_back(std::move(inst));
-  raw->notify_linked();
-  return raw;
+  return link(insts_.size(), std::move(inst));
 }
 
 Instruction* BasicBlock::insert_before(Instruction* before, std::unique_ptr<Instruction> inst) {
@@ -78,10 +73,15 @@ Instruction* BasicBlock::insert_before(Instruction* before, std::unique_ptr<Inst
 }
 
 Instruction* BasicBlock::insert_at(std::size_t index, std::unique_ptr<Instruction> inst) {
+  return link(index, std::move(inst));
+}
+
+Instruction* BasicBlock::link(std::size_t index, std::unique_ptr<Instruction> inst) {
   assert(inst != nullptr && inst->parent_ == nullptr);
   assert(index <= insts_.size());
   Instruction* raw = inst.get();
   raw->parent_ = this;
+  raw->id_ = parent_->next_inst_id_++;
   insts_.insert(insts_.begin() + static_cast<std::ptrdiff_t>(index), std::move(inst));
   raw->notify_linked();
   return raw;

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -17,7 +18,9 @@ class Function;
 
 class BasicBlock {
  public:
-  BasicBlock(Function* parent, std::string name) : parent_(parent), name_(std::move(name)) {}
+  /// Made only by Function, which issues `id` (see Function::block_id_bound).
+  BasicBlock(Function* parent, std::uint32_t id, std::string name)
+      : parent_(parent), id_(id), name_(std::move(name)) {}
   ~BasicBlock();
 
   BasicBlock(const BasicBlock&) = delete;
@@ -28,6 +31,9 @@ class BasicBlock {
   static void operator delete(void* ptr) noexcept { support::arena_aware_deallocate(ptr); }
 
   [[nodiscard]] Function* parent() const noexcept { return parent_; }
+  /// Dense per-function id, fixed at creation and never reused (see
+  /// ir/id_table.hpp).
+  [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
 
@@ -95,7 +101,12 @@ class BasicBlock {
   void add_pred(BasicBlock* bb) { preds_.push_back(bb); }
   void remove_pred(BasicBlock* bb);
 
+  /// Links `inst` into this block at `index`: takes it as a child and
+  /// gives it a fresh id from the parent function.
+  Instruction* link(std::size_t index, std::unique_ptr<Instruction> inst);
+
   Function* parent_;
+  std::uint32_t id_;
   std::string name_;
   std::vector<std::unique_ptr<Instruction>> insts_;
   std::vector<BasicBlock*> preds_;

@@ -3,41 +3,37 @@
 #include <algorithm>
 #include <cassert>
 
+#include "ir/id_table.hpp"
 #include "ir/module.hpp"
 
 namespace autophase::ir {
 
-namespace {
-
-void post_order_visit(BasicBlock* bb, std::unordered_set<BasicBlock*>& visited,
-                      std::vector<BasicBlock*>& out) {
+std::vector<BasicBlock*> post_order(Function& f) {
+  std::vector<BasicBlock*> out;
+  if (f.entry() == nullptr) return out;
   // Iterative DFS; successor order preserved for determinism.
   struct Frame {
     BasicBlock* bb;
     std::vector<BasicBlock*> succs;
     std::size_t next = 0;
   };
+  IdTable<BasicBlock, bool> visited(f, false);
   std::vector<Frame> stack;
-  visited.insert(bb);
-  stack.push_back({bb, bb->successors()});
+  visited[f.entry()] = true;
+  stack.push_back({f.entry(), f.entry()->successors()});
   while (!stack.empty()) {
     Frame& top = stack.back();
     if (top.next < top.succs.size()) {
       BasicBlock* s = top.succs[top.next++];
-      if (visited.insert(s).second) stack.push_back({s, s->successors()});
+      if (!visited[s]) {
+        visited[s] = true;
+        stack.push_back({s, s->successors()});
+      }
     } else {
       out.push_back(top.bb);
       stack.pop_back();
     }
   }
-}
-
-}  // namespace
-
-std::vector<BasicBlock*> post_order(Function& f) {
-  std::vector<BasicBlock*> out;
-  std::unordered_set<BasicBlock*> visited;
-  if (f.entry() != nullptr) post_order_visit(f.entry(), visited, out);
   return out;
 }
 
@@ -47,28 +43,21 @@ std::vector<BasicBlock*> reverse_post_order(Function& f) {
   return out;
 }
 
-std::unordered_set<BasicBlock*> reachable_blocks(Function& f) {
-  std::unordered_set<BasicBlock*> visited;
-  std::vector<BasicBlock*> out;
-  if (f.entry() != nullptr) post_order_visit(f.entry(), visited, out);
-  return visited;
-}
-
 std::size_t remove_unreachable_blocks(Function& f) {
-  const auto reachable = reachable_blocks(f);
-  std::vector<BasicBlock*> dead;
+  IdTable<BasicBlock, bool> dead(f, true);
+  for (BasicBlock* bb : post_order(f)) dead[bb] = false;
+  std::vector<BasicBlock*> dead_blocks;
   for (BasicBlock* bb : f.blocks()) {
-    if (!reachable.contains(bb)) dead.push_back(bb);
+    if (dead[bb]) dead_blocks.push_back(bb);
   }
-  if (dead.empty()) return 0;
+  if (dead_blocks.empty()) return 0;
 
-  const std::unordered_set<BasicBlock*> dead_set(dead.begin(), dead.end());
   // Fix survivors: drop phi incomings from dead blocks.
   for (BasicBlock* bb : f.blocks()) {
-    if (dead_set.contains(bb)) continue;
+    if (dead[bb]) continue;
     for (Instruction* phi : bb->phis()) {
       for (int i = static_cast<int>(phi->incoming_count()) - 1; i >= 0; --i) {
-        if (dead_set.contains(phi->incoming_block(static_cast<std::size_t>(i)))) {
+        if (dead[phi->incoming_block(static_cast<std::size_t>(i))]) {
           phi->remove_incoming(static_cast<std::size_t>(i));
         }
       }
@@ -76,7 +65,7 @@ std::size_t remove_unreachable_blocks(Function& f) {
   }
   // Replace any live use of a value defined in a dead block with undef.
   Module* m = f.parent();
-  for (BasicBlock* bb : dead) {
+  for (BasicBlock* bb : dead_blocks) {
     for (Instruction* inst : bb->instructions()) {
       if (inst->type()->is_void() || !inst->has_users()) continue;
       // Only external (live-block) users matter; internal ones die together.
@@ -86,9 +75,9 @@ std::size_t remove_unreachable_blocks(Function& f) {
   // Dead blocks may branch to each other: unregister every cross-reference
   // while all of them are still alive, then destroy (drop is idempotent, so
   // erase_block's own drop becomes a no-op).
-  for (BasicBlock* bb : dead) bb->drop_all_references();
-  for (BasicBlock* bb : dead) f.erase_block(bb);
-  return dead.size();
+  for (BasicBlock* bb : dead_blocks) bb->drop_all_references();
+  for (BasicBlock* bb : dead_blocks) f.erase_block(bb);
+  return dead_blocks.size();
 }
 
 bool is_critical_edge(BasicBlock* from, BasicBlock* to) {

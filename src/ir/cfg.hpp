@@ -2,7 +2,6 @@
 // reachability, unreachable-block removal, edge splitting, block merging.
 #pragma once
 
-#include <unordered_set>
 #include <vector>
 
 #include "ir/function.hpp"
@@ -17,9 +16,6 @@ std::vector<BasicBlock*> reverse_post_order(Function& f);
 
 /// Blocks reachable from entry, post-order.
 std::vector<BasicBlock*> post_order(Function& f);
-
-/// Set of blocks reachable from entry.
-std::unordered_set<BasicBlock*> reachable_blocks(Function& f);
 
 /// Removes blocks unreachable from entry: survivors' phis lose incoming
 /// entries from removed blocks; any (ill-formed but possible mid-transform)

@@ -8,6 +8,7 @@ namespace autophase::ir {
 
 DominatorTree::DominatorTree(Function& f) {
   rpo_ = reverse_post_order(f);
+  index_.reset(f, -1);
   for (std::size_t i = 0; i < rpo_.size(); ++i) index_[rpo_[i]] = static_cast<int>(i);
 
   idom_.assign(rpo_.size(), -1);
@@ -20,9 +21,8 @@ DominatorTree::DominatorTree(Function& f) {
     for (std::size_t i = 1; i < rpo_.size(); ++i) {
       int new_idom = -1;
       for (BasicBlock* pred : rpo_[i]->unique_predecessors()) {
-        const auto it = index_.find(pred);
-        if (it == index_.end()) continue;  // unreachable pred
-        const int p = it->second;
+        const int p = index_.find(pred);
+        if (p < 0) continue;  // unreachable pred
         if (idom_[static_cast<std::size_t>(p)] < 0 && p != 0) continue;  // not yet processed
         new_idom = new_idom < 0 ? p : intersect(p, new_idom);
       }
@@ -48,9 +48,9 @@ int DominatorTree::intersect(int a, int b) const {
 }
 
 int DominatorTree::index_of(const BasicBlock* bb) const {
-  const auto it = index_.find(bb);
-  assert(it != index_.end() && "query on unreachable block");
-  return it->second;
+  const int i = index_.find(bb);
+  assert(i >= 0 && "query on unreachable block");
+  return i;
 }
 
 BasicBlock* DominatorTree::idom(const BasicBlock* bb) const {
@@ -94,10 +94,8 @@ const std::vector<BasicBlock*>& DominatorTree::children(const BasicBlock* bb) co
   return children_[static_cast<std::size_t>(index_of(bb))];
 }
 
-std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> DominatorTree::dominance_frontiers()
-    const {
-  std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> df;
-  for (BasicBlock* bb : rpo_) df[bb] = {};
+std::vector<std::vector<BasicBlock*>> DominatorTree::dominance_frontiers() const {
+  std::vector<std::vector<BasicBlock*>> df(index_.size());
   for (BasicBlock* bb : rpo_) {
     const auto preds = bb->unique_predecessors();
     if (preds.size() < 2) continue;
@@ -106,7 +104,7 @@ std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> DominatorTree::dominan
       if (!is_reachable(p)) continue;
       BasicBlock* runner = p;
       while (runner != nullptr && runner != dom) {
-        auto& frontier = df[runner];
+        auto& frontier = df[runner->id()];
         if (frontier.empty() || frontier.back() != bb) frontier.push_back(bb);
         runner = idom(runner);
       }

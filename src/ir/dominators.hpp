@@ -3,10 +3,10 @@
 // (for the verifier, GVN, LICM, sink...).
 #pragma once
 
-#include <unordered_map>
 #include <vector>
 
 #include "ir/function.hpp"
+#include "ir/id_table.hpp"
 
 namespace autophase::ir {
 
@@ -14,12 +14,14 @@ class DominatorTree {
  public:
   /// Builds the tree over blocks reachable from entry. Unreachable blocks
   /// are not in the tree (is_reachable returns false, queries on them are
-  /// invalid).
+  /// invalid), and neither are blocks of other functions or blocks created
+  /// after the build.
   explicit DominatorTree(Function& f);
 
-  [[nodiscard]] bool is_reachable(const BasicBlock* bb) const noexcept {
-    return index_.contains(bb);
-  }
+  [[nodiscard]] bool is_reachable(const BasicBlock* bb) const { return rpo_index(bb) >= 0; }
+
+  /// Position of `bb` in rpo(), or -1 when it is not in the tree.
+  [[nodiscard]] int rpo_index(const BasicBlock* bb) const { return index_.find(bb); }
 
   /// Immediate dominator; nullptr for the entry block.
   [[nodiscard]] BasicBlock* idom(const BasicBlock* bb) const;
@@ -39,9 +41,10 @@ class DominatorTree {
   /// Children in the dominator tree.
   [[nodiscard]] const std::vector<BasicBlock*>& children(const BasicBlock* bb) const;
 
-  /// Dominance frontier of every reachable block.
-  [[nodiscard]] std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> dominance_frontiers()
-      const;
+  /// Dominance frontier of every block, indexed by BasicBlock::id() over
+  /// the ids the function had issued at the build (empty for a block not in
+  /// the tree).
+  [[nodiscard]] std::vector<std::vector<BasicBlock*>> dominance_frontiers() const;
 
   /// Reachable blocks in reverse post-order (entry first).
   [[nodiscard]] const std::vector<BasicBlock*>& rpo() const noexcept { return rpo_; }
@@ -51,8 +54,8 @@ class DominatorTree {
   int intersect(int a, int b) const;
 
   std::vector<BasicBlock*> rpo_;
-  std::unordered_map<const BasicBlock*, int> index_;  // block -> rpo index
-  std::vector<int> idom_;                             // rpo index -> rpo index of idom
+  IdTable<BasicBlock, int> index_;  // block -> rpo index, -1 when not in the tree
+  std::vector<int> idom_;           // rpo index -> rpo index of idom
   std::vector<std::vector<BasicBlock*>> children_;
 };
 

@@ -53,7 +53,7 @@ BasicBlock* Function::create_block(std::string name) {
   // whose body is *extended* rather than read first cannot occur — every
   // read/mutation path reaches the body through the materialising
   // accessors above.
-  blocks_.push_back(std::make_unique<BasicBlock>(this, std::move(name)));
+  blocks_.push_back(std::make_unique<BasicBlock>(this, next_block_id_++, std::move(name)));
   return blocks_.back().get();
 }
 
@@ -61,7 +61,7 @@ BasicBlock* Function::create_block_after(BasicBlock* after, std::string name) {
   materialize();
   const int idx = index_of(after);
   assert(idx >= 0);
-  auto bb = std::make_unique<BasicBlock>(this, std::move(name));
+  auto bb = std::make_unique<BasicBlock>(this, next_block_id_++, std::move(name));
   BasicBlock* raw = bb.get();
   blocks_.insert(blocks_.begin() + idx + 1, std::move(bb));
   return raw;

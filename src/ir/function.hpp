@@ -108,7 +108,20 @@ class Function {
   /// Total instruction count across blocks (inliner cost metric).
   [[nodiscard]] std::size_t instruction_count() const noexcept;
 
+  // ---- Ids (see ir/id_table.hpp) ----
+  /// One past the largest id issued to a block / an instruction of this
+  /// function: the size of a table indexed by id.
+  [[nodiscard]] std::uint32_t block_id_bound() const {
+    materialize();
+    return next_block_id_;
+  }
+  [[nodiscard]] std::uint32_t inst_id_bound() const {
+    materialize();
+    return next_inst_id_;
+  }
+
  private:
+  friend class BasicBlock;  // issues instruction ids as it links them
   friend std::unique_ptr<Module> clone_module_for_rollout(const Module& src);
   friend std::shared_ptr<const DominatorTree> dominators(Function& f);
   friend std::shared_ptr<const LoopInfo> loop_info(Function& f);
@@ -117,7 +130,7 @@ class Function {
   /// analyses and the CFG snapshot they were built from. Empty in a new
   /// function, so clones start without analyses.
   struct CfgAnalyses {
-    std::vector<std::uintptr_t> cfg;
+    std::vector<std::uint32_t> cfg;
     std::shared_ptr<const DominatorTree> tree;
     std::shared_ptr<const LoopInfo> loops;
   };
@@ -136,6 +149,8 @@ class Function {
   std::vector<std::unique_ptr<BasicBlock>> blocks_;
   FunctionAttrs attrs_;
   const Function* cow_source_ = nullptr;
+  std::uint32_t next_block_id_ = 0;
+  std::uint32_t next_inst_id_ = 0;
   CfgAnalyses cfg_analyses_;
 };
 

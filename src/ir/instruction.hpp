@@ -216,6 +216,10 @@ class Instruction final : public Value {
 
   // ---- Placement ----
   [[nodiscard]] BasicBlock* parent() const noexcept { return parent_; }
+  /// Dense per-function id, issued afresh each time the instruction is
+  /// linked into a block and never reused (see ir/id_table.hpp). Meaningless
+  /// while unlinked.
+  [[nodiscard]] std::uint32_t id() const noexcept { return id_; }
   /// Unlink and destroy. The instruction must have no remaining users.
   void erase_from_parent();
 
@@ -233,6 +237,7 @@ class Instruction final : public Value {
   void notify_unlinked();
 
   Opcode opcode_;
+  std::uint32_t id_ = 0;
   std::vector<Value*> operands_;
   std::vector<BasicBlock*> successors_;       // terminators only
   std::vector<BasicBlock*> incoming_blocks_;  // phi only

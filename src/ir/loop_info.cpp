@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <map>
-#include <unordered_set>
 
 namespace autophase::ir {
 
@@ -90,47 +88,51 @@ bool Loop::has_dedicated_exits() const {
 }
 
 LoopInfo::LoopInfo(Function& f, const DominatorTree& dt) {
-  (void)f;  // the dominator tree carries the reachable-block order
-  // 1. Find back edges tail->header (header dominates tail), grouped by header.
-  //    Use a map ordered by RPO position for determinism.
-  std::map<int, BasicBlock*> header_order;  // rpo index -> header
-  std::unordered_map<BasicBlock*, std::vector<BasicBlock*>> backedges;
+  // 1. Find back edges tail->header (header dominates tail), grouped by the
+  //    header's RPO index, so headers come out in RPO order.
   const auto& rpo = dt.rpo();
-  std::unordered_map<const BasicBlock*, int> rpo_index;
-  for (std::size_t i = 0; i < rpo.size(); ++i) rpo_index[rpo[i]] = static_cast<int>(i);
-
+  std::vector<std::vector<BasicBlock*>> backedges(rpo.size());
   for (BasicBlock* bb : rpo) {
     for (BasicBlock* succ : bb->successors()) {
       if (dt.is_reachable(succ) && dt.dominates(succ, bb)) {
-        backedges[succ].push_back(bb);
-        header_order.emplace(rpo_index.at(succ), succ);
+        backedges[static_cast<std::size_t>(dt.rpo_index(succ))].push_back(bb);
       }
     }
   }
 
   // 2. For each header, collect the natural loop: header + all blocks that
   //    reach a latch without passing through the header. The header is
-  //    seeded into the membership set first so the reverse walk never
-  //    expands through it (self-loop latches included).
-  for (const auto& [order, header] : header_order) {
-    (void)order;
+  //    marked first so the reverse walk never expands through it (self-loop
+  //    latches included). A block is in the current loop when its mark is
+  //    the header's RPO index.
+  std::vector<int> mark(rpo.size(), -1);
+  const auto enter = [&](const BasicBlock* bb, int stamp) {
+    const int i = dt.rpo_index(bb);
+    if (i < 0 || mark[static_cast<std::size_t>(i)] == stamp) return false;
+    mark[static_cast<std::size_t>(i)] = stamp;
+    return true;
+  };
+  for (std::size_t h = 0; h < rpo.size(); ++h) {
+    if (backedges[h].empty()) continue;
+    BasicBlock* header = rpo[h];
+    const int stamp = static_cast<int>(h);
     std::vector<BasicBlock*> blocks{header};
-    std::unordered_set<BasicBlock*> in_loop{header};
+    enter(header, stamp);
     std::vector<BasicBlock*> worklist;
-    for (BasicBlock* latch : backedges.at(header)) {
-      if (dt.is_reachable(latch) && in_loop.insert(latch).second) worklist.push_back(latch);
+    for (BasicBlock* latch : backedges[h]) {
+      if (enter(latch, stamp)) worklist.push_back(latch);
     }
     while (!worklist.empty()) {
       BasicBlock* bb = worklist.back();
       worklist.pop_back();
       blocks.push_back(bb);
       for (BasicBlock* p : bb->unique_predecessors()) {
-        if (dt.is_reachable(p) && in_loop.insert(p).second) worklist.push_back(p);
+        if (enter(p, stamp)) worklist.push_back(p);
       }
     }
     // Keep header first, rest in deterministic (RPO) order.
     std::sort(blocks.begin() + 1, blocks.end(), [&](BasicBlock* a, BasicBlock* b) {
-      return rpo_index.at(a) < rpo_index.at(b);
+      return dt.rpo_index(a) < dt.rpo_index(b);
     });
     loops_.push_back(std::make_unique<Loop>(header, std::move(blocks)));
   }
@@ -154,10 +156,11 @@ LoopInfo::LoopInfo(Function& f, const DominatorTree& dt) {
     if (inner->parent_ == nullptr) top_level_.push_back(inner);
   }
 
-  // 4. Innermost-loop map: smallest loop containing each block.
+  // 4. Innermost-loop table: smallest loop containing each block.
+  innermost_.reset(f, nullptr);
   for (Loop* l : by_size) {
     for (BasicBlock* bb : l->blocks()) {
-      if (!innermost_.contains(bb)) innermost_[bb] = l;
+      if (innermost_[bb] == nullptr) innermost_[bb] = l;
     }
   }
 }
@@ -180,11 +183,6 @@ std::vector<Loop*> LoopInfo::loops_innermost_first() const {
   return out;
 }
 
-Loop* LoopInfo::loop_for(const BasicBlock* bb) const {
-  const auto it = innermost_.find(bb);
-  return it == innermost_.end() ? nullptr : it->second;
-}
-
 int LoopInfo::depth_of(const BasicBlock* bb) const {
   const Loop* l = loop_for(bb);
   return l == nullptr ? 0 : l->depth();
@@ -195,28 +193,28 @@ namespace {
 thread_local CfgAnalysisBuilds t_builds;
 
 /// Feeds `emit` the CFG snapshot of `f`, one word at a time: per block in
-/// block order, the block, its successor count and successors (as
+/// block order, the block's id, its successor count and successors (as
 /// BasicBlock::successors() reports them), then its predecessor count and
 /// predecessors. The counts make the sequence decode one way only.
 template <typename Emit>
 void walk_cfg(const Function& f, Emit&& emit) {
-  const auto word = [](const BasicBlock* bb) { return reinterpret_cast<std::uintptr_t>(bb); };
+  const auto count = [](std::size_t n) { return static_cast<std::uint32_t>(n); };
   for (std::size_t i = 0, n = f.block_count(); i < n; ++i) {
     const BasicBlock* bb = f.block(i);
-    emit(word(bb));
+    emit(bb->id());
     const Instruction* term = bb->terminator();
     const std::size_t succs = term == nullptr ? 0 : term->successor_count();
-    emit(succs);
-    for (std::size_t s = 0; s < succs; ++s) emit(word(term->successor(s)));
-    emit(bb->predecessors().size());
-    for (const BasicBlock* p : bb->predecessors()) emit(word(p));
+    emit(count(succs));
+    for (std::size_t s = 0; s < succs; ++s) emit(term->successor(s)->id());
+    emit(count(bb->predecessors().size()));
+    for (const BasicBlock* p : bb->predecessors()) emit(p->id());
   }
 }
 
-bool matches_snapshot(const Function& f, const std::vector<std::uintptr_t>& snapshot) {
+bool matches_snapshot(const Function& f, const std::vector<std::uint32_t>& snapshot) {
   std::size_t pos = 0;
   bool same = true;
-  walk_cfg(f, [&](std::uintptr_t w) {
+  walk_cfg(f, [&](std::uint32_t w) {
     same = same && pos < snapshot.size() && snapshot[pos] == w;
     ++pos;
   });
@@ -262,7 +260,7 @@ std::shared_ptr<const DominatorTree> dominators(Function& f) {
     return cache.tree;
   }
   cache.cfg.clear();
-  walk_cfg(f, [&](std::uintptr_t w) { cache.cfg.push_back(w); });
+  walk_cfg(f, [&](std::uint32_t w) { cache.cfg.push_back(w); });
   cache.tree = std::make_shared<const DominatorTree>(f);
   cache.loops.reset();
   ++t_builds.dominator_trees;

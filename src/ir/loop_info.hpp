@@ -7,12 +7,12 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "ir/dominators.hpp"
 #include "ir/function.hpp"
+#include "ir/id_table.hpp"
 
 namespace autophase::ir {
 
@@ -66,15 +66,16 @@ class LoopInfo {
   [[nodiscard]] std::vector<Loop*> all_loops() const;
   /// Every loop, innermost first (safe order for transforms).
   [[nodiscard]] std::vector<Loop*> loops_innermost_first() const;
-  /// Innermost loop containing bb, or nullptr.
-  [[nodiscard]] Loop* loop_for(const BasicBlock* bb) const;
+  /// Innermost loop containing bb, or nullptr (also for blocks of other
+  /// functions and blocks created after the build).
+  [[nodiscard]] Loop* loop_for(const BasicBlock* bb) const { return innermost_.find(bb); }
   /// Loop nesting depth of a block (0 = not in any loop).
   [[nodiscard]] int depth_of(const BasicBlock* bb) const;
 
  private:
   std::vector<std::unique_ptr<Loop>> loops_;
   std::vector<Loop*> top_level_;
-  std::unordered_map<const BasicBlock*, Loop*> innermost_;
+  IdTable<BasicBlock, Loop*> innermost_;
 };
 
 // ---------------------------------------------------------------------------
@@ -84,8 +85,9 @@ class LoopInfo {
 //
 // * The cache is checked against an exact snapshot of the CFG the analyses
 //   were built from: the block order, each terminator's successor list and
-//   each block's predecessor list. Both analyses are pure functions of that
-//   pointer graph, and value_dominates() reads instruction order live, so a
+//   each block's predecessor list, all as block ids. Ids are never reused, so
+//   an equal snapshot means the same blocks. Both analyses are pure functions
+//   of that graph, and value_dominates() reads instruction order live, so a
 //   hit always equals a fresh build. Nothing trusts a pass's `changed` bit
 //   and no pass invalidates anything: an instruction-only rewrite (instcombine,
 //   GVN, DCE) keeps the analyses, and any CFG edit rebuilds them at the next
@@ -98,7 +100,9 @@ class LoopInfo {
 //   an empty cache.
 // * A returned analysis stays valid, and unchanged, for as long as the caller
 //   holds it, even after a rebuild replaces it in the cache. Like a locally
-//   built one, it describes the CFG of the call, not later edits.
+//   built one, it describes the CFG of the call, not later edits: a block
+//   created after it is unknown to it (not reachable, in no loop), and every
+//   older block that still exists keeps its answers.
 // * The verifier and the tests build fresh analyses with the constructors, so
 //   what checks the passes never shares their cache.
 // ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 #include "ir/printer.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <charconv>
 #include <concepts>
 #include <string_view>
 #include <vector>
 
+#include "ir/id_table.hpp"
 #include "support/hash.hpp"
 
 namespace autophase::ir {
@@ -52,51 +52,6 @@ std::size_t body_size(const Function& f) {
   for (std::size_t b = 0; b < f.block_count(); ++b) size += 1 + f.block(b)->size();
   return size;
 }
-
-/// Per-function slot numbers of arguments, instructions and blocks. The
-/// printed label of a node is its user name suffixed with its slot (names
-/// are kept but need not be unique after name-mangling passes), or the bare
-/// slot when unnamed; the name is read off the node itself, so the table
-/// holds only the slot. Open addressing on the node's address, sized once
-/// per function from its node count, so it never rehashes.
-class SlotTable {
- public:
-  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
-
-  void reset(std::size_t nodes) {
-    const std::size_t capacity = std::bit_ceil(std::max<std::size_t>(16, 2 * nodes));
-    shift_ = 64 - std::countr_zero(capacity);
-    entries_.assign(capacity, Entry{});
-  }
-
-  void assign(const void* node, std::uint32_t slot) {
-    std::size_t i = home(node);
-    while (entries_[i].node != nullptr && entries_[i].node != node) i = (i + 1) & mask();
-    entries_[i] = {node, slot};
-  }
-
-  [[nodiscard]] std::uint32_t find(const void* node) const {
-    for (std::size_t i = home(node);; i = (i + 1) & mask()) {
-      if (entries_[i].node == node) return entries_[i].slot;
-      if (entries_[i].node == nullptr) return kMissing;
-    }
-  }
-
- private:
-  struct Entry {
-    const void* node = nullptr;
-    std::uint32_t slot = 0;
-  };
-
-  [[nodiscard]] std::size_t mask() const noexcept { return entries_.size() - 1; }
-  [[nodiscard]] std::size_t home(const void* node) const noexcept {
-    return static_cast<std::size_t>(
-        (reinterpret_cast<std::uintptr_t>(node) * 0x9e3779b97f4a7c15ULL) >> shift_);
-  }
-
-  std::vector<Entry> entries_;
-  int shift_ = 64;
-};
 
 template <typename Sink>
 class Printer {
@@ -150,7 +105,7 @@ class Printer {
   }
   void part(const BasicBlock* bb) {
     out_.put('%');
-    label(out_, bb->name(), bb);
+    label(out_, bb->name(), slot(bb));
   }
   void part(const Value* v) {
     switch (v->value_kind()) {
@@ -162,29 +117,41 @@ class Printer {
       default: break;
     }
     emit(v->type(), " %");
-    label(out_, v->name(), v);
+    label(out_, v->name(), slot(v));
   }
 
-  /// Slots: arguments first, then instructions in block order; blocks count
-  /// separately.
+  /// Per-function slot numbers. The printed label of a node is its user
+  /// name suffixed with its slot (names are kept but need not be unique
+  /// after name-mangling passes), or the bare slot when unnamed. Arguments
+  /// take the first slots, then the non-void instructions in block order;
+  /// blocks count separately, by position.
   void number(const Function& f) {
-    slots_.reset(f.arg_count() + body_size(f));
-    std::uint32_t slot = 0;
-    for (std::size_t i = 0; i < f.arg_count(); ++i) slots_.assign(f.arg(i), slot++);
+    function_ = &f;
+    inst_slots_.reset(f, kMissing);
+    block_slots_.reset(f, kMissing);
+    auto slot = static_cast<std::uint32_t>(f.arg_count());
     for (std::size_t b = 0; b < f.block_count(); ++b) {
       const BasicBlock* bb = f.block(b);
-      slots_.assign(bb, static_cast<std::uint32_t>(b));
+      block_slots_[bb] = static_cast<std::uint32_t>(b);
       for (std::size_t i = 0; i < bb->size(); ++i) {
         const Instruction* inst = bb->inst(i);
-        if (!inst->type()->is_void()) slots_.assign(inst, slot++);
+        if (!inst->type()->is_void()) inst_slots_[inst] = slot++;
       }
     }
   }
 
+  /// The slot of an argument or instruction operand; kMissing for one of
+  /// another function or an unlinked instruction.
+  [[nodiscard]] std::uint32_t slot(const Value* v) const {
+    if (const Instruction* inst = as_instruction(v)) return inst_slots_.find(inst);
+    const auto* arg = static_cast<const Argument*>(v);
+    return arg->parent() == function_ ? arg->index() : kMissing;
+  }
+  [[nodiscard]] std::uint32_t slot(const BasicBlock* bb) const { return block_slots_.find(bb); }
+
   template <typename To>
-  void label(To& to, const std::string& name, const void* node) const {
-    const std::uint32_t slot = slots_.find(node);
-    if (slot == SlotTable::kMissing) {
+  void label(To& to, const std::string& name, std::uint32_t slot) const {
+    if (slot == kMissing) {
       to.put('?');
       return;
     }
@@ -207,7 +174,7 @@ class Printer {
     emit(" {\n");
     for (std::size_t b = 0; b < f.block_count(); ++b) {
       const BasicBlock* bb = f.block(b);
-      label(out_, bb->name(), bb);
+      label(out_, bb->name(), slot(bb));
       emit(':');
       predecessors(*bb);
       emit('\n');
@@ -227,7 +194,7 @@ class Printer {
     pred_ends_.clear();
     StringSink text(pred_text_);
     for (const BasicBlock* p : preds) {
-      label(text, p->name(), p);
+      label(text, p->name(), slot(p));
       pred_ends_.push_back(pred_text_.size());
     }
     pred_labels_.clear();
@@ -244,7 +211,7 @@ class Printer {
     emit("  ");
     if (!inst.type()->is_void()) {
       emit('%');
-      label(out_, inst.name(), &inst);
+      label(out_, inst.name(), slot(&inst));
       emit(" = ");
     }
     switch (inst.opcode()) {
@@ -297,8 +264,12 @@ class Printer {
     emit('\n');
   }
 
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
   Sink& out_;
-  SlotTable slots_;
+  const Function* function_ = nullptr;
+  IdTable<Instruction, std::uint32_t> inst_slots_;
+  IdTable<BasicBlock, std::uint32_t> block_slots_;
   // Scratch for sorting one block's predecessor labels, reused across blocks.
   std::string pred_text_;
   std::vector<std::size_t> pred_ends_;

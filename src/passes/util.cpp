@@ -379,9 +379,7 @@ std::size_t promote_allocas(Function& f, const std::vector<Instruction*>& alloca
     while (!worklist.empty()) {
       BasicBlock* x = worklist.back();
       worklist.pop_back();
-      const auto fit = frontiers.find(x);
-      if (fit == frontiers.end()) continue;
-      for (BasicBlock* y : fit->second) {
+      for (BasicBlock* y : frontiers[x->id()]) {
         if (!has_phi.insert(y).second) continue;
         Instruction* phi =
             y->insert_at(0, Instruction::phi(a->allocated_type(), a->name() + ".phi"));

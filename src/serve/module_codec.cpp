@@ -2,10 +2,12 @@
 
 #include <bit>
 #include <cstdint>
+#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "ir/id_table.hpp"
 #include "ir/verifier.hpp"
 #include "support/str.hpp"
 
@@ -67,15 +69,41 @@ ir::Type* read_type(ByteReader& r, int depth = 0) {
 // Encoder
 // ---------------------------------------------------------------------------
 
-/// Per-function value numbering: arguments and instructions by position.
-struct ValueIndex {
-  std::unordered_map<const ir::Value*, std::uint32_t> args;
-  std::unordered_map<const ir::Value*, std::uint32_t> insts;
+/// Per-function numbering: arguments, instructions and blocks by position.
+/// A lookup of a node of another function throws std::out_of_range.
+class FunctionIndex {
+ public:
+  explicit FunctionIndex(const ir::Function& f)
+      : function_(&f), insts_(f, kMissing), blocks_(f, kMissing) {
+    std::uint32_t inst_index = 0;
+    for (std::size_t b = 0; b < f.block_count(); ++b) {
+      const ir::BasicBlock* bb = f.block(b);
+      blocks_[bb] = static_cast<std::uint32_t>(b);
+      for (std::size_t i = 0; i < bb->size(); ++i) insts_[bb->inst(i)] = inst_index++;
+    }
+  }
+
+  [[nodiscard]] std::uint32_t arg(const ir::Value* v) const {
+    const auto* a = static_cast<const ir::Argument*>(v);
+    if (a->parent() != function_) throw std::out_of_range("module codec: foreign argument");
+    return a->index();
+  }
+  [[nodiscard]] std::uint32_t inst(const ir::Value* v) const {
+    return insts_.at(static_cast<const ir::Instruction*>(v));
+  }
+  [[nodiscard]] std::uint32_t block(const ir::BasicBlock* bb) const { return blocks_.at(bb); }
+
+ private:
+  static constexpr std::uint32_t kMissing = ~std::uint32_t{0};
+
+  const ir::Function* function_;
+  ir::IdTable<ir::Instruction, std::uint32_t> insts_;
+  ir::IdTable<ir::BasicBlock, std::uint32_t> blocks_;
 };
 
 void write_ref(ByteWriter& w, const ir::Value* v,
                const std::unordered_map<const ir::Value*, std::uint32_t>& globals,
-               const ValueIndex& index) {
+               const FunctionIndex& index) {
   switch (v->value_kind()) {
     case ir::ValueKind::kConstantInt: {
       w.u8(kRefConst);
@@ -90,7 +118,7 @@ void write_ref(ByteWriter& w, const ir::Value* v,
       return;
     case ir::ValueKind::kArgument:
       w.u8(kRefArg);
-      w.u32(index.args.at(v));
+      w.u32(index.arg(v));
       return;
     case ir::ValueKind::kGlobalVariable:
       w.u8(kRefGlobal);
@@ -98,7 +126,7 @@ void write_ref(ByteWriter& w, const ir::Value* v,
       return;
     case ir::ValueKind::kInstruction:
       w.u8(kRefInst);
-      w.u32(index.insts.at(v));
+      w.u32(index.inst(v));
       return;
   }
 }
@@ -106,8 +134,7 @@ void write_ref(ByteWriter& w, const ir::Value* v,
 void write_instruction(ByteWriter& w, const ir::Instruction* inst,
                        const std::unordered_map<const ir::Value*, std::uint32_t>& globals,
                        const std::unordered_map<const ir::Function*, std::uint32_t>& functions,
-                       const std::unordered_map<const ir::BasicBlock*, std::uint32_t>& blocks,
-                       const ValueIndex& index) {
+                       const FunctionIndex& index) {
   const auto ref = [&](const ir::Value* v) { write_ref(w, v, globals, index); };
   w.u8(static_cast<std::uint8_t>(inst->opcode()));
   w.str(inst->name());
@@ -129,7 +156,7 @@ void write_instruction(ByteWriter& w, const ir::Instruction* inst,
       w.u64(inst->incoming_count());
       for (std::size_t i = 0; i < inst->incoming_count(); ++i) {
         ref(inst->incoming_value(i));
-        w.u32(blocks.at(inst->incoming_block(i)));
+        w.u32(index.block(inst->incoming_block(i)));
       }
       break;
     case ir::Opcode::kAlloca:
@@ -141,21 +168,21 @@ void write_instruction(ByteWriter& w, const ir::Instruction* inst,
       w.u64(inst->operand_count());
       for (const ir::Value* arg : inst->operands()) ref(arg);
       break;
-    case ir::Opcode::kBr: w.u32(blocks.at(inst->successor(0))); break;
+    case ir::Opcode::kBr: w.u32(index.block(inst->successor(0))); break;
     case ir::Opcode::kCondBr:
       ref(inst->operand(0));
-      w.u32(blocks.at(inst->successor(0)));
-      w.u32(blocks.at(inst->successor(1)));
+      w.u32(index.block(inst->successor(0)));
+      w.u32(index.block(inst->successor(1)));
       break;
     case ir::Opcode::kSwitch:
       ref(inst->operand(0));
-      w.u32(blocks.at(inst->successor(0)));
+      w.u32(index.block(inst->successor(0)));
       w.u64(inst->switch_case_count());
       for (std::size_t c = 0; c < inst->switch_case_count(); ++c) {
         const auto* value = static_cast<const ir::ConstantInt*>(inst->operand(1 + c));
         write_type(w, value->type());
         w.u64(std::bit_cast<std::uint64_t>(value->value()));
-        w.u32(blocks.at(inst->successor(1 + c)));
+        w.u32(index.block(inst->successor(1 + c)));
       }
       break;
     case ir::Opcode::kRet:
@@ -713,22 +740,13 @@ void write_module(ByteWriter& w, const ir::Module& module) {
     // const_cast: blocks()/instructions() are read-only snapshots; the IR
     // API lacks const overloads (same convention as ir::clone_module).
     ir::Function* func = const_cast<ir::Function*>(module.function(f));
-    ValueIndex index;
-    for (std::size_t a = 0; a < func->arg_count(); ++a) {
-      index.args[func->arg(a)] = static_cast<std::uint32_t>(a);
-    }
-    std::unordered_map<const ir::BasicBlock*, std::uint32_t> blocks;
-    std::uint32_t inst_index = 0;
-    for (ir::BasicBlock* bb : func->blocks()) {
-      blocks[bb] = static_cast<std::uint32_t>(blocks.size());
-      for (ir::Instruction* inst : bb->instructions()) index.insts[inst] = inst_index++;
-    }
+    const FunctionIndex index(*func);
     w.u64(func->block_count());
     for (ir::BasicBlock* bb : func->blocks()) {
       w.str(bb->name());
       w.u64(bb->size());
       for (ir::Instruction* inst : bb->instructions()) {
-        write_instruction(w, inst, globals, functions, blocks, index);
+        write_instruction(w, inst, globals, functions, index);
       }
     }
   }

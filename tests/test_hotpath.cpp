@@ -5,8 +5,10 @@
 // the interpreter is part of the contract under test.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
 #include "rl/env.hpp"
+#include "serve/module_codec.hpp"
 #include "support/rng.hpp"
 #include "support/thread_pool.hpp"
 
@@ -81,6 +84,56 @@ TEST(HotPath, RolloutCloneBitIdenticalPrintAfterPasses) {
   const auto reference = ir::clone_module(*program);
   passes::apply_pass_sequence(*reference, sequence);
   EXPECT_EQ(ir::print_module(*rollout), ir::print_module(*reference));
+}
+
+/// Every block and instruction id of `m` in block order, then each
+/// function's two id bounds.
+std::vector<std::uint32_t> ids_and_bounds(const ir::Module& m) {
+  std::vector<std::uint32_t> out;
+  for (std::size_t i = 0; i < m.function_count(); ++i) {
+    const ir::Function& f = *m.function(i);
+    for (std::size_t b = 0; b < f.block_count(); ++b) {
+      const ir::BasicBlock* bb = f.block(b);
+      out.push_back(bb->id());
+      for (std::size_t j = 0; j < bb->size(); ++j) out.push_back(bb->inst(j)->id());
+    }
+    out.push_back(f.block_id_bound());
+    out.push_back(f.inst_id_bound());
+  }
+  return out;
+}
+
+TEST(IrIds, ConcurrentRolloutReadersLeaveSourceIdsUnchanged) {
+  // The passes leave the source's ids sparse; each thread then prints,
+  // fingerprints and serialises its own lazy rollout clone of it (the last
+  // materialises the clone, reading the source's body).
+  auto source = progen::build_chstone_like("gsm");
+  passes::apply_pass_sequence(*source, {38, 30, 31, 7, 28});
+  const std::vector<std::uint32_t> ids = ids_and_bounds(*source);
+  const std::string text = ir::print_module(*source);
+  const std::uint64_t fingerprint = ir::module_fingerprint(*source);
+  const std::string blob = serve::serialize_module(*source);
+
+  constexpr std::size_t kThreads = 4;
+  std::vector<std::string> texts(kThreads);
+  std::vector<std::uint64_t> fingerprints(kThreads);
+  std::vector<std::string> blobs(kThreads);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      const auto rollout = ir::clone_module_for_rollout(*source);
+      texts[t] = ir::print_module(*rollout);
+      fingerprints[t] = ir::module_fingerprint(*rollout);
+      blobs[t] = serve::serialize_module(*rollout);
+    });
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(ids_and_bounds(*source), ids);
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(texts[t], text) << "thread " << t;
+    EXPECT_EQ(fingerprints[t], fingerprint) << "thread " << t;
+    EXPECT_EQ(blobs[t], blob) << "thread " << t;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
 #include "progen/random_program.hpp"
+#include "serve/module_codec.hpp"
 #include "support/hash.hpp"
 #include "support/rng.hpp"
 
@@ -208,7 +209,7 @@ TEST(Dominators, DiamondDominance) {
   EXPECT_EQ(dt.idom(t), a);
   EXPECT_EQ(dt.idom(a), nullptr);
   const auto df = dt.dominance_frontiers();
-  const auto& t_df = df.at(t);
+  const auto& t_df = df.at(t->id());
   ASSERT_EQ(t_df.size(), 1u);
   EXPECT_EQ(t_df[0], j);
 }
@@ -469,6 +470,124 @@ TEST(CfgAnalyses, ClonesStartEmpty) {
   // Cloning did not disturb the source's cache.
   for (Function* f : src->functions()) (void)loop_info(*f);
   EXPECT_EQ(builds_since(before), (BuildCounts{2 * n, 2 * n}));
+}
+
+/// A kernel after a seeded 45-pass sequence, whose edits (erasures,
+/// clones, splices) leave its ids sparse.
+std::unique_ptr<Module> edited_kernel(const std::string& name, std::uint64_t seed) {
+  auto m = progen::build_chstone_like(name);
+  Rng rng(seed);
+  for (int step = 0; step < passes::kNumPasses; ++step) {
+    passes::apply_pass(*m, static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1)));
+  }
+  return m;
+}
+
+TEST(IrIds, UniqueWithinAFunction) {
+  const auto m = edited_kernel("gsm", 3);
+  std::size_t sparse = 0;
+  for (Function* f : m->functions()) {
+    std::vector<bool> block_seen(f->block_id_bound());
+    std::vector<bool> inst_seen(f->inst_id_bound());
+    for (BasicBlock* bb : f->blocks()) {
+      ASSERT_LT(bb->id(), block_seen.size());
+      EXPECT_FALSE(block_seen[bb->id()]) << bb->name();
+      block_seen[bb->id()] = true;
+      for (Instruction* inst : bb->instructions()) {
+        ASSERT_LT(inst->id(), inst_seen.size());
+        EXPECT_FALSE(inst_seen[inst->id()]) << inst->name();
+        inst_seen[inst->id()] = true;
+      }
+    }
+    if (f->inst_id_bound() > f->instruction_count()) ++sparse;
+  }
+  EXPECT_GT(sparse, 0u) << "the pass sequence should have erased or re-linked instructions";
+}
+
+/// Block b has id b, and the instructions are numbered 0..n-1 in block order.
+void expect_dense_ids(const Module& m) {
+  for (std::size_t i = 0; i < m.function_count(); ++i) {
+    const Function& f = *m.function(i);
+    SCOPED_TRACE(f.name());
+    std::uint32_t next_inst = 0;
+    for (std::size_t b = 0; b < f.block_count(); ++b) {
+      const BasicBlock* bb = f.block(b);
+      EXPECT_EQ(bb->id(), b);
+      for (std::size_t j = 0; j < bb->size(); ++j) EXPECT_EQ(bb->inst(j)->id(), next_inst++);
+    }
+    EXPECT_EQ(f.block_id_bound(), f.block_count());
+    EXPECT_EQ(f.inst_id_bound(), next_inst);
+  }
+}
+
+TEST(IrIds, ClonesAreDenseInBlockOrder) {
+  const auto source = edited_kernel("gsm", 3);
+  expect_dense_ids(*clone_module(*source));
+  const auto rollout = clone_module_for_rollout(*source);
+  rollout->materialize_all();
+  expect_dense_ids(*rollout);
+}
+
+TEST(IrIds, ErasedIdsAreNeverIssuedAgain) {
+  Module m("ids");
+  Function* f = cached_loop_function(m);
+  BasicBlock* body = f->block(2);
+  const std::uint32_t block_bound = f->block_id_bound();
+  f->erase_block(f->block(4));
+  EXPECT_EQ(f->block_id_bound(), block_bound);
+  EXPECT_EQ(f->create_block("fresh")->id(), block_bound);
+  EXPECT_EQ(f->block_id_bound(), block_bound + 1);
+
+  const std::uint32_t inst_bound = f->inst_id_bound();
+  body->insert_before_terminator(
+      Instruction::binary(Opcode::kMul, body->front(), m.get_i32(3), "extra"))
+      ->erase_from_parent();
+  EXPECT_EQ(f->inst_id_bound(), inst_bound + 1);
+  EXPECT_EQ(body->insert_before_terminator(
+                    Instruction::binary(Opcode::kMul, body->front(), m.get_i32(3), "again"))
+                ->id(),
+            inst_bound + 1);
+}
+
+TEST(IrIds, TakeThenInsertGivesAFreshId) {
+  Module m("ids");
+  Function* f = cached_loop_function(m);
+  BasicBlock* body = f->block(2);
+  BasicBlock* exit = f->block(3);
+  Instruction* add = body->front();
+  const std::uint32_t old_id = add->id();
+  const std::uint32_t bound = f->inst_id_bound();
+  auto owned = body->take(add);
+  EXPECT_EQ(body->insert_at(0, std::move(owned)), add);
+  EXPECT_EQ(add->id(), bound);
+  EXPECT_NE(add->id(), old_id);
+  exit->insert_at(0, body->take(add));
+  EXPECT_EQ(add->id(), bound + 1);
+  EXPECT_EQ(f->inst_id_bound(), bound + 2);
+}
+
+TEST(IrIds, EditHistoryNeverReachesBytes) {
+  // A deep clone renumbers densely, so it shares no id layout with its
+  // edited source.
+  const auto edited = edited_kernel("gsm", 3);
+  const auto copy = clone_module(*edited);
+  // A freshly built kernel, and one whose history differs by a splice that
+  // lands where it started and a block that came and went.
+  const auto fresh = progen::build_chstone_like("sha");
+  const auto spliced = progen::build_chstone_like("sha");
+  BasicBlock* entry = spliced->main()->entry();
+  entry->insert_at(0, entry->take(entry->front()));
+  spliced->main()->erase_block(spliced->main()->create_block("transient"));
+
+  const std::pair<const Module*, const Module*> pairs[] = {{edited.get(), copy.get()},
+                                                          {fresh.get(), spliced.get()}};
+  for (const auto& [a, b] : pairs) {
+    ASSERT_NE(a->main()->inst_id_bound(), b->main()->inst_id_bound());
+    ASSERT_NE(a->main()->block_id_bound(), b->main()->block_id_bound());
+    EXPECT_EQ(print_module(*a), print_module(*b));
+    EXPECT_EQ(module_fingerprint(*a), module_fingerprint(*b));
+    EXPECT_EQ(serve::serialize_module(*a), serve::serialize_module(*b));
+  }
 }
 
 TEST(Verifier, CatchesMissingTerminator) {
