@@ -1,7 +1,5 @@
 #include "features/features.hpp"
 
-#include "support/thread_pool.hpp"
-
 namespace autophase::features {
 
 namespace {
@@ -243,33 +241,6 @@ FeatureVector extract_features(const ir::Module& module) {
     }
   }
   return fv;
-}
-
-FeatureVector BatchFeatures::row(std::size_t module_index) const noexcept {
-  FeatureVector fv{};
-  for (int f = 0; f < kNumFeatures; ++f) fv[static_cast<std::size_t>(f)] = at(module_index, f);
-  return fv;
-}
-
-BatchFeatures extract_features_batch(std::span<const ir::Module* const> modules,
-                                     ThreadPool* pool) {
-  BatchFeatures out;
-  out.batch = modules.size();
-  out.data.assign(static_cast<std::size_t>(kNumFeatures) * out.batch, 0);
-  const auto extract_one = [&](std::size_t i) {
-    const FeatureVector fv = extract_features(*modules[i]);
-    // Scatter into the feature-major layout: each module writes a disjoint
-    // column, so parallel extraction is race-free and order-independent.
-    for (int f = 0; f < kNumFeatures; ++f) {
-      out.data[static_cast<std::size_t>(f) * out.batch + i] = fv[static_cast<std::size_t>(f)];
-    }
-  };
-  if (pool != nullptr && pool->size() > 1 && modules.size() > 1) {
-    pool->parallel_for(modules.size(), extract_one);
-  } else {
-    for (std::size_t i = 0; i < modules.size(); ++i) extract_one(i);
-  }
-  return out;
 }
 
 }  // namespace autophase::features

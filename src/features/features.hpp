@@ -12,15 +12,10 @@
 
 #include <array>
 #include <cstdint>
-#include <span>
 #include <string_view>
 #include <vector>
 
 #include "ir/module.hpp"
-
-namespace autophase {
-class ThreadPool;
-}
 
 namespace autophase::features {
 
@@ -36,27 +31,5 @@ std::string_view feature_name(int index) noexcept;
 /// rollout clones through Function::reading_body(), so an unmutated clone
 /// is extracted without materialising anything.
 FeatureVector extract_features(const ir::Module& module);
-
-/// Feature-major (structure-of-arrays) features for a batch of modules:
-/// `data[f * batch + i]` is feature `f` of module `i`. Rows of one feature
-/// sit contiguously, which is the layout the batched observation builders
-/// consume without per-module scatter.
-struct BatchFeatures {
-  std::size_t batch = 0;
-  std::vector<std::int64_t> data;  // kNumFeatures x batch, feature-major
-
-  [[nodiscard]] std::int64_t at(std::size_t module_index, int feature) const noexcept {
-    return data[static_cast<std::size_t>(feature) * batch + module_index];
-  }
-  /// AoS view of one module's features (for call sites wanting the classic
-  /// FeatureVector).
-  [[nodiscard]] FeatureVector row(std::size_t module_index) const noexcept;
-};
-
-/// Batched extraction over a span of modules. With a pool, modules extract
-/// in parallel; results are written to disjoint SoA slots, so the output is
-/// bit-identical to the serial path regardless of thread count.
-BatchFeatures extract_features_batch(std::span<const ir::Module* const> modules,
-                                     ThreadPool* pool = nullptr);
 
 }  // namespace autophase::features

@@ -241,32 +241,6 @@ std::vector<double> build_observation(const ir::Module& module,
   return obs;
 }
 
-std::vector<std::vector<double>> build_observation_batch(
-    std::span<const ir::Module* const> modules,
-    const std::vector<std::vector<double>>& histograms, const EnvConfig& config,
-    const std::vector<int>& effective_features, ThreadPool* pool) {
-  std::vector<std::vector<double>> out(modules.size());
-  if (modules.empty()) return out;
-  if (config.observation == ObservationMode::kActionHistogram) {
-    // No feature extraction needed at all; rows are just the histograms.
-    for (std::size_t i = 0; i < modules.size(); ++i) out[i] = histograms[i];
-    return out;
-  }
-  const features::BatchFeatures batch = features::extract_features_batch(modules, pool);
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    std::vector<double>& obs = out[i];
-    const double inst_count = static_cast<double>(batch.at(i, 51));
-    for (const int f : effective_features) {
-      obs.push_back(
-          normalise_feature(static_cast<double>(batch.at(i, f)), config.normalization, inst_count));
-    }
-    if (config.observation != ObservationMode::kProgramFeatures) {
-      obs.insert(obs.end(), histograms[i].begin(), histograms[i].end());
-    }
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // MultiActionEnv
 // ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@
 #pragma once
 
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "features/features.hpp"
@@ -248,15 +247,5 @@ std::vector<double> build_observation(const ir::Module& module,
                                       const std::vector<double>& histogram,
                                       const EnvConfig& config,
                                       const std::vector<int>& effective_features);
-
-/// Batched build_observation over modules sharing one env config: features
-/// for the whole front extract through the SoA batch extractor (in parallel
-/// when a pool is given), then each row is normalised exactly as the scalar
-/// build_observation would — the output rows are bit-identical to calling it
-/// per module. `histograms[i]` pairs with `modules[i]`.
-std::vector<std::vector<double>> build_observation_batch(
-    std::span<const ir::Module* const> modules,
-    const std::vector<std::vector<double>>& histograms, const EnvConfig& config,
-    const std::vector<int>& effective_features, ThreadPool* pool = nullptr);
 
 }  // namespace autophase::rl

@@ -373,18 +373,12 @@ Result<CompileResponse> serve_compile(const PolicyArtifact& artifact,
     if (step == 0) {
       observations.push_back(root_observation);  // only the root beam exists
     } else {
-      // Batched SoA feature extraction over the whole beam front; rows are
-      // bit-identical to the per-beam builder (same extractor, same order).
-      std::vector<const ir::Module*> modules;
-      std::vector<std::vector<double>> histograms;
-      modules.reserve(live.size());
-      histograms.reserve(live.size());
+      observations.reserve(live.size());
       for (const Beam& beam : live) {
-        modules.push_back(beam.module.get());
-        histograms.push_back(beam.histogram);
+        observations.push_back(
+            rl::build_observation(*beam.module, beam.histogram, obs_config, features));
+        artifact.normalizer.apply(observations.back());
       }
-      observations = rl::build_observation_batch(modules, histograms, obs_config, features);
-      for (std::vector<double>& obs : observations) artifact.normalizer.apply(obs);
     }
     const ml::Matrix logits = artifact.policy.forward_batch(observations);
     if (forwards != nullptr) forwards->inc();

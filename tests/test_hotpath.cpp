@@ -1,8 +1,8 @@
-// Hot-path regression suite for the arena/CoW IR, the SoA feature
+// Hot-path regression suite for the arena/CoW IR and its ids, the feature
 // extractor, the blocked batched forward pass, and the interpreter's
 // per-thread memory arena. Rides the concurrency ctest label (and the TSan
-// leg) because serial-vs-parallel bit-identity of the batch extractor and of
-// the interpreter is part of the contract under test.
+// leg) because concurrent readers of one CoW source and serial-vs-parallel
+// bit-identity of the interpreter are part of the contract under test.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,10 +20,8 @@
 #include "ml/mlp.hpp"
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
-#include "rl/env.hpp"
 #include "serve/module_codec.hpp"
 #include "support/rng.hpp"
-#include "support/thread_pool.hpp"
 
 namespace autophase {
 namespace {
@@ -137,78 +135,16 @@ TEST(IrIds, ConcurrentRolloutReadersLeaveSourceIdsUnchanged) {
 }
 
 // ---------------------------------------------------------------------------
-// SoA feature extraction
+// Feature extraction
 // ---------------------------------------------------------------------------
-
-TEST(HotPath, BatchFeaturesMatchScalarExtractor) {
-  std::vector<std::unique_ptr<ir::Module>> owned;
-  for (const char* name : {"sha", "qsort", "gsm", "matmul"}) {
-    owned.push_back(progen::build_chstone_like(name));
-  }
-  std::vector<const ir::Module*> modules;
-  for (const auto& m : owned) modules.push_back(m.get());
-
-  const features::BatchFeatures batch = features::extract_features_batch(modules);
-  ASSERT_EQ(batch.batch, modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    const features::FeatureVector fv = features::extract_features(*modules[i]);
-    EXPECT_EQ(batch.row(i), fv) << "module " << i;
-  }
-}
-
-TEST(HotPath, BatchFeaturesSerialEqualsParallel) {
-  std::vector<std::unique_ptr<ir::Module>> owned;
-  const auto& names = progen::chstone_benchmark_names();
-  for (std::size_t i = 0; i < 8; ++i) {
-    owned.push_back(progen::build_chstone_like(names[i % names.size()]));
-  }
-  std::vector<const ir::Module*> modules;
-  for (const auto& m : owned) modules.push_back(m.get());
-
-  const features::BatchFeatures serial = features::extract_features_batch(modules, nullptr);
-  ThreadPool pool(4);
-  const features::BatchFeatures parallel = features::extract_features_batch(modules, &pool);
-  EXPECT_EQ(serial.batch, parallel.batch);
-  EXPECT_EQ(serial.data, parallel.data);  // bit-identical, not approximately
-}
 
 TEST(HotPath, BatchExtractionDoesNotMaterializeRolloutClones) {
   const auto program = progen::build_chstone_like("sha");
   const auto rollout = ir::clone_module_for_rollout(*program);
   const std::size_t before = rollout->arena()->allocation_count();
-  const std::vector<const ir::Module*> modules = {rollout.get()};
-  const features::BatchFeatures batch = features::extract_features_batch(modules);
-  EXPECT_EQ(batch.row(0), features::extract_features(*program));
+  EXPECT_EQ(features::extract_features(*rollout), features::extract_features(*program));
   EXPECT_EQ(rollout->arena()->allocation_count(), before);
   EXPECT_TRUE(rollout->has_lazy_functions());
-}
-
-TEST(HotPath, ObservationBatchMatchesScalarBuilder) {
-  std::vector<std::unique_ptr<ir::Module>> owned;
-  for (const char* name : {"sha", "qsort", "gsm"}) {
-    owned.push_back(progen::build_chstone_like(name));
-  }
-  std::vector<const ir::Module*> modules;
-  for (const auto& m : owned) modules.push_back(m.get());
-
-  rl::EnvConfig config;
-  config.observation = rl::ObservationMode::kBoth;
-  config.normalization = rl::NormalizationMode::kLog;
-  std::vector<int> effective_features;
-  for (int i = 0; i < features::kNumFeatures; ++i) effective_features.push_back(i);
-  std::vector<std::vector<double>> histograms;
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    histograms.emplace_back(46, static_cast<double>(i));
-  }
-
-  const auto batched =
-      rl::build_observation_batch(modules, histograms, config, effective_features);
-  ASSERT_EQ(batched.size(), modules.size());
-  for (std::size_t i = 0; i < modules.size(); ++i) {
-    EXPECT_EQ(batched[i],
-              rl::build_observation(*modules[i], histograms[i], config, effective_features))
-        << "module " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------
