@@ -1,8 +1,8 @@
 // Structured leveled logging. Every message carries a level, a component
 // tag, and a monotonic timestamp; besides the stderr line, the last N
-// records are kept in a bounded ring retrievable via recent_logs() (exposed
-// as obs::recent_logs()) — the chaos suite dumps them on test failure, and a
-// wedged node can be asked what it was doing without grepping stderr.
+// records are kept in a bounded ring retrievable via recent_logs() — the
+// chaos suite dumps them on test failure, and a wedged node can be asked
+// what it was doing without grepping stderr.
 // Benches and long-running training drivers use this for progress lines;
 // tests silence stderr by raising the level (ring capture is unaffected).
 #pragma once

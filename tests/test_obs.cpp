@@ -20,11 +20,11 @@
 #include <vector>
 
 #include "net/wire.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "progen/chstone_like.hpp"
 #include "serve/serialization.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace autophase {
@@ -359,13 +359,13 @@ TEST(ObsLog, RingCapturesComponentsAndOverflowKeepsNewest) {
   clear_recent_logs();
   AP_CLOG(kWarn, "gossip") << "peer 9 unreachable";
   AP_CLOG(kInfo, "serve") << "drained " << 3 << " jobs";
-  auto logs = obs::recent_logs();
+  auto logs = recent_logs();
   ASSERT_EQ(logs.size(), 2u);
   EXPECT_EQ(logs[0].component, "gossip");
   EXPECT_EQ(logs[0].level, LogLevel::kWarn);
   EXPECT_EQ(logs[1].message, "drained 3 jobs");
   EXPECT_GE(logs[1].ns, logs[0].ns) << "timestamps must be monotonic";
-  const std::string text = obs::recent_logs_text();
+  const std::string text = format_recent_logs();
   EXPECT_NE(text.find("[gossip]"), std::string::npos);
   EXPECT_NE(text.find("peer 9 unreachable"), std::string::npos);
 
@@ -373,11 +373,11 @@ TEST(ObsLog, RingCapturesComponentsAndOverflowKeepsNewest) {
   for (int i = 0; i < static_cast<int>(kLogRingCapacity) + 40; ++i) {
     AP_CLOG(kDebug, "unit") << "line " << i;
   }
-  logs = obs::recent_logs();
+  logs = recent_logs();
   EXPECT_EQ(logs.size(), kLogRingCapacity);
   EXPECT_EQ(logs.back().message,
             "line " + std::to_string(static_cast<int>(kLogRingCapacity) + 39));
-  EXPECT_EQ(obs::recent_logs(5).size(), 5u);
+  EXPECT_EQ(recent_logs(5).size(), 5u);
   clear_recent_logs();
   set_log_level(before);
 }

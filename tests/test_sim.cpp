@@ -28,8 +28,8 @@
 #include "net/sim_fleet.hpp"
 #include "net/sim_transport.hpp"
 #include "net/wire.hpp"
-#include "obs/log.hpp"
 #include "support/hash.hpp"
+#include "support/log.hpp"
 #include "support/rng.hpp"
 
 namespace autophase {
@@ -54,7 +54,7 @@ class SimGossip : public ::testing::Test {
   void TearDown() override {
     if (HasFailure()) {
       std::cerr << "---- recent structured logs (newest last) ----\n"
-                << obs::recent_logs_text() << "---------------------------------------------\n";
+                << format_recent_logs() << "---------------------------------------------\n";
     }
   }
 };
