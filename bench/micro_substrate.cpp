@@ -19,6 +19,7 @@
 #include "progen/chstone_like.hpp"
 #include "progen/random_program.hpp"
 #include "rl/env.hpp"
+#include "serve/module_codec.hpp"
 
 namespace {
 
@@ -134,6 +135,30 @@ void BM_PrintModule(benchmark::State& state) {
   report_text_bytes(state, *m);
 }
 BENCHMARK(BM_PrintModule)->Unit(benchmark::kMicrosecond);
+
+/// A fresh DominatorTree and LoopInfo for every function of the corpus
+/// program: what one analysis-cache miss costs per function, summed.
+void BM_CfgAnalysesCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    for (ir::Function* f : m->functions()) {
+      const ir::DominatorTree dt(*f);
+      const ir::LoopInfo li(*f, dt);
+      benchmark::DoNotOptimize(li.top_level().size());
+    }
+  }
+}
+BENCHMARK(BM_CfgAnalysesCorpus)->Unit(benchmark::kMicrosecond);
+
+/// The module codec's encoder on the corpus program (the wire form of a
+/// remote compile request).
+void BM_SerializeModuleCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(serve::serialize_module(*m));
+  }
+}
+BENCHMARK(BM_SerializeModuleCorpus)->Unit(benchmark::kMicrosecond);
 
 void BM_PassMem2Reg(benchmark::State& state) {
   auto original = progen::build_chstone_like("gsm");
