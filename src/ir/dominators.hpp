@@ -18,10 +18,12 @@ class DominatorTree {
   /// after the build.
   explicit DominatorTree(Function& f);
 
-  [[nodiscard]] bool is_reachable(const BasicBlock* bb) const { return rpo_index(bb) >= 0; }
+  [[nodiscard]] bool is_reachable(const BasicBlock* bb) const noexcept {
+    return rpo_index(bb) >= 0;
+  }
 
   /// Position of `bb` in rpo(), or -1 when it is not in the tree.
-  [[nodiscard]] int rpo_index(const BasicBlock* bb) const { return index_.find(bb); }
+  [[nodiscard]] int rpo_index(const BasicBlock* bb) const noexcept { return index_.find(bb); }
 
   /// Immediate dominator; nullptr for the entry block.
   [[nodiscard]] BasicBlock* idom(const BasicBlock* bb) const;

@@ -56,7 +56,7 @@ class IdTable {
   }
 
   /// The entry of `node`, or `missing` when the table does not cover it.
-  [[nodiscard]] T find(const Node* node) const {
+  [[nodiscard]] T find(const Node* node) const noexcept {
     return covers(node) ? values_[node->id()] : missing_;
   }
 

@@ -68,7 +68,9 @@ class LoopInfo {
   [[nodiscard]] std::vector<Loop*> loops_innermost_first() const;
   /// Innermost loop containing bb, or nullptr (also for blocks of other
   /// functions and blocks created after the build).
-  [[nodiscard]] Loop* loop_for(const BasicBlock* bb) const { return innermost_.find(bb); }
+  [[nodiscard]] Loop* loop_for(const BasicBlock* bb) const noexcept {
+    return innermost_.find(bb);
+  }
   /// Loop nesting depth of a block (0 = not in any loop).
   [[nodiscard]] int depth_of(const BasicBlock* bb) const;
 
