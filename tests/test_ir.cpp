@@ -566,6 +566,62 @@ TEST(IrIds, TakeThenInsertGivesAFreshId) {
   EXPECT_EQ(f->inst_id_bound(), bound + 2);
 }
 
+TEST(IrIds, ForeignAndUnlinkedNodesAreNotInTables) {
+  // g's blocks and instructions reuse ids that f's nodes also have; every
+  // table over f must still answer "not here" for them, as a pointer map
+  // would, and never the entry of f's node with the same id.
+  Module m("ids");
+  Function* f = cached_loop_function(m);
+  Function* g = m.create_function("other", Type::i32(), {Type::i32()}, {"x"});
+  std::vector<BasicBlock*> g_blocks;
+  for (const char* name : {"a", "b", "c"}) g_blocks.push_back(g->create_block(name));
+  IRBuilder b(m);
+  b.set_insert_point(g_blocks[0]);
+  Value* g_sum = b.add(b.mul(g->arg(0), m.get_i32(2)), m.get_i32(1));
+  b.br(g_blocks[1]);
+  b.set_insert_point(g_blocks[1]);
+  b.br(g_blocks[2]);
+  b.set_insert_point(g_blocks[2]);
+  b.ret(g_sum);
+
+  const DominatorTree dt(*f);
+  const LoopInfo li(*f, dt);
+  for (const BasicBlock* bb : g_blocks) {
+    ASSERT_LT(bb->id(), f->block_id_bound());
+    EXPECT_FALSE(dt.is_reachable(bb));
+    EXPECT_EQ(li.loop_for(bb), nullptr);
+  }
+
+  // Each malformed use in f prints as `?`, and the codec and the
+  // interpreter refuse it.
+  const auto expect_missing = [&](const std::string& printed) {
+    const std::string text = print_module(m);
+    EXPECT_NE(text.find(printed), std::string::npos) << text;
+    EXPECT_THROW((void)serve::serialize_module(m), std::out_of_range);
+    EXPECT_THROW((void)interp::run_module(m), std::out_of_range);
+  };
+  BasicBlock* header = f->block(1);
+  BasicBlock* body = f->block(2);
+  BasicBlock* exit = f->block(3);
+  // g_sum's id is the header phi's, a non-void instruction of f.
+  ASSERT_EQ(static_cast<Instruction*>(g_sum)->id(), header->front()->id());
+  for (Value* foreign : {g_sum, static_cast<Value*>(g->arg(0))}) {
+    exit->insert_at(0, Instruction::binary(Opcode::kAdd, foreign, m.get_i32(1)));
+    expect_missing("add i32 %?, i32 1");
+    exit->front()->erase_from_parent();
+  }
+  // A phi edge from g's block whose id is the header's.
+  ASSERT_EQ(g_blocks[1]->id(), header->id());
+  header->front()->add_incoming(m.get_i32(7), g_blocks[1]);
+  expect_missing("[ i32 7, %? ]");
+  header->front()->remove_incoming(2);
+  // The phi's use of `next` while it is unlinked from the body.
+  auto next = body->take(body->front());
+  expect_missing("[ i32 %?, %body.2 ]");
+  body->insert_at(0, std::move(next));
+  EXPECT_TRUE(verify_module(m).is_ok());
+}
+
 TEST(IrIds, EditHistoryNeverReachesBytes) {
   // A deep clone renumbers densely, so it shares no id layout with its
   // edited source.
