@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "hls/cycle_estimator.hpp"
 #include "hls/verilog.hpp"
 #include "ir/builder.hpp"
+#include "ir/clone.hpp"
 #include "passes/pass.hpp"
 #include "passes/pipelines.hpp"
 #include "progen/chstone_like.hpp"
 #include "progen/codegen.hpp"
+#include "progen/random_program.hpp"
+#include "support/hash.hpp"
+#include "support/rng.hpp"
 
 namespace autophase::hls {
 namespace {
@@ -128,17 +134,74 @@ TEST(Scheduler, PhiOnlyBlockIsFree) {
   EXPECT_GE(sched.blocks.at(j).states, 1);  // ret needs a state
 }
 
-TEST(CycleEstimator, MatchesFsmSimulation) {
+/// The modules the cost model is checked on: the nine kernels and six
+/// corpus-band programs (1,700-2,500 instructions, most of them never run),
+/// each after two seeded random 45-pass sequences and then as built.
+std::vector<std::unique_ptr<Module>> costed_modules() {
+  std::vector<std::unique_ptr<Module>> programs;
   for (const auto& name : progen::chstone_benchmark_names()) {
-    auto m = progen::build_chstone_like(name);
-    auto est = profile_cycles(*m);
-    ASSERT_TRUE(est.is_ok()) << name;
-    auto sim = simulate_fsm_cycles(*m);
-    ASSERT_TRUE(sim.is_ok()) << name;
-    EXPECT_EQ(est.value().cycles, sim.value()) << name;
-    EXPECT_GT(est.value().cycles, 0u) << name;
-    EXPECT_GT(est.value().area, 0.0) << name;
+    programs.push_back(progen::build_chstone_like(name));
   }
+  for (const std::uint64_t seed : {1u, 4u, 11u, 12u, 14u, 29u}) {
+    programs.push_back(progen::generate_filtered_program(seed));
+  }
+  std::vector<std::unique_ptr<Module>> out;
+  Rng rng(20261020);
+  for (auto& program : programs) {
+    for (int s = 0; s < 2; ++s) {
+      std::vector<int> sequence;
+      for (int step = 0; step < passes::kNumPasses; ++step) {
+        sequence.push_back(static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1)));
+      }
+      out.push_back(ir::clone_module(*program));
+      passes::apply_pass_sequence(*out.back(), sequence);
+    }
+    out.push_back(std::move(program));
+  }
+  return out;
+}
+
+TEST(CycleEstimator, MatchesFsmSimulation) {
+  const auto modules = costed_modules();
+  for (std::size_t i = 0; i < modules.size(); ++i) {
+    const Module& m = *modules[i];
+    auto est = profile_cycles(m);
+    ASSERT_TRUE(est.is_ok()) << i << " " << m.name() << ": " << est.message();
+    auto sim = simulate_fsm_cycles(m);
+    ASSERT_TRUE(sim.is_ok()) << i << " " << m.name();
+    EXPECT_EQ(est.value().cycles, sim.value()) << i << " " << m.name();
+    EXPECT_GT(est.value().cycles, 0u) << i << " " << m.name();
+    EXPECT_GT(est.value().area, 0.0) << i << " " << m.name();
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CostCharacterization: everything the reward is made of, for every costed
+// module, folded into one pinned digest: profile_cycles' cycles, FSM cycles,
+// burst cycles and area, and the interpreter's instruction count, return
+// value and memory checksum. A change to the profiler, the scheduler or the
+// interpreter that moves one number of one module fails here.
+// ---------------------------------------------------------------------------
+
+TEST(CostCharacterization, ProfilesAsPinned) {
+  const auto modules = costed_modules();
+  std::uint64_t digest = kFnvOffset;
+  for (const auto& m : modules) {
+    const auto est = profile_cycles(*m);
+    const auto run = interp::run_module(*m);
+    ASSERT_TRUE(est.is_ok()) << m->name() << ": " << est.message();
+    ASSERT_TRUE(run.is_ok()) << m->name() << ": " << run.message();
+    const CycleEstimate& e = est.value();
+    const interp::ExecutionResult& r = run.value();
+    for (const std::uint64_t v :
+         {e.cycles, e.fsm_cycles, e.burst_cycles, std::bit_cast<std::uint64_t>(e.area),
+          r.instructions_executed, static_cast<std::uint64_t>(r.return_value),
+          r.memory_checksum}) {
+      digest = hash_combine(digest, v);
+    }
+  }
+  EXPECT_EQ(modules.size(), 15u * 3);
+  EXPECT_EQ(digest, 0xbc9de810488b5b62ULL) << std::hex << "0x" << digest;
 }
 
 TEST(CycleEstimator, LoopDominatesCost) {
