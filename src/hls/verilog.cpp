@@ -3,6 +3,7 @@
 #include <map>
 #include <sstream>
 
+#include "ir/id_table.hpp"
 #include "support/str.hpp"
 
 namespace autophase::hls {
@@ -44,17 +45,30 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   }
   os << "\n);\n\n";
 
-  // State encoding: one FSM state per (block, cycle) with >=1 state blocks;
-  // zero-state blocks fold into their successor transition.
+  // State encoding: one FSM state per (block, cycle) with >=1 state blocks,
+  // numbered in block order; zero-state blocks fold into their successor
+  // transition and keep first state 0.
+  const std::vector<BasicBlock*> blocks = const_cast<ir::Function&>(f).blocks();
   int total_states = 1;  // state 0 = idle
-  std::map<const BasicBlock*, int> first_state;
-  for (BasicBlock* bb : const_cast<ir::Function&>(f).blocks()) {
+  ir::IdTable<BasicBlock, int> first_state(f, 0);
+  for (BasicBlock* bb : blocks) {
     const auto it = schedule.blocks.find(bb);
     const int states = it == schedule.blocks.end() ? 1 : it->second.states;
     if (states > 0) {
       first_state[bb] = total_states;
       total_states += states;
     }
+  }
+  // `start` enters the entry block. A zero-state block has only an
+  // unconditional branch to do, so follow those; a cycle of them (at most
+  // one hop per block) leaves the machine idle.
+  int start_state = 0;
+  const BasicBlock* start = blocks.empty() ? nullptr : blocks.front();
+  for (std::size_t hops = 0; start != nullptr && hops < blocks.size(); ++hops) {
+    start_state = first_state.find(start);
+    const Instruction* term = start->terminator();
+    if (start_state > 0 || term == nullptr || term->opcode() != ir::Opcode::kBr) break;
+    start = term->successor(0);
   }
   const int state_bits = total_states <= 2 ? 1 : 32 - __builtin_clz(total_states - 1);
   os << "  // " << total_states << " FSM states (" << state_bits << "-bit encoding)\n";
@@ -75,9 +89,10 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   os << "\n  always @(posedge clk) begin\n";
   os << "    if (rst) begin\n      state <= 0;\n      done <= 1'b0;\n    end else begin\n";
   os << "      case (state)\n";
-  os << "        0: if (start) begin done <= 1'b0; state <= "
-     << (first_state.empty() ? 0 : first_state.begin()->second) << "; end\n";
-  for (const auto& [bb, base] : first_state) {
+  os << "        0: if (start) begin done <= 1'b0; state <= " << start_state << "; end\n";
+  for (BasicBlock* bb : blocks) {
+    const int base = first_state.find(bb);
+    if (base == 0) continue;
     const BlockSchedule& bs = schedule.blocks.at(bb);
     for (int s = 0; s < bs.states; ++s) {
       os << "        " << base + s << ": begin // " << sanitize(bb->name()) << " cycle " << s

@@ -229,6 +229,42 @@ TEST(Verilog, EmitsFsmModules) {
   EXPECT_NE(rtl.find("FSM states"), std::string::npos);
 }
 
+/// The state `start` enters in the RTL of a one-function module.
+int start_state(const std::string& rtl) {
+  const std::string marker = "0: if (start) begin done <= 1'b0; state <= ";
+  const std::size_t pos = rtl.find(marker);
+  return pos == std::string::npos ? -1 : std::atoi(rtl.c_str() + pos + marker.size());
+}
+
+/// RTL follows the function's block order, not where its blocks happen to
+/// sit in memory: an O3'd kernel and its deep clone emit the same bytes, and
+/// each function starts in its entry block's first state (after any empty
+/// blocks the entry branches through). The digest pins every byte.
+TEST(Verilog, O3KernelsEmitInBlockOrderFromTheEntry) {
+  const ResourceConstraints rc;
+  std::uint64_t digest = kFnvOffset;
+  for (const auto& name : progen::chstone_benchmark_names()) {
+    auto m = progen::build_chstone_like(name);
+    passes::run_o3(*m);
+    const std::string rtl = emit_verilog_module(*m, rc);
+    EXPECT_EQ(rtl, emit_verilog_module(*ir::clone_module(*m), rc)) << name;
+    digest = fnv1a(rtl, digest);
+    for (Function* f : m->functions()) {
+      const FunctionSchedule sched = schedule_function(*f, rc);
+      const auto states = [&](const ir::BasicBlock* bb) { return sched.blocks.at(bb).states; };
+      const ir::BasicBlock* entry = f->entry();
+      for (std::size_t hops = 0; states(entry) == 0 && hops < f->block_count(); ++hops) {
+        ASSERT_EQ(entry->terminator()->opcode(), ir::Opcode::kBr) << name;
+        entry = entry->terminator()->successor(0);
+      }
+      int expected = 1;
+      for (std::size_t b = 0; f->block(b) != entry; ++b) expected += states(f->block(b));
+      EXPECT_EQ(start_state(emit_verilog(*f, sched, rc)), expected) << name << " " << f->name();
+    }
+  }
+  EXPECT_EQ(digest, 0x972eb27e73da4c6cULL) << std::hex << "0x" << digest;
+}
+
 /// The headline substrate sanity check: -O3 must beat -O0 on every kernel
 /// (the paper's Fig. 7 shows -O0 at -23% vs -O3).
 TEST(CycleEstimator, O3BeatsO0OnEveryKernel) {
