@@ -56,9 +56,11 @@ int main(int argc, char** argv) {
   passes::apply_pass_sequence(*optimised, rl.best_sequence);
   const auto sched = hls::schedule_module(*optimised);
   std::printf("FSM states per function after AutoPhase's ordering:\n");
-  for (const ir::Function* f : optimised->functions()) {
+  const auto functions = optimised->functions();
+  for (std::size_t i = 0; i < functions.size(); ++i) {
+    const ir::Function* f = functions[i];
     std::printf("  %-12s %d states across %zu blocks\n", f->name().c_str(),
-                sched.functions.at(f).total_states, f->block_count());
+                sched.functions[i].total_states, f->block_count());
   }
   std::printf("\nwinning pass sequence:\n ");
   for (const auto& p : rl.pass_names) std::printf(" %s", p.c_str());

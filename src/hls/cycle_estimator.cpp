@@ -10,7 +10,6 @@ CycleEstimate estimate_cycles(const ModuleSchedule& schedule, const interp::Prof
   }
   const auto ports = static_cast<std::uint64_t>(rc.memory_ports);
   for (const auto& [inst, elems] : profile.mem_intrinsic_elems) {
-    (void)inst;
     est.burst_cycles += (elems + ports - 1) / ports;
   }
   est.cycles = est.fsm_cycles + est.burst_cycles;
@@ -21,8 +20,8 @@ Result<CycleEstimate> profile_cycles(const ir::Module& m, const ResourceConstrai
                                      interp::InterpreterOptions interp_options) {
   auto run = interp::run_module(m, interp_options);
   if (!run.is_ok()) return run.status();
-  const ModuleSchedule schedule = schedule_module(m, rc);
-  CycleEstimate est = estimate_cycles(schedule, run.value().profile, rc);
+  const interp::Profile& profile = run.value().profile;
+  CycleEstimate est = estimate_cycles(schedule_profile(profile, rc), profile, rc);
   est.area = estimate_area(m);
   return est;
 }
@@ -42,7 +41,6 @@ Result<std::uint64_t> simulate_fsm_cycles(const ir::Module& m, const ResourceCon
   }
   const auto ports = static_cast<std::uint64_t>(rc.memory_ports);
   for (const auto& [inst, elems] : run.value().profile.mem_intrinsic_elems) {
-    (void)inst;
     cycles += (elems + ports - 1) / ports;
   }
   return cycles;

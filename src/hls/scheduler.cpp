@@ -1,6 +1,7 @@
 #include "hls/scheduler.hpp"
 
 #include <algorithm>
+#include <array>
 #include <vector>
 
 namespace autophase::hls {
@@ -12,7 +13,7 @@ using ir::Instruction;
 using ir::Opcode;
 
 struct IssueState {
-  int cycle = 0;          // issue cycle
+  int cycle = -1;         // issue cycle; -1 until the instruction is scheduled
   double finish = 0.0;    // in-cycle finish time for combinational results
   int available = 0;      // first cycle the result is usable
   bool combinational = true;
@@ -21,72 +22,44 @@ struct IssueState {
 /// Per-cycle unit usage within a block.
 class ResourceTracker {
  public:
-  explicit ResourceTracker(const ResourceConstraints& rc) : rc_(rc) {}
+  explicit ResourceTracker(const ResourceConstraints& rc)
+      : limits_{rc.memory_ports, rc.multipliers, rc.dividers} {}
 
-  /// Earliest cycle >= `from` at which a unit of `cls` can issue.
-  int earliest(ResourceClass cls, int from, int initiation_interval) {
+  /// Issues an op of `cls` at the earliest cycle >= `from` at which a unit is
+  /// free for `initiation_interval` cycles, and returns that cycle.
+  int issue(ResourceClass cls, int from, int initiation_interval) {
     if (cls == ResourceClass::kNone) return from;
-    for (int c = from;; ++c) {
-      if (fits(cls, c, initiation_interval)) return c;
-    }
-  }
-
-  void commit(ResourceClass cls, int cycle, int initiation_interval) {
-    if (cls == ResourceClass::kNone) return;
-    auto& usage = usage_for(cls);
-    for (int c = cycle; c < cycle + initiation_interval; ++c) {
-      if (static_cast<std::size_t>(c) >= usage.size()) {
-        usage.resize(static_cast<std::size_t>(c) + 1, 0);
+    const auto unit = static_cast<std::size_t>(cls) - 1;  // kNone has no unit
+    const auto interval = static_cast<std::size_t>(initiation_interval);
+    std::vector<int>& usage = usage_[unit];
+    const auto fits = [&](std::size_t cycle) {
+      for (std::size_t c = cycle; c < cycle + interval; ++c) {
+        if ((c < usage.size() ? usage[c] : 0) >= limits_[unit]) return false;
       }
-      ++usage[static_cast<std::size_t>(c)];
-    }
+      return true;
+    };
+    auto cycle = static_cast<std::size_t>(from);
+    while (!fits(cycle)) ++cycle;
+    usage.resize(std::max(usage.size(), cycle + interval), 0);
+    for (std::size_t c = cycle; c < cycle + interval; ++c) ++usage[c];
+    return static_cast<int>(cycle);
   }
 
  private:
-  bool fits(ResourceClass cls, int cycle, int initiation_interval) {
-    const int limit = limit_for(cls);
-    auto& usage = usage_for(cls);
-    for (int c = cycle; c < cycle + initiation_interval; ++c) {
-      const int used =
-          static_cast<std::size_t>(c) < usage.size() ? usage[static_cast<std::size_t>(c)] : 0;
-      if (used >= limit) return false;
-    }
-    return true;
-  }
-
-  int limit_for(ResourceClass cls) const {
-    switch (cls) {
-      case ResourceClass::kMemoryPort: return rc_.memory_ports;
-      case ResourceClass::kMultiplier: return rc_.multipliers;
-      case ResourceClass::kDivider: return rc_.dividers;
-      case ResourceClass::kNone: return 1 << 30;
-    }
-    return 1;
-  }
-
-  std::vector<int>& usage_for(ResourceClass cls) {
-    switch (cls) {
-      case ResourceClass::kMemoryPort: return mem_;
-      case ResourceClass::kMultiplier: return mul_;
-      default: return div_;
-    }
-  }
-
-  ResourceConstraints rc_;
-  std::vector<int> mem_;
-  std::vector<int> mul_;
-  std::vector<int> div_;
+  std::array<int, 3> limits_;
+  std::array<std::vector<int>, 3> usage_;
 };
 
-BlockSchedule schedule_block(const BasicBlock& bb, const ResourceConstraints& rc) {
-  BlockSchedule out;
-  std::unordered_map<const Instruction*, IssueState> issued;
+/// Schedules `bb` and returns the FSM states it occupies per execution.
+/// `issued` covers bb's function and receives the issue state of each of its
+/// instructions.
+int schedule_block(const BasicBlock& bb, const ResourceConstraints& rc,
+                   ir::IdTable<Instruction, IssueState>& issued) {
   ResourceTracker resources(rc);
   int max_complete = 0;  // last cycle any op occupies
   bool needs_state = false;
 
-  for (Instruction* inst :
-       const_cast<BasicBlock&>(bb).instructions()) {
+  for (Instruction* inst : bb.instructions()) {
     if (inst->is_phi()) continue;  // phis resolve on the state-transition edge
 
     const OpTiming t = op_timing(*inst);
@@ -97,9 +70,8 @@ BlockSchedule schedule_block(const BasicBlock& bb, const ResourceConstraints& rc
     for (const ir::Value* op : inst->operands()) {
       const Instruction* def = ir::as_instruction(op);
       if (def == nullptr || def->parent() != &bb || def->is_phi()) continue;
-      const auto it = issued.find(def);
-      if (it == issued.end()) continue;  // defensive: non-SSA order
-      const IssueState& s = it->second;
+      const IssueState s = issued.find(def);
+      if (s.cycle < 0) continue;  // defensive: non-SSA order
       if (s.combinational) {
         if (s.cycle > ready_cycle) {
           ready_cycle = s.cycle;
@@ -135,8 +107,7 @@ BlockSchedule schedule_block(const BasicBlock& bb, const ResourceConstraints& rc
     } else {
       // Multi-cycle: issue at a cycle boundary with a free unit.
       const int min_cycle = ready_time > 0.0 ? ready_cycle + 1 : ready_cycle;
-      const int cycle = resources.earliest(t.resource, min_cycle, t.initiation_interval);
-      resources.commit(t.resource, cycle, t.initiation_interval);
+      const int cycle = resources.issue(t.resource, min_cycle, t.initiation_interval);
       s.cycle = cycle;
       s.available = cycle + t.latency;
       s.combinational = false;
@@ -145,33 +116,55 @@ BlockSchedule schedule_block(const BasicBlock& bb, const ResourceConstraints& rc
       needs_state = true;
     }
     issued[inst] = s;
-    out.issue_cycle[inst] = s.cycle;
   }
 
   // A block containing only phis, zero-delay wiring, and an unconditional
   // branch folds into the FSM transition (0 states). Anything with real
   // delay, a memory/unit op, a multi-way branch, or a return needs states.
-  out.states = needs_state ? std::max(1, max_complete + 1) : 0;
-  return out;
+  return needs_state ? std::max(1, max_complete + 1) : 0;
 }
 
 }  // namespace
 
 FunctionSchedule schedule_function(const ir::Function& f, const ResourceConstraints& rc) {
-  FunctionSchedule out;
-  out.function = &f;
-  for (BasicBlock* bb : const_cast<ir::Function&>(f).blocks()) {
-    BlockSchedule bs = schedule_block(*bb, rc);
-    out.total_states += bs.states;
-    out.blocks.emplace(bb, std::move(bs));
+  FunctionSchedule out{ir::IdTable<BasicBlock, int>(f, 0), 0};
+  ir::IdTable<Instruction, IssueState> issued(f, IssueState{});
+  for (const BasicBlock* bb : f.blocks()) {
+    out.states[bb] = schedule_block(*bb, rc, issued);
+    out.total_states += out.states[bb];
   }
   return out;
 }
 
 ModuleSchedule schedule_module(const ir::Module& m, const ResourceConstraints& rc) {
   ModuleSchedule out;
-  for (const ir::Function* f : m.functions()) {
-    out.functions.emplace(f, schedule_function(*f, rc));
+  for (const ir::Function* f : m.functions()) out.functions.push_back(schedule_function(*f, rc));
+  return out;
+}
+
+ModuleSchedule schedule_profile(const interp::Profile& profile, const ResourceConstraints& rc) {
+  ModuleSchedule out;
+  ir::IdTable<Instruction, IssueState> issued;
+  const ir::Function* f = nullptr;
+  for (const auto& [bb, count] : profile.block_counts) {
+    if (bb->parent() != f) {  // the profile lists each function's blocks together
+      f = bb->parent();
+      out.functions.push_back({ir::IdTable<BasicBlock, int>(*f, 0), 0});
+      issued.reset(*f, IssueState{});
+    }
+    FunctionSchedule& fs = out.functions.back();
+    fs.states[bb] = schedule_block(*bb, rc, issued);
+    fs.total_states += fs.states[bb];
+  }
+  return out;
+}
+
+ir::IdTable<Instruction, int> issue_cycles(const ir::Function& f, const ResourceConstraints& rc) {
+  ir::IdTable<Instruction, IssueState> issued(f, IssueState{});
+  ir::IdTable<Instruction, int> out(f, -1);
+  for (const BasicBlock* bb : f.blocks()) {
+    (void)schedule_block(*bb, rc, issued);
+    for (const Instruction* inst : bb->instructions()) out[inst] = issued.find(inst).cycle;
   }
   return out;
 }

@@ -52,8 +52,7 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   int total_states = 1;  // state 0 = idle
   ir::IdTable<BasicBlock, int> first_state(f, 0);
   for (BasicBlock* bb : blocks) {
-    const auto it = schedule.blocks.find(bb);
-    const int states = it == schedule.blocks.end() ? 1 : it->second.states;
+    const int states = schedule.states.find(bb);
     if (states > 0) {
       first_state[bb] = total_states;
       total_states += states;
@@ -77,7 +76,7 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   // Datapath registers: one per non-void instruction result.
   int reg_id = 0;
   std::map<const Instruction*, std::string> regs;
-  for (BasicBlock* bb : const_cast<ir::Function&>(f).blocks()) {
+  for (BasicBlock* bb : blocks) {
     for (Instruction* inst : bb->instructions()) {
       if (inst->type()->is_void()) continue;
       const std::string r = strf("r%d_%s", reg_id++, ir::opcode_name(inst->opcode()));
@@ -90,23 +89,22 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   os << "    if (rst) begin\n      state <= 0;\n      done <= 1'b0;\n    end else begin\n";
   os << "      case (state)\n";
   os << "        0: if (start) begin done <= 1'b0; state <= " << start_state << "; end\n";
+  const ir::IdTable<Instruction, int> issue_cycle = issue_cycles(f, rc);
   for (BasicBlock* bb : blocks) {
     const int base = first_state.find(bb);
-    if (base == 0) continue;
-    const BlockSchedule& bs = schedule.blocks.at(bb);
-    for (int s = 0; s < bs.states; ++s) {
+    const int states = schedule.states.find(bb);
+    for (int s = 0; s < states; ++s) {
       os << "        " << base + s << ": begin // " << sanitize(bb->name()) << " cycle " << s
          << "\n";
       for (Instruction* inst : bb->instructions()) {
-        const auto it = bs.issue_cycle.find(inst);
-        if (it == bs.issue_cycle.end() || it->second != s) continue;
+        if (issue_cycle.find(inst) != s) continue;
         const auto rit = regs.find(inst);
         if (rit != regs.end()) {
           os << "          " << rit->second << " <= /* " << ir::opcode_name(inst->opcode())
              << " */ 0;\n";
         }
       }
-      if (s + 1 < bs.states) {
+      if (s + 1 < states) {
         os << "          state <= " << base + s + 1 << ";\n";
       } else {
         os << "          state <= 0; // next-block transition resolved by branch logic\n";
@@ -128,11 +126,10 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
 }
 
 std::string emit_verilog_module(const ir::Module& m, const ResourceConstraints& rc) {
-  const ModuleSchedule schedule = schedule_module(m, rc);
   std::ostringstream os;
   os << "// AutoPhase HLS output for module '" << m.name() << "'\n\n";
   for (const ir::Function* f : m.functions()) {
-    os << emit_verilog(*f, schedule.functions.at(f), rc) << "\n";
+    os << emit_verilog(*f, schedule_function(*f, rc), rc) << "\n";
   }
   return os.str();
 }

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "ir/id_table.hpp"
@@ -63,16 +64,17 @@ struct DecodedInst {
   std::vector<OperandRef> ops;
   std::vector<std::pair<std::int64_t, int>> cases;  // switch
   const Instruction* src = nullptr;
+  std::uint64_t elems = 0;  // memset/memcpy: elements processed this run
 };
 
 struct DecodedBlock {
   const BasicBlock* src = nullptr;
+  std::uint64_t entries = 0;  // times entered this run
   std::vector<DecodedPhi> phis;
   std::vector<DecodedInst> insts;
 };
 
 struct DecodedFunction {
-  const Function* src = nullptr;
   std::vector<DecodedBlock> blocks;
   int slot_count = 0;
   int arg_count = 0;
@@ -81,7 +83,6 @@ struct DecodedFunction {
 struct Frame {
   int func = -1;
   int block = 0;
-  int prev_block = -1;
   std::size_t ip = 0;
   int ret_slot = -1;           // slot in the caller frame
   std::size_t stack_watermark = 0;
@@ -135,7 +136,6 @@ thread_local ThreadArena t_arena;
 }  // namespace
 
 struct Interpreter::Impl {
-  const ir::Module* module;
   InterpreterOptions options;
   std::vector<DecodedFunction> functions;
   std::unordered_map<const Function*, int> function_index;
@@ -143,9 +143,9 @@ struct Interpreter::Impl {
   std::size_t globals_end = 8;  // address 0..7 reserved (null page)
   int main_index = -1;
 
-  explicit Impl(const ir::Module& m, InterpreterOptions opts) : module(&m), options(opts) {
-    layout_globals();
-    decode_module();
+  explicit Impl(const ir::Module& m, InterpreterOptions opts) : options(opts) {
+    layout_globals(m);
+    decode_module(m);
   }
 
   struct GlobalRegion {
@@ -156,10 +156,10 @@ struct Interpreter::Impl {
   };
   std::vector<GlobalRegion> regions;  // sorted by base
 
-  void layout_globals() {
+  void layout_globals(const ir::Module& m) {
     std::size_t cursor = 8;
-    for (std::size_t i = 0; i < module->global_count(); ++i) {
-      const ir::GlobalVariable* g = module->global(i);
+    for (std::size_t i = 0; i < m.global_count(); ++i) {
+      const ir::GlobalVariable* g = m.global(i);
       cursor = (cursor + 7) & ~std::size_t{7};
       global_base[g] = cursor;
       regions.push_back({cursor, g->size_in_bytes(), g, false});
@@ -186,8 +186,8 @@ struct Interpreter::Impl {
     if (addr >= r.base && addr + size <= r.base + r.size) r.dirty = true;
   }
 
-  void decode_module() {
-    const auto funcs = module->functions();
+  void decode_module(const ir::Module& m) {
+    const auto funcs = m.functions();
     for (std::size_t i = 0; i < funcs.size(); ++i) {
       function_index[funcs[i]] = static_cast<int>(i);
       if (funcs[i]->name() == "main") main_index = static_cast<int>(i);
@@ -197,7 +197,6 @@ struct Interpreter::Impl {
   }
 
   void decode_function(const Function& f, DecodedFunction& out) {
-    out.src = &f;
     out.arg_count = static_cast<int>(f.arg_count());
     // Slots: arguments first, then the non-void instructions in block order.
     // A foreign or void operand has no slot, and at() throws for it.
@@ -283,9 +282,6 @@ struct Interpreter::Impl {
                 static_cast<std::uint32_t>(inst->type()->pointee()->size_in_bytes());
             break;
           case Opcode::kMemSet:
-            d.elem_size =
-                static_cast<std::uint32_t>(inst->operand(0)->type()->pointee()->size_in_bytes());
-            break;
           case Opcode::kMemCpy:
             d.elem_size =
                 static_cast<std::uint32_t>(inst->operand(0)->type()->pointee()->size_in_bytes());
@@ -317,7 +313,6 @@ struct Interpreter::Impl {
   std::size_t dirty_end = 0;       // no byte at or above this was written
   std::size_t stack_ptr = 0;
   std::uint64_t executed = 0;
-  Profile profile;
   std::vector<std::int64_t> phi_buffer;
 
   [[nodiscard]] bool mem_ok(std::uint64_t addr, std::uint64_t size) const noexcept {
@@ -413,18 +408,16 @@ struct Interpreter::Impl {
     memory = t_arena.acquire(options.memory_bytes);
     dirty_end = 0;
     const ArenaLease lease{*this};
-    for (std::size_t i = 0; i < module->global_count(); ++i) {
-      const ir::GlobalVariable* g = module->global(i);
-      const auto& init = g->init();
-      const std::uint64_t base = global_base.at(g);
-      const std::uint32_t esz = static_cast<std::uint32_t>(g->element_type()->size_in_bytes());
-      for (std::size_t e = 0; e < init.size() && e < g->element_count(); ++e) {
-        mem_write(base + e * esz, esz, init[e]);
+    for (const GlobalRegion& r : regions) {
+      const auto& init = r.global->init();
+      const auto esz = static_cast<std::uint32_t>(r.global->element_type()->size_in_bytes());
+      for (std::size_t e = 0; e < init.size() && e < r.global->element_count(); ++e) {
+        mem_write(r.base + e * esz, esz, init[e]);
       }
     }
     stack_ptr = globals_end;
     executed = 0;
-    profile = Profile{};
+    (void)take_profile();  // drops the counts of a run that failed
     for (GlobalRegion& r : regions) r.dirty = false;
 
     std::vector<Frame> frames;
@@ -439,7 +432,7 @@ struct Interpreter::Impl {
     if (functions[main_index].arg_count != 0) {
       return Status::error("interpreter: 'main' must take no arguments");
     }
-    enter_block(frames.back(), 0);
+    ++functions[main_index].blocks[0].entries;  // a new frame starts in block 0
 
     std::int64_t final_return = 0;
     while (!frames.empty()) {
@@ -548,7 +541,7 @@ struct Interpreter::Impl {
             mem_write(addr + i * d.elem_size, d.elem_size, v);
           }
           if (count > 0) mark_written(addr, bytes);
-          profile.mem_intrinsic_elems[d.src] += count;
+          d.elems += count;
           executed += count;  // budget scales with work
           ++fr.ip;
           break;
@@ -569,7 +562,7 @@ struct Interpreter::Impl {
             dirty_end = std::max<std::size_t>(dirty_end, dst + bytes);
             mark_written(dst, bytes);
           }
-          profile.mem_intrinsic_elems[d.src] += count;
+          d.elems += count;
           executed += count;
           ++fr.ip;
           break;
@@ -578,7 +571,6 @@ struct Interpreter::Impl {
           if (frames.size() >= options.max_call_depth) {
             return Status::error("interpreter: call depth limit exceeded");
           }
-          ++profile.dynamic_calls;
           Frame callee_frame;
           callee_frame.func = d.callee;
           callee_frame.ret_slot = d.dest_slot;
@@ -588,7 +580,7 @@ struct Interpreter::Impl {
           for (std::size_t a = 0; a < d.ops.size(); ++a) callee_frame.slots[a] = value_of(d.ops[a]);
           ++fr.ip;  // resume after the call upon return
           frames.push_back(std::move(callee_frame));
-          enter_block(frames.back(), 0);
+          ++callee_fn.blocks[0].entries;
           break;
         }
         case Opcode::kBr:
@@ -642,7 +634,7 @@ struct Interpreter::Impl {
     ExecutionResult result;
     result.return_value = final_return;
     result.instructions_executed = executed;
-    result.profile = std::move(profile);
+    result.profile = take_profile();
     // Checksum over (name, final contents) of every written global: the
     // observable final state (see the header for why only written globals).
     std::uint64_t h = kFnvOffset;
@@ -655,17 +647,25 @@ struct Interpreter::Impl {
       }
     }
     result.memory_checksum = h;
-    profile = Profile{};
     return result;
   }
 
-  void enter_block(Frame& fr, int block_index) {
-    fr.prev_block = -1;
-    fr.block = block_index;
-    fr.ip = 0;
-    ++profile.block_counts[functions[static_cast<std::size_t>(fr.func)]
-                               .blocks[static_cast<std::size_t>(block_index)]
-                               .src];
+  /// Takes (and zeroes) the counts in the decoded blocks and mem intrinsics.
+  /// Only an entered block holds any; if the run returned, all of it ran.
+  Profile take_profile() {
+    Profile p;
+    for (DecodedFunction& fn : functions) {
+      for (DecodedBlock& blk : fn.blocks) {
+        if (blk.entries == 0) continue;
+        p.block_counts.emplace_back(blk.src, std::exchange(blk.entries, 0));
+        for (DecodedInst& d : blk.insts) {
+          if (d.op == Opcode::kMemSet || d.op == Opcode::kMemCpy) {
+            p.mem_intrinsic_elems.emplace_back(d.src, std::exchange(d.elems, 0));
+          }
+        }
+      }
+    }
+    return p;
   }
 
   void jump(Frame& fr, int target) {
@@ -691,10 +691,9 @@ struct Interpreter::Impl {
       }
       executed += next.phis.size();
     }
-    fr.prev_block = fr.block;
     fr.block = target;
     fr.ip = 0;
-    ++profile.block_counts[next.src];
+    ++next.entries;
   }
 };
 

@@ -1,13 +1,15 @@
 // IR interpreter. Plays two roles from the paper's toolchain:
 //   1. the "software trace" profiler feeding LegUp-style cycle estimation
-//      (per-basic-block execution counts, dynamic call counts, dynamic
-//      element counts for variable-latency mem intrinsics);
+//      (the blocks that ran with their entry counts, and the elements each
+//      variable-latency mem intrinsic processed);
 //   2. the golden functional model for semantics-preservation property tests
 //      (every Table-1 pass must preserve run().return_value and the global
 //      memory checksum).
 //
 // For speed the module is compiled to a dense register-slot bytecode once at
 // construction; executing costs tens of nanoseconds per dynamic instruction.
+// The bytecode's blocks and mem intrinsics count their own entries and
+// elements, so profiling a run does no lookup per dynamic block.
 //
 // Memory is one arena per thread, shared by every Interpreter run on that
 // thread. It is calloc'd once (again only when `memory_bytes` changes), so a
@@ -26,22 +28,22 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "ir/module.hpp"
 #include "support/status.hpp"
 
 namespace autophase::interp {
 
-/// Execution profile consumed by the HLS cycle estimator.
+/// Execution profile consumed by the HLS cycle estimator. Both lists are in
+/// module order (functions, then blocks, then instructions), so a function's
+/// blocks sit together.
 struct Profile {
-  /// Dynamic execution count per basic block.
-  std::unordered_map<const ir::BasicBlock*, std::uint64_t> block_counts;
-  /// Number of dynamic call instructions executed (call handshake overhead).
-  std::uint64_t dynamic_calls = 0;
-  /// Total elements processed per memset/memcpy site (variable latency).
-  std::unordered_map<const ir::Instruction*, std::uint64_t> mem_intrinsic_elems;
+  /// Every block the run entered, with its dynamic entry count.
+  std::vector<std::pair<const ir::BasicBlock*, std::uint64_t>> block_counts;
+  /// Every memset/memcpy site that ran, with its total elements (variable latency).
+  std::vector<std::pair<const ir::Instruction*, std::uint64_t>> mem_intrinsic_elems;
 };
 
 struct ExecutionResult {

@@ -63,7 +63,7 @@ TEST(Scheduler, ChainsWithinClockPeriod) {
   for (int i = 0; i < 5; ++i) v = b.xor_(v, m->get_i32(3 + i));
   b.ret(v);
   const auto sched = schedule_function(*f, ResourceConstraints{});
-  EXPECT_EQ(sched.blocks.at(bb).states, 1);
+  EXPECT_EQ(sched.states.find(bb), 1);
 }
 
 TEST(Scheduler, DependentAddsSplitStates) {
@@ -77,7 +77,7 @@ TEST(Scheduler, DependentAddsSplitStates) {
   for (int i = 0; i < 4; ++i) v = b.add(v, m->get_i32(i));
   b.ret(v);
   const auto sched = schedule_function(*f, ResourceConstraints{});
-  EXPECT_EQ(sched.blocks.at(bb).states, 2);
+  EXPECT_EQ(sched.states.find(bb), 2);
 }
 
 TEST(Scheduler, FasterClockNeedsMoreStates) {
@@ -91,7 +91,7 @@ TEST(Scheduler, FasterClockNeedsMoreStates) {
   b.ret(v);
   const auto slow = schedule_function(*f, ResourceConstraints::at_frequency_mhz(100));
   const auto fast = schedule_function(*f, ResourceConstraints::at_frequency_mhz(400));
-  EXPECT_LT(slow.blocks.at(bb).states, fast.blocks.at(bb).states);
+  EXPECT_LT(slow.states.find(bb), fast.states.find(bb));
 }
 
 TEST(Scheduler, MemoryPortContention) {
@@ -111,8 +111,8 @@ TEST(Scheduler, MemoryPortContention) {
   ResourceConstraints one_port;
   one_port.memory_ports = 1;
   ir::BasicBlock* body = f->block(1);
-  const int states2 = schedule_function(*f, two_ports).blocks.at(body).states;
-  const int states1 = schedule_function(*f, one_port).blocks.at(body).states;
+  const int states2 = schedule_function(*f, two_ports).states.find(body);
+  const int states1 = schedule_function(*f, one_port).states.find(body);
   EXPECT_LT(states2, states1);
 }
 
@@ -130,8 +130,8 @@ TEST(Scheduler, PhiOnlyBlockIsFree) {
   b.set_insert_point(j);
   b.ret(m->get_i32(0));
   const auto sched = schedule_function(*f, ResourceConstraints{});
-  EXPECT_EQ(sched.blocks.at(fwd).states, 0);
-  EXPECT_GE(sched.blocks.at(j).states, 1);  // ret needs a state
+  EXPECT_EQ(sched.states.find(fwd), 0);
+  EXPECT_GE(sched.states.find(j), 1);  // ret needs a state
 }
 
 /// The modules the cost model is checked on: the nine kernels and six
@@ -173,6 +173,35 @@ TEST(CycleEstimator, MatchesFsmSimulation) {
     EXPECT_GT(est.value().cycles, 0u) << i << " " << m.name();
     EXPECT_GT(est.value().area, 0.0) << i << " " << m.name();
   }
+}
+
+/// schedule_profile schedules the blocks the profile lists, each exactly as
+/// schedule_module does, and nothing else: its static FSM size is the sum of
+/// the profiled blocks' states.
+TEST(Scheduler, ProfileScheduleCoversOnlyWhatRan) {
+  const ResourceConstraints rc;
+  std::size_t partial = 0;
+  for (const auto& m : costed_modules()) {
+    const auto run = interp::run_module(*m);
+    ASSERT_TRUE(run.is_ok()) << m->name();
+    const interp::Profile& profile = run.value().profile;
+    const ModuleSchedule full = schedule_module(*m, rc);
+    const ModuleSchedule ran = schedule_profile(profile, rc);
+    int profiled_states = 0;
+    for (const auto& [bb, count] : profile.block_counts) {
+      EXPECT_GT(count, 0u) << m->name();
+      EXPECT_EQ(ran.states_of(bb), full.states_of(bb)) << m->name() << " " << bb->name();
+      profiled_states += full.states_of(bb);
+    }
+    int ran_states = 0;
+    for (const FunctionSchedule& fs : ran.functions) ran_states += fs.total_states;
+    int all_states = 0;
+    for (const FunctionSchedule& fs : full.functions) all_states += fs.total_states;
+    EXPECT_EQ(ran_states, profiled_states) << m->name();
+    EXPECT_LE(ran.functions.size(), m->function_count()) << m->name();
+    partial += ran_states < all_states ? 1 : 0;
+  }
+  EXPECT_GT(partial, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -251,7 +280,7 @@ TEST(Verilog, O3KernelsEmitInBlockOrderFromTheEntry) {
     digest = fnv1a(rtl, digest);
     for (Function* f : m->functions()) {
       const FunctionSchedule sched = schedule_function(*f, rc);
-      const auto states = [&](const ir::BasicBlock* bb) { return sched.blocks.at(bb).states; };
+      const auto states = [&](const ir::BasicBlock* bb) { return sched.states.find(bb); };
       const ir::BasicBlock* entry = f->entry();
       for (std::size_t hops = 0; states(entry) == 0 && hops < f->block_count(); ++hops) {
         ASSERT_EQ(entry->terminator()->opcode(), ir::Opcode::kBr) << name;

@@ -216,9 +216,6 @@ testing::AssertionResult same_execution(const Result<ExecutionResult>& a,
   if (x.profile.block_counts != y.profile.block_counts) {
     return testing::AssertionFailure() << "block counts";
   }
-  if (x.profile.dynamic_calls != y.profile.dynamic_calls) {
-    return testing::AssertionFailure() << "dynamic calls";
-  }
   if (x.profile.mem_intrinsic_elems != y.profile.mem_intrinsic_elems) {
     return testing::AssertionFailure() << "mem intrinsic elements";
   }
