@@ -150,6 +150,18 @@ void BM_CfgAnalysesCorpus(benchmark::State& state) {
 }
 BENCHMARK(BM_CfgAnalysesCorpus)->Unit(benchmark::kMicrosecond);
 
+/// The cycle profiler on the corpus program, whose run enters a fraction of
+/// its blocks: the cold-miss cost of an EvalService lookup on a corpus-band
+/// program (interpret, schedule what ran, area).
+void BM_ProfileCyclesCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    auto est = hls::profile_cycles(*m);
+    benchmark::DoNotOptimize(est);
+  }
+}
+BENCHMARK(BM_ProfileCyclesCorpus)->Unit(benchmark::kMicrosecond);
+
 /// The module codec's encoder on the corpus program (the wire form of a
 /// remote compile request).
 void BM_SerializeModuleCorpus(benchmark::State& state) {
