@@ -12,7 +12,9 @@
 #include "bench/bench_util.hpp"
 #include "core/autophase.hpp"
 #include "core/importance.hpp"
+#include "ir/printer.hpp"
 #include "rl/ppo.hpp"
+#include "runtime/eval_service.hpp"
 #include "search/search.hpp"
 
 namespace {
@@ -23,12 +25,14 @@ using namespace autophase;
 class AggregateEvaluator {
  public:
   AggregateEvaluator(const std::vector<const ir::Module*>& corpus)
-      : corpus_(corpus), cache_(hls::ResourceConstraints{}, interp::InterpreterOptions{}) {}
+      : corpus_(corpus) {
+    for (const ir::Module* p : corpus_) fingerprints_.push_back(ir::module_fingerprint(*p));
+  }
 
   double evaluate(const std::vector<int>& seq) {
     double total = 0;
-    for (const ir::Module* p : corpus_) {
-      total += static_cast<double>(rl::evaluate_sequence_on(*p, seq, cache_));
+    for (std::size_t i = 0; i < corpus_.size(); ++i) {
+      total += static_cast<double>(service_.evaluate_sequence(*corpus_[i], fingerprints_[i], seq));
     }
     if (total < best_total_) {
       best_total_ = total;
@@ -40,7 +44,8 @@ class AggregateEvaluator {
 
  private:
   const std::vector<const ir::Module*>& corpus_;
-  rl::EvaluationCache cache_;
+  std::vector<std::uint64_t> fingerprints_;
+  runtime::EvalService service_;
   double best_total_ = 1e300;
   std::vector<int> best_;
 };

@@ -13,6 +13,7 @@
 #include "ir/clone.hpp"
 #include "passes/pass.hpp"
 #include "progen/codegen.hpp"
+#include "runtime/eval_service.hpp"
 
 namespace {
 
@@ -74,8 +75,7 @@ std::uint64_t cycles_after(const ir::Module& program, const std::vector<const ch
   for (const char* name : names) {
     passes::apply_pass(*working, passes::PassRegistry::instance().index_of(name));
   }
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  return cache.cycles(*working);
+  return runtime::EvalService().measure(*working).cycles;
 }
 
 }  // namespace

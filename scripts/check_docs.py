@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Docs drift gate: keep README.md + docs/ honest against the code.
 
-Three checks, all cheap enough to run on every CI build:
+Four checks, all cheap enough to run on every CI build:
 
   * every *relative* markdown link in README.md and docs/*.md must resolve
     to an existing file (anchors are stripped; http(s)/mailto links are
@@ -11,7 +11,11 @@ Three checks, all cheap enough to run on every CI build:
     is exactly the drift this gate exists to catch, and
   * the kStats payload version (kStatsPayloadVersion in src/net/wire.hpp)
     must appear as "payload v<N>" in docs/wire-protocol.md, so a payload
-    change that is not documented fails the same way.
+    change that is not documented fails the same way, and
+  * every backticked knob in the first column of a "| knob |" table in
+    docs/operations.md must still appear as an identifier in the code under
+    src/ (comments do not count; for a dotted name such as gossip.period, its
+    last component), so a retired knob cannot stay documented.
 
 Usage:
     check_docs.py [--repo-root DIR]
@@ -26,6 +30,9 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 # Enum entries like "kCompile = 2," inside the MsgType block.
 MSG_TYPE_RE = re.compile(r"^\s*(k[A-Za-z0-9]+)\s*=\s*\d+\s*,", re.MULTILINE)
 STATS_VERSION_RE = re.compile(r"kStatsPayloadVersion\s*=\s*(\d+)\s*;")
+KNOB_TABLE_RE = re.compile(r"^\|\s*knob\s*\|")
+IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.DOTALL)
 
 
 def markdown_files(root):
@@ -103,6 +110,48 @@ def check_stats_payload_version(root):
     return []
 
 
+def documented_knobs(text):
+    """(line number, knob) for each backticked name in a knob table's first column."""
+    knobs = []
+    in_table = False
+    for number, line in enumerate(text.splitlines(), start=1):
+        if KNOB_TABLE_RE.match(line):
+            in_table = True
+            continue
+        if not line.startswith("|"):
+            in_table = False
+            continue
+        if not in_table or set(line) <= set("|-: "):
+            continue
+        first_cell = line.split("|")[1]
+        knobs.extend((number, knob) for knob in re.findall(r"`([^`]+)`", first_cell))
+    return knobs
+
+
+def check_knobs(root):
+    doc = root / "docs" / "operations.md"
+    if not doc.exists():
+        return [f"missing {doc.relative_to(root)}"]
+    identifiers = set()
+    for source in sorted((root / "src").rglob("*")):
+        if source.suffix in (".cpp", ".hpp"):
+            code = COMMENT_RE.sub("", source.read_text(encoding="utf-8"))
+            identifiers.update(IDENTIFIER_RE.findall(code))
+    failures = []
+    knobs = documented_knobs(doc.read_text(encoding="utf-8"))
+    for number, knob in knobs:
+        name = knob.split(".")[-1]
+        if not IDENTIFIER_RE.fullmatch(name):
+            failures.append(f"docs/operations.md:{number}: knob `{knob}` is not an identifier")
+        elif name not in identifiers:
+            failures.append(
+                f"docs/operations.md:{number}: knob `{knob}` names nothing under src/ "
+                f"(retired? remove its row)"
+            )
+    print(f"  knobs: {len(knobs)} documented knob(s) checked against src/")
+    return failures
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", type=pathlib.Path,
@@ -110,7 +159,8 @@ def main():
     args = parser.parse_args()
     root = args.repo_root.resolve()
 
-    failures = check_links(root) + check_wire_verbs(root) + check_stats_payload_version(root)
+    failures = (check_links(root) + check_wire_verbs(root) + check_stats_payload_version(root) +
+                check_knobs(root))
     if failures:
         print("\ndocs drift gate FAILED:", file=sys.stderr)
         for failure in failures:

@@ -4,24 +4,31 @@
 #include "ir/clone.hpp"
 #include "passes/pipelines.hpp"
 #include "rl/env.hpp"
+#include "runtime/eval_service.hpp"
 
 namespace autophase::core {
 
-std::uint64_t o0_cycles(const ir::Module& program) {
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  return cache.cycles(program);
+namespace {
+
+/// Cycles of `m` under the default constraints, on a service of its own.
+std::uint64_t measure_cycles(const ir::Module& m) {
+  return runtime::EvalService().measure(m).cycles;
 }
+
+}  // namespace
+
+std::uint64_t o0_cycles(const ir::Module& program) { return measure_cycles(program); }
 
 std::uint64_t o3_cycles(const ir::Module& program) {
   auto working = ir::clone_module(program);
   passes::run_o3(*working);
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  return cache.cycles(*working);
+  return measure_cycles(*working);
 }
 
 std::uint64_t cycles_with_sequence(const ir::Module& program, const std::vector<int>& sequence) {
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  return rl::evaluate_sequence_on(program, sequence, cache);
+  auto working = ir::clone_module_for_rollout(program);
+  passes::apply_pass_sequence(*working, sequence);
+  return measure_cycles(*working);
 }
 
 AutoPhaseResult optimize_program(const ir::Module& program, const AutoPhaseOptions& options) {
@@ -48,11 +55,9 @@ AutoPhaseResult optimize_program(const ir::Module& program, const AutoPhaseOptio
   for (const int p : result.best_sequence) {
     result.pass_names.emplace_back(passes::PassRegistry::instance().name(p));
   }
-  if (options.emit_rtl) {
-    auto optimised = ir::clone_module(program);
-    passes::apply_pass_sequence(*optimised, result.best_sequence);
-    result.rtl = hls::emit_verilog_module(*optimised);
-  }
+  auto optimised = ir::clone_module(program);
+  passes::apply_pass_sequence(*optimised, result.best_sequence);
+  result.rtl = hls::emit_verilog_module(*optimised);
   return result;
 }
 

@@ -18,7 +18,6 @@ struct AutoPhaseOptions {
   /// Environment formulation (defaults to RL-PPO2: action-histogram
   /// observations, the most sample-efficient single-program setup).
   rl::EnvConfig env{};
-  bool emit_rtl = true;
   std::uint64_t seed = 1;
 };
 

@@ -9,6 +9,7 @@
 #include "passes/pass.hpp"
 #include "progen/random_program.hpp"
 #include "rl/env.hpp"
+#include "runtime/eval_service.hpp"
 #include "support/log.hpp"
 #include "support/rng.hpp"
 
@@ -33,7 +34,7 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
                                                          static_cast<std::uint64_t>(p)));
   }
 
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
+  runtime::EvalService service;
   std::size_t program_index = 0;
   while (tuples.size() < static_cast<std::size_t>(config.target_samples)) {
     const ir::Module& program = *programs[program_index];
@@ -41,7 +42,7 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
 
     auto working = ir::clone_module(program);
     std::uint64_t fingerprint = ir::module_fingerprint(*working);
-    std::uint64_t prev = cache.cycles(*working, fingerprint);
+    std::uint64_t prev = service.measure(*working, fingerprint).cycles;
     auto fv = features::extract_features(*working);
     std::vector<double> histogram(static_cast<std::size_t>(passes::kNumPasses), 0.0);
 
@@ -56,7 +57,7 @@ std::vector<Tuple> collect_tuples(const ImportanceConfig& config) {
       std::uint64_t cycles = prev;
       if (changed) {
         fingerprint = ir::module_fingerprint(*working);
-        cycles = cache.cycles(*working, fingerprint);
+        cycles = service.measure(*working, fingerprint).cycles;
       } else {
         rl::check_unchanged(*working, fingerprint);
       }

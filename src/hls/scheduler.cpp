@@ -59,7 +59,8 @@ int schedule_block(const BasicBlock& bb, const ResourceConstraints& rc,
   int max_complete = 0;  // last cycle any op occupies
   bool needs_state = false;
 
-  for (Instruction* inst : bb.instructions()) {
+  for (std::size_t i = 0; i < bb.size(); ++i) {
+    const Instruction* inst = bb.inst(i);
     if (inst->is_phi()) continue;  // phis resolve on the state-transition edge
 
     const OpTiming t = op_timing(*inst);
@@ -164,7 +165,10 @@ ir::IdTable<Instruction, int> issue_cycles(const ir::Function& f, const Resource
   ir::IdTable<Instruction, int> out(f, -1);
   for (const BasicBlock* bb : f.blocks()) {
     (void)schedule_block(*bb, rc, issued);
-    for (const Instruction* inst : bb->instructions()) out[inst] = issued.find(inst).cycle;
+    for (std::size_t i = 0; i < bb->size(); ++i) {
+      const Instruction* inst = bb->inst(i);
+      out[inst] = issued.find(inst).cycle;
+    }
   }
   return out;
 }
@@ -173,7 +177,8 @@ double estimate_area(const ir::Module& m) {
   double area = 0.0;
   for (const ir::Function* f : m.functions()) {
     for (const ir::BasicBlock* bb : const_cast<ir::Function*>(f)->blocks()) {
-      for (const Instruction* inst : bb->instructions()) {
+      for (std::size_t i = 0; i < bb->size(); ++i) {
+        const Instruction* inst = bb->inst(i);
         area += op_area(*inst);
         if (inst->opcode() == Opcode::kAlloca) {
           area += 0.05 * static_cast<double>(inst->alloca_count() *

@@ -54,7 +54,7 @@ struct DecodedInst {
   Opcode op = Opcode::kUnreachable;
   ICmpPred pred = ICmpPred::kEq;
   int bits = 64;       // result width for masking
-  int src_bits = 64;   // source width (casts)
+  int src_bits = 64;   // operand width (icmp, casts)
   int dest_slot = -1;  // -1 for void results
   std::uint32_t elem_size = 1;
   std::size_t alloca_count = 0;
@@ -261,7 +261,9 @@ struct Interpreter::Impl {
         }
         for (Value* op : inst->operands()) d.ops.push_back(make_ref(op));
         switch (inst->opcode()) {
-          case Opcode::kICmp: d.pred = inst->icmp_pred(); break;
+          case Opcode::kICmp:
+            d.pred = inst->icmp_pred();
+            [[fallthrough]];
           case Opcode::kZExt:
           case Opcode::kSExt:
           case Opcode::kTrunc:
@@ -455,11 +457,7 @@ struct Interpreter::Impl {
       switch (d.op) {
         case Opcode::kICmp:
           fr.slots[static_cast<std::size_t>(d.dest_slot)] =
-              eval_icmp(d.pred, value_of(d.ops[0]), value_of(d.ops[1]),
-                        d.src->operand(0)->type()->is_int() ? d.src->operand(0)->type()->bits()
-                                                            : 64)
-                  ? 1
-                  : 0;
+              eval_icmp(d.pred, value_of(d.ops[0]), value_of(d.ops[1]), d.src_bits) ? 1 : 0;
           ++fr.ip;
           break;
         case Opcode::kZExt:

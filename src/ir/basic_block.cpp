@@ -48,13 +48,6 @@ Instruction* BasicBlock::terminator() const noexcept {
   return last->is_terminator() ? last : nullptr;
 }
 
-Instruction* BasicBlock::first_non_phi() const noexcept {
-  for (const auto& inst : insts_) {
-    if (!inst->is_phi()) return inst.get();
-  }
-  return nullptr;
-}
-
 int BasicBlock::index_of(const Instruction* inst) const noexcept {
   for (std::size_t i = 0; i < insts_.size(); ++i) {
     if (insts_[i].get() == inst) return static_cast<int>(i);

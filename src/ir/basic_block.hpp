@@ -54,10 +54,6 @@ class BasicBlock {
   /// The terminator, or nullptr if the block is still under construction.
   [[nodiscard]] Instruction* terminator() const noexcept;
 
-  /// First instruction that is not a phi (insertion point for hoisted code);
-  /// nullptr if the block only contains phis or is empty.
-  [[nodiscard]] Instruction* first_non_phi() const noexcept;
-
   /// Position of an instruction in this block; -1 if absent.
   [[nodiscard]] int index_of(const Instruction* inst) const noexcept;
 

@@ -17,14 +17,12 @@ class IRBuilder {
   explicit IRBuilder(Module& module) : module_(&module) {}
 
   [[nodiscard]] Module& module() const noexcept { return *module_; }
-  [[nodiscard]] BasicBlock* insert_block() const noexcept { return block_; }
   void set_insert_point(BasicBlock* block) noexcept { block_ = block; }
 
   // ---- Constants ----
   ConstantInt* i1(bool v) { return module_->get_i1(v); }
   ConstantInt* i32(std::int64_t v) { return module_->get_i32(v); }
   ConstantInt* i64(std::int64_t v) { return module_->get_i64(v); }
-  ConstantInt* int_const(Type* t, std::int64_t v) { return module_->get_int(t, v); }
 
   // ---- Value ops ----
   Value* binary(Opcode op, Value* a, Value* b, std::string name = "");
@@ -77,9 +75,6 @@ class IRBuilder {
   }
   Value* icmp_slt(Value* a, Value* b, std::string name = "") {
     return icmp(ICmpPred::kSlt, a, b, std::move(name));
-  }
-  Value* icmp_sle(Value* a, Value* b, std::string name = "") {
-    return icmp(ICmpPred::kSle, a, b, std::move(name));
   }
   Value* icmp_sgt(Value* a, Value* b, std::string name = "") {
     return icmp(ICmpPred::kSgt, a, b, std::move(name));

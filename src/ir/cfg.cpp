@@ -148,13 +148,4 @@ std::vector<Instruction*> collect_call_sites(Module& m, const Function* f) {
   return out;
 }
 
-std::size_t edge_count(const Function& f) {
-  std::size_t n = 0;
-  for (BasicBlock* bb : f.blocks()) {
-    Instruction* term = bb->terminator();
-    if (term != nullptr) n += term->successor_count();
-  }
-  return n;
-}
-
 }  // namespace autophase::ir

@@ -41,7 +41,4 @@ BasicBlock* merge_block_into_predecessor(BasicBlock* bb);
 /// All call instructions in `m` whose callee is `f`.
 std::vector<Instruction*> collect_call_sites(Module& m, const Function* f);
 
-/// Number of dynamic edges in the CFG (sum over terminator successor slots).
-std::size_t edge_count(const Function& f);
-
 }  // namespace autophase::ir

@@ -30,9 +30,6 @@ class DominatorTree {
 
   /// Reflexive dominance over blocks.
   [[nodiscard]] bool dominates(const BasicBlock* a, const BasicBlock* b) const;
-  [[nodiscard]] bool strictly_dominates(const BasicBlock* a, const BasicBlock* b) const {
-    return a != b && dominates(a, b);
-  }
 
   /// Does the definition of `def` dominate the use at (user, operand i)?
   /// Handles: constants/args/globals (always), same-block ordering, and phi

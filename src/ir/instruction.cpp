@@ -101,22 +101,6 @@ bool opcode_is_commutative(Opcode op) noexcept {
   }
 }
 
-ICmpPred icmp_inverse(ICmpPred pred) noexcept {
-  switch (pred) {
-    case ICmpPred::kEq: return ICmpPred::kNe;
-    case ICmpPred::kNe: return ICmpPred::kEq;
-    case ICmpPred::kSlt: return ICmpPred::kSge;
-    case ICmpPred::kSle: return ICmpPred::kSgt;
-    case ICmpPred::kSgt: return ICmpPred::kSle;
-    case ICmpPred::kSge: return ICmpPred::kSlt;
-    case ICmpPred::kUlt: return ICmpPred::kUge;
-    case ICmpPred::kUle: return ICmpPred::kUgt;
-    case ICmpPred::kUgt: return ICmpPred::kUle;
-    case ICmpPred::kUge: return ICmpPred::kUlt;
-  }
-  return pred;
-}
-
 ICmpPred icmp_swapped(ICmpPred pred) noexcept {
   switch (pred) {
     case ICmpPred::kEq: return ICmpPred::kEq;
@@ -434,16 +418,6 @@ void Instruction::add_switch_case(ConstantInt* value, BasicBlock* dest) {
   add_operand(value);
   successors_.push_back(dest);
   if (parent_ != nullptr) dest->add_pred(parent_);
-}
-
-void Instruction::remove_switch_case(std::size_t case_index) {
-  assert(opcode_ == Opcode::kSwitch && case_index < switch_case_count());
-  const std::size_t op_idx = 1 + case_index;
-  operands_[op_idx]->remove_user(this);
-  operands_.erase(operands_.begin() + static_cast<std::ptrdiff_t>(op_idx));
-  BasicBlock* dest = successors_[op_idx];
-  if (parent_ != nullptr) dest->remove_pred(parent_);
-  successors_.erase(successors_.begin() + static_cast<std::ptrdiff_t>(op_idx));
 }
 
 void Instruction::remove_call_arg(std::size_t i) {

@@ -74,8 +74,7 @@ enum class ICmpPred { kEq, kNe, kSlt, kSle, kSgt, kSge, kUlt, kUle, kUgt, kUge }
 [[nodiscard]] bool opcode_is_cast(Opcode op) noexcept;
 [[nodiscard]] bool opcode_is_terminator(Opcode op) noexcept;
 [[nodiscard]] bool opcode_is_commutative(Opcode op) noexcept;
-/// Inverse / swapped-operand predicate helpers for icmp simplification.
-[[nodiscard]] ICmpPred icmp_inverse(ICmpPred pred) noexcept;
+/// Swapped-operand predicate helper for icmp simplification.
 [[nodiscard]] ICmpPred icmp_swapped(ICmpPred pred) noexcept;
 
 class Instruction final : public Value {
@@ -208,7 +207,6 @@ class Instruction final : public Value {
   void replace_successor(BasicBlock* from, BasicBlock* to);
   /// Append a switch case (value, destination).
   void add_switch_case(ConstantInt* value, BasicBlock* dest);
-  void remove_switch_case(std::size_t case_index);
   [[nodiscard]] std::size_t switch_case_count() const noexcept {
     assert(opcode_ == Opcode::kSwitch);
     return successors_.size() - 1;

@@ -68,16 +68,6 @@ std::vector<BasicBlock*> Loop::exit_blocks() const {
   return out;
 }
 
-std::vector<std::pair<BasicBlock*, BasicBlock*>> Loop::exit_edges() const {
-  std::vector<std::pair<BasicBlock*, BasicBlock*>> out;
-  for (BasicBlock* bb : blocks_) {
-    for (BasicBlock* s : bb->successors()) {
-      if (!contains(s)) out.emplace_back(bb, s);
-    }
-  }
-  return out;
-}
-
 bool Loop::has_dedicated_exits() const {
   for (BasicBlock* exit : exit_blocks()) {
     for (BasicBlock* p : exit->unique_predecessors()) {

@@ -42,8 +42,6 @@ class Loop {
   [[nodiscard]] std::vector<BasicBlock*> exiting_blocks() const;
   /// Out-of-loop successor blocks (deduplicated).
   [[nodiscard]] std::vector<BasicBlock*> exit_blocks() const;
-  /// (exiting-in-loop, exit-outside) edges.
-  [[nodiscard]] std::vector<std::pair<BasicBlock*, BasicBlock*>> exit_edges() const;
   /// True if every exit block's predecessors are all inside the loop
   /// (loop-simplify's "dedicated exits" property).
   [[nodiscard]] bool has_dedicated_exits() const;

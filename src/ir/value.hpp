@@ -172,9 +172,5 @@ inline GlobalVariable* as_global(Value* v) noexcept {
              ? static_cast<GlobalVariable*>(v)
              : nullptr;
 }
-inline Argument* as_argument(Value* v) noexcept {
-  return v != nullptr && v->value_kind() == ValueKind::kArgument ? static_cast<Argument*>(v)
-                                                                 : nullptr;
-}
 
 }  // namespace autophase::ir

@@ -8,6 +8,15 @@
 
 namespace autophase::learn {
 
+namespace {
+
+/// Cap on distinct served programs mixed into the fine-tune corpus
+/// (first-seen order). Keeps one hot program from drowning out the corpus
+/// half of the mixture.
+constexpr std::size_t kMaxTrafficPrograms = 32;
+
+}  // namespace
+
 OnlineTrainer::OnlineTrainer(std::shared_ptr<runtime::EvalService> eval,
                              OnlineTrainerConfig config)
     : eval_(std::move(eval)), config_(std::move(config)) {}
@@ -22,7 +31,7 @@ Result<FineTuneReport> OnlineTrainer::fine_tune(const serve::PolicyArtifact& inc
     return Status::error("cannot fine-tune an artifact with a feature normalizer");
   }
 
-  auto traffic_programs = unique_programs(traffic, config_.max_traffic_programs);
+  auto traffic_programs = unique_programs(traffic, kMaxTrafficPrograms);
 
   std::vector<const ir::Module*> mixture;
   mixture.reserve(traffic_programs.size() + corpus.size());

@@ -22,10 +22,6 @@ struct OnlineTrainerConfig {
   /// PPO settings for the fine-tune run. `hidden` is ignored — the network
   /// shapes are dictated by the incumbent's nets (warm start requires it).
   rl::PpoConfig ppo;
-  /// Cap on distinct served programs mixed into the fine-tune corpus
-  /// (first-seen order; 0 = unlimited). Keeps one hot program from drowning
-  /// out the corpus half of the mixture.
-  std::size_t max_traffic_programs = 32;
 };
 
 struct FineTuneReport {

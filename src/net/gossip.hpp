@@ -49,12 +49,6 @@ struct GossipCoreConfig {
   /// by advertised blob bytes so one kSyncOffer reply stays far below the
   /// frame payload cap even for huge artifacts.
   std::size_t sync_fetch_batch = 4;
-  /// Push/pull hybrid gossip: the puller volunteers its own inventory with
-  /// the inventory query, the peer answers with the keys it lacks, and the
-  /// puller ships them via kReplicate in the same round. Cuts one-way
-  /// dissemination latency roughly in half; converged fleets answer with no
-  /// wants, so the hybrid costs piggyback bytes and never an extra RTT.
-  bool hybrid_push = true;
 };
 
 class GossipCore {

@@ -153,17 +153,16 @@ ServeNode::ServeNode(std::shared_ptr<serve::ModelRegistry> registry,
       provenance_log_->append(std::move(record));
     });
   }
-  if (config_.warm_up_on_install) {
-    // Every install path (publish, kReplicate push, catch-up fetch) funnels
-    // through the registry, so hooking it here warms them all. The hook
-    // captures the eval service by value, not `this` — a registry shared
-    // beyond this node's lifetime keeps a valid (if then-idle) hook.
-    registry_->set_install_hook(
-        [eval_service = service_->eval_service()](
-            const std::shared_ptr<const serve::PolicyArtifact>& artifact) {
-          serve::warm_up(*artifact, *eval_service);
-        });
-  }
+  // serve::warm_up runs for every artifact the registry installs. Every
+  // install path (publish, kReplicate push, catch-up fetch) funnels through
+  // the registry, so hooking it here warms them all. The hook captures the
+  // eval service by value, not `this` — a registry shared beyond this node's
+  // lifetime keeps a valid (if then-idle) hook.
+  registry_->set_install_hook(
+      [eval_service = service_->eval_service()](
+          const std::shared_ptr<const serve::PolicyArtifact>& artifact) {
+        serve::warm_up(*artifact, *eval_service);
+      });
 }
 
 ServeNode::~ServeNode() { shutdown(); }

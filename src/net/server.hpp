@@ -78,9 +78,6 @@ struct ServeNodeConfig {
   /// additionally split by advertised blob bytes so one kSyncOffer reply
   /// stays far below the frame payload cap even for huge artifacts.
   std::size_t sync_fetch_batch = 4;
-  /// Run serve::warm_up for every artifact the registry installs (publish,
-  /// replication, catch-up). Off only for tests that pin down cold starts.
-  bool warm_up_on_install = true;
   /// Bounded provenance log for the online-learning loop: every successful
   /// compile appends a replayable record here until a learn::Collector
   /// drains it over kProvenance. When full the oldest record is dropped

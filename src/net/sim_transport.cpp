@@ -6,6 +6,16 @@
 
 namespace autophase::net {
 
+namespace {
+
+// Virtual link latency per direction, drawn uniformly from this range.
+constexpr std::int64_t kMinLatencyUs = 50;
+constexpr std::int64_t kMaxLatencyUs = 2'000;
+/// Virtual time a failed exchange costs the caller (its "timeout").
+constexpr std::uint64_t kExchangeTimeoutUs = 50'000;
+
+}  // namespace
+
 SimWorld::SimWorld(std::uint64_t seed, SimFaultConfig faults) : rng_(seed), faults_(faults) {}
 
 RemoteEndpoint SimWorld::add_node(Handler handler) {
@@ -61,9 +71,7 @@ bool SimWorld::severed(std::uint16_t a, std::uint16_t b) const {
 }
 
 void SimWorld::advance_latency() {
-  now_us_ += static_cast<std::uint64_t>(
-      rng_.uniform_int(static_cast<std::int64_t>(faults_.min_latency_us),
-                       static_cast<std::int64_t>(faults_.max_latency_us)));
+  now_us_ += static_cast<std::uint64_t>(rng_.uniform_int(kMinLatencyUs, kMaxLatencyUs));
 }
 
 void SimWorld::note(const std::string& line) {
@@ -129,14 +137,14 @@ Result<Frame> SimWorld::exchange(std::uint16_t src, const RemoteEndpoint& peer,
   // into it stay held — they arrive stale if the node ever restarts.
   if (node_down(src) || node_down(dst)) {
     ++counters_.node_down;
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     note(node_down(dst) ? "peer down" : "caller down");
     return node_down(dst) ? Status::error("sim: peer down (deadline exceeded)")
                           : Status::error("sim: caller is down");
   }
   if (severed(src, dst)) {
     ++counters_.partitioned;
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     note("partitioned link");
     return Status::error("sim: partitioned (deadline exceeded)");
   }
@@ -165,7 +173,7 @@ Result<Frame> SimWorld::exchange(std::uint16_t src, const RemoteEndpoint& peer,
   if (rng_.chance(faults_.drop)) {
     counters_.wire_bytes += bytes.size();  // traveled, lost in transit
     ++counters_.dropped;
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     note("request dropped");
     return Status::error("sim: request dropped (deadline exceeded)");
   }
@@ -174,14 +182,14 @@ Result<Frame> SimWorld::exchange(std::uint16_t src, const RemoteEndpoint& peer,
     // when it is re-delivered stale.
     held_[{src, dst}].push_back(std::move(bytes));
     ++counters_.delayed;
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     note("request held for stale re-delivery");
     return Status::error("sim: request delayed past deadline");
   }
   counters_.wire_bytes += bytes.size();
   Frame delivered;
   if (!transmit_intact(bytes, delivered, "request")) {
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     return Status::error("sim: request torn in flight");
   }
   ++counters_.delivered;
@@ -199,13 +207,13 @@ Result<Frame> SimWorld::exchange(std::uint16_t src, const RemoteEndpoint& peer,
   counters_.wire_bytes += reply_bytes.size();
   if (rng_.chance(faults_.drop)) {
     ++counters_.dropped;
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     note("reply dropped");
     return Status::error("sim: reply dropped (deadline exceeded)");
   }
   Frame parsed_reply;
   if (!transmit_intact(reply_bytes, parsed_reply, "reply")) {
-    now_us_ += faults_.exchange_timeout_us;
+    now_us_ += kExchangeTimeoutUs;
     return Status::error("sim: reply torn in flight");
   }
   ++counters_.replies;

@@ -45,10 +45,6 @@ struct SimFaultConfig {
   double delay = 0.0;      // request held back, re-delivered stale (reorder)
   double truncate = 0.0;   // frame cut short mid-flight
   double corrupt = 0.0;    // one bit flipped mid-flight
-  std::uint64_t min_latency_us = 50;  // per direction, uniform draw
-  std::uint64_t max_latency_us = 2'000;
-  /// Virtual time a failed exchange costs the caller (its "timeout").
-  std::uint64_t exchange_timeout_us = 50'000;
 };
 
 struct SimCounters {

@@ -78,11 +78,6 @@ const std::vector<int>& o3_sequence() {
   return seq;
 }
 
-const std::vector<int>& o0_sequence() {
-  static const std::vector<int> seq;
-  return seq;
-}
-
 void run_o3(ir::Module& module) { apply_pass_sequence(module, o3_sequence()); }
 
 }  // namespace autophase::passes

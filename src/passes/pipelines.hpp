@@ -15,9 +15,6 @@ namespace autophase::passes {
 /// Table-1 indices of the -O3 pipeline, in order.
 const std::vector<int>& o3_sequence();
 
-/// Empty sequence (parity with the paper's -O0 bars).
-const std::vector<int>& o0_sequence();
-
 /// Applies -O3 in place.
 void run_o3(ir::Module& module);
 

@@ -86,20 +86,6 @@ void CodeGen::count_loop(Value* iv_ptr, std::int64_t lo, std::int64_t hi, const 
   count_loop(iv_ptr, module_->get_int(iv_type, lo), module_->get_int(iv_type, hi), 1, body);
 }
 
-void CodeGen::while_loop(const std::function<Value*()>& cond_fn, const BodyFn& body) {
-  BasicBlock* header = new_block("wh.h");
-  BasicBlock* body_bb = new_block("wh.b");
-  BasicBlock* exit_bb = new_block("wh.e");
-  builder_.br(header);
-  move_to(header);
-  Value* cond = cond_fn();
-  builder_.cond_br(cond, body_bb, exit_bb);
-  move_to(body_bb);
-  body();
-  builder_.br(header);
-  move_to(exit_bb);
-}
-
 void CodeGen::if_then(Value* cond, const BodyFn& then_body) {
   BasicBlock* then_bb = new_block("if.t");
   BasicBlock* join = new_block("if.j");

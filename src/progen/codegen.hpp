@@ -56,9 +56,6 @@ class CodeGen {
                   const BodyFn& body);
   void count_loop(ir::Value* iv_ptr, std::int64_t lo, std::int64_t hi, const BodyFn& body);
 
-  /// while (cond_fn()) body(); cond_fn emits into the header and returns i1.
-  void while_loop(const std::function<ir::Value*()>& cond_fn, const BodyFn& body);
-
   void if_then(ir::Value* cond, const BodyFn& then_body);
   void if_then_else(ir::Value* cond, const BodyFn& then_body, const BodyFn& else_body);
 

@@ -12,6 +12,14 @@ namespace autophase::progen {
 
 namespace {
 
+// Shape limits of a generated program.
+constexpr int kMaxHelpers = 3;        ///< helper functions besides main
+constexpr int kMaxLoopDepth = 3;      ///< loop nesting cap
+constexpr int kMaxStmtsPerBlock = 6;  ///< statements per structured region
+constexpr int kMaxExprDepth = 3;
+constexpr std::int64_t kMaxTripCount = 16;        ///< per-loop bound
+constexpr std::int64_t kMaxDynamicWeight = 4096;  ///< product of enclosing trip counts
+
 using ir::Function;
 using ir::ICmpPred;
 using ir::Opcode;
@@ -30,8 +38,8 @@ std::string numbered(std::string prefix, Int n) {
 class ProgramGenerator {
  public:
   ProgramGenerator(const GeneratorConfig& config)
-      : config_(config), rng_(config.seed), module_(std::make_unique<ir::Module>(
-                                                numbered("rand", config.seed))) {}
+      : rng_(config.seed),
+        module_(std::make_unique<ir::Module>(numbered("rand", config.seed))) {}
 
   std::unique_ptr<ir::Module> generate() {
     // Optional constant lookup table (ROM), used by some expressions.
@@ -44,7 +52,7 @@ class ProgramGenerator {
       rom_size_ = n;
     }
 
-    const int helper_count = static_cast<int>(rng_.uniform_int(0, config_.max_helpers));
+    const int helper_count = static_cast<int>(rng_.uniform_int(0, kMaxHelpers));
     for (int i = 0; i < helper_count; ++i) emit_helper(i);
     emit_main();
     return std::move(module_);
@@ -56,7 +64,6 @@ class ProgramGenerator {
     std::vector<std::pair<Value*, std::size_t>> arrays; // (i32* alloca, pow2 size)
   };
 
-  GeneratorConfig config_;
   Rng rng_;
   std::unique_ptr<ir::Module> module_;
   std::vector<Function*> helpers_;
@@ -152,13 +159,13 @@ class ProgramGenerator {
       case 0:
       case 1: {  // scalar assignment
         if (scope_.scalars.empty()) break;
-        g_->set(rng_.pick(scope_.scalars), gen_expr(config_.max_expr_depth));
+        g_->set(rng_.pick(scope_.scalars), gen_expr(kMaxExprDepth));
         break;
       }
       case 2: {  // array store
         if (scope_.arrays.empty()) break;
         const auto& [arr, size] = rng_.pick(scope_.arrays);
-        g_->set(g_->elem_masked(arr, gen_expr(1), size), gen_expr(config_.max_expr_depth));
+        g_->set(g_->elem_masked(arr, gen_expr(1), size), gen_expr(kMaxExprDepth));
         break;
       }
       case 3: {  // if-then
@@ -173,9 +180,9 @@ class ProgramGenerator {
       }
       case 5:
       case 6: {  // bounded loop
-        if (loop_depth_ >= config_.max_loop_depth) break;
-        const std::int64_t trips = rng_.uniform_int(2, config_.max_trip_count);
-        if (dynamic_weight_ * trips > config_.max_dynamic_weight) break;
+        if (loop_depth_ >= kMaxLoopDepth) break;
+        const std::int64_t trips = rng_.uniform_int(2, kMaxTripCount);
+        if (dynamic_weight_ * trips > kMaxDynamicWeight) break;
         Value* iv = g_->local_i32(numbered("i", var_id_++));
         scope_.scalars.push_back(iv);
         ++loop_depth_;
@@ -211,7 +218,7 @@ class ProgramGenerator {
 
   void gen_block(int depth) {
     if (depth < 0) return;
-    const int stmts = static_cast<int>(rng_.uniform_int(1, config_.max_stmts_per_block));
+    const int stmts = static_cast<int>(rng_.uniform_int(1, kMaxStmtsPerBlock));
     for (int i = 0; i < stmts; ++i) gen_stmt(depth);
   }
 

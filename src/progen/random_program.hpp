@@ -15,12 +15,6 @@ namespace autophase::progen {
 
 struct GeneratorConfig {
   std::uint64_t seed = 1;
-  int max_helpers = 3;          ///< helper functions besides main
-  int max_loop_depth = 3;       ///< loop nesting cap
-  int max_stmts_per_block = 6;  ///< statements per structured region
-  int max_expr_depth = 3;
-  std::int64_t max_trip_count = 16;       ///< per-loop bound
-  std::int64_t max_dynamic_weight = 4096; ///< product of enclosing trip counts
 };
 
 /// Generates one random module (may be degenerate; prefer the filtered API).

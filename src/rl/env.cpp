@@ -49,40 +49,24 @@ std::vector<double> feature_row(const ir::Module& module, const EnvConfig& confi
 #endif
 
 /// Envs take a shared service from their config when one is set and fall
-/// back to a private serial service otherwise.
-EvaluationCache make_cache(const EnvConfig& config) {
-  if (config.eval_service) return EvaluationCache(config.eval_service);
-  return EvaluationCache(config.constraints, config.interp_options);
+/// back to a private single-shard service otherwise.
+std::shared_ptr<runtime::EvalService> env_service(const EnvConfig& config) {
+  if (config.eval_service) return config.eval_service;
+  return std::make_shared<runtime::EvalService>(runtime::EvalServiceConfig{
+      .constraints = config.constraints, .interp_options = config.interp_options, .shards = 1});
+}
+
+/// Cycles of `m`, whose fingerprint is `fingerprint`, adding one to
+/// `samples` when this lookup ran the simulator.
+std::uint64_t lookup_cycles(runtime::EvalService& service, const ir::Module& m,
+                            std::uint64_t fingerprint, std::size_t& samples) {
+  bool was_sample = false;
+  const std::uint64_t cycles = service.measure(m, fingerprint, &was_sample).cycles;
+  if (was_sample) ++samples;
+  return cycles;
 }
 
 }  // namespace
-
-EvaluationCache::EvaluationCache(hls::ResourceConstraints constraints,
-                                 interp::InterpreterOptions interp_options)
-    : service_(std::make_shared<runtime::EvalService>(runtime::EvalServiceConfig{
-          .constraints = constraints, .interp_options = interp_options, .shards = 1})) {}
-
-EvaluationCache::EvaluationCache(std::shared_ptr<runtime::EvalService> service)
-    : service_(std::move(service)) {}
-
-std::uint64_t EvaluationCache::cycles(const ir::Module& m) {
-  return cycles(m, ir::module_fingerprint(m));
-}
-
-std::uint64_t EvaluationCache::cycles(const ir::Module& m, std::uint64_t fingerprint) {
-  bool sampled = false;
-  const std::uint64_t c = service_->measure(m, fingerprint, &sampled).cycles;
-  if (sampled) ++samples_;
-  return c;
-}
-
-std::uint64_t EvaluationCache::evaluate_sequence(const ir::Module& program,
-                                                 const std::vector<int>& sequence) {
-  bool sampled = false;
-  const std::uint64_t c = service_->evaluate_sequence(program, sequence, &sampled);
-  if (sampled) ++samples_;
-  return c;
-}
 
 void check_unchanged([[maybe_unused]] const ir::Module& m,
                      [[maybe_unused]] std::uint64_t fingerprint) {
@@ -91,17 +75,12 @@ void check_unchanged([[maybe_unused]] const ir::Module& m,
 #endif
 }
 
-std::uint64_t evaluate_sequence_on(const ir::Module& program, const std::vector<int>& sequence,
-                                   EvaluationCache& cache) {
-  return cache.evaluate_sequence(program, sequence);
-}
-
 // ---------------------------------------------------------------------------
 // PhaseOrderEnv
 // ---------------------------------------------------------------------------
 
 PhaseOrderEnv::PhaseOrderEnv(std::vector<const ir::Module*> programs, EnvConfig config)
-    : programs_(std::move(programs)), config_(config), cache_(make_cache(config)) {
+    : programs_(std::move(programs)), config_(config), service_(env_service(config)) {
   if (config_.action_subset.empty()) {
     for (int i = 0; i < passes::kNumPasses; ++i) effective_actions_.push_back(i);
   } else {
@@ -160,14 +139,18 @@ std::uint64_t PhaseOrderEnv::measure() {
   }
   fingerprint_ = ir::module_fingerprint(*working_);
   measured_ = true;
-  return cache_.cycles(*working_, fingerprint_);
+  return lookup_cycles(*service_, *working_, fingerprint_, samples_);
 }
 
-std::uint64_t PhaseOrderEnv::current_cycles() { return cache_.cycles(*working_); }
+std::uint64_t PhaseOrderEnv::current_cycles() {
+  return lookup_cycles(*service_, *working_, ir::module_fingerprint(*working_), samples_);
+}
 
 std::uint64_t PhaseOrderEnv::baseline_cycles(std::size_t program_index) {
   if (baseline_[program_index] == 0) {
-    baseline_[program_index] = cache_.cycles(*programs_[program_index]);
+    const ir::Module& program = *programs_[program_index];
+    baseline_[program_index] =
+        lookup_cycles(*service_, program, ir::module_fingerprint(program), samples_);
   }
   return baseline_[program_index];
 }
@@ -250,7 +233,7 @@ MultiActionEnv::MultiActionEnv(std::vector<const ir::Module*> programs, EnvConfi
     : programs_(std::move(programs)),
       config_(config),
       steps_per_episode_(steps_per_episode),
-      cache_(make_cache(config)) {
+      service_(env_service(config)) {
   baseline_.assign(programs_.size(), 0);
   best_.assign(programs_.size(), ~0ull);
   best_seq_.assign(programs_.size(), {});
@@ -265,7 +248,8 @@ std::size_t MultiActionEnv::observation_size() const {
 std::uint64_t MultiActionEnv::evaluate_sequence() {
   auto working = ir::clone_module_for_rollout(*programs_[program_index_]);
   passes::apply_pass_sequence(*working, sequence_);
-  const std::uint64_t cycles = cache_.cycles(*working);
+  const std::uint64_t cycles =
+      lookup_cycles(*service_, *working, ir::module_fingerprint(*working), samples_);
   if (cycles < best_[program_index_]) {
     best_[program_index_] = cycles;
     best_seq_[program_index_] = sequence_;
@@ -295,15 +279,15 @@ std::vector<double> MultiActionEnv::reset() {
   sequence_.assign(static_cast<std::size_t>(config_.episode_length), passes::kNumPasses / 2);
   steps_ = 0;
   prev_cycles_ = evaluate_sequence();
-  if (baseline_[program_index_] == 0) {
-    baseline_[program_index_] = cache_.cycles(*programs_[program_index_]);
-  }
+  (void)baseline_cycles(program_index_);  // measured once per program
   return last_observation_;
 }
 
 std::uint64_t MultiActionEnv::baseline_cycles(std::size_t program_index) {
   if (baseline_[program_index] == 0) {
-    baseline_[program_index] = cache_.cycles(*programs_[program_index]);
+    const ir::Module& program = *programs_[program_index];
+    baseline_[program_index] =
+        lookup_cycles(*service_, program, ir::module_fingerprint(program), samples_);
   }
   return baseline_[program_index];
 }

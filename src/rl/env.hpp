@@ -48,10 +48,12 @@ struct EnvConfig {
   std::vector<int> action_subset;   // Table-1 pass indices
   hls::ResourceConstraints constraints{};
   interp::InterpreterOptions interp_options{};
-  /// Optional shared evaluation service. When set, the env's cache becomes a
-  /// handle onto it (cycle estimates are shared across every consumer of the
-  /// service — e.g. all workers of a VecEnv); when null the env owns a
-  /// private serial service, preserving the original per-env behaviour.
+  /// Optional shared evaluation service. When set, cycle estimates are shared
+  /// across every consumer of the service (e.g. all workers of a VecEnv);
+  /// when null the env owns a private single-shard service. Either way an
+  /// env's samples() counts only the simulator calls its own lookups ran,
+  /// which stays exact under sharing because the service charges each unique
+  /// evaluation to exactly one caller.
   std::shared_ptr<runtime::EvalService> eval_service;
 };
 
@@ -75,43 +77,6 @@ class Env {
   [[nodiscard]] virtual std::size_t sample_count() const { return 0; }
 };
 
-/// Per-owner handle onto a runtime::EvalService: fingerprint-memoised cycle
-/// estimation with local sample accounting. The two-arg constructor keeps the
-/// historical behaviour (a private, serial service per owner); the
-/// shared_ptr constructor lets many owners — VecEnv workers, search
-/// baselines — pool one concurrent cache. `samples()` counts the real
-/// simulator calls *this handle* triggered, which stays exact under sharing
-/// because the service attributes each unique evaluation to exactly one
-/// caller. The handle itself is not thread-safe; use one per thread.
-class EvaluationCache {
- public:
-  EvaluationCache(hls::ResourceConstraints constraints, interp::InterpreterOptions interp_options);
-  explicit EvaluationCache(std::shared_ptr<runtime::EvalService> service);
-
-  /// Cycle count of `m` (cache hit does not count as a sample).
-  std::uint64_t cycles(const ir::Module& m);
-  /// Same, with `m`'s fingerprint precomputed by the caller, who can keep it
-  /// to check later that a module it did not re-measure is still `m`.
-  std::uint64_t cycles(const ir::Module& m, std::uint64_t fingerprint);
-
-  /// Cycles of `program` after `sequence`, through the service's secondary
-  /// (program, sequence) key: a repeat evaluation skips cloning and pass
-  /// application entirely.
-  std::uint64_t evaluate_sequence(const ir::Module& program, const std::vector<int>& sequence);
-
-  [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
-  void reset_samples() noexcept { samples_ = 0; }
-
-  [[nodiscard]] runtime::EvalService& service() noexcept { return *service_; }
-  [[nodiscard]] const std::shared_ptr<runtime::EvalService>& service_handle() const noexcept {
-    return service_;
-  }
-
- private:
-  std::shared_ptr<runtime::EvalService> service_;
-  std::size_t samples_ = 0;
-};
-
 /// Single-action environment over one or more programs (round-robin reset).
 class PhaseOrderEnv final : public Env {
  public:
@@ -130,9 +95,8 @@ class PhaseOrderEnv final : public Env {
   /// Fig. 9's "1 sample per program" possible.
   void set_inference_mode(bool on) noexcept { inference_ = on; }
 
-  [[nodiscard]] std::size_t samples() const noexcept { return cache_.samples(); }
-  [[nodiscard]] std::size_t sample_count() const override { return cache_.samples(); }
-  void reset_samples() noexcept { cache_.reset_samples(); }
+  [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
+  [[nodiscard]] std::size_t sample_count() const override { return samples_; }
 
   /// Cycles of the current working module (evaluates if needed).
   std::uint64_t current_cycles();
@@ -143,7 +107,6 @@ class PhaseOrderEnv final : public Env {
   [[nodiscard]] const std::vector<int>& best_sequence(std::size_t program_index) const;
   [[nodiscard]] std::size_t program_count() const noexcept { return programs_.size(); }
   [[nodiscard]] std::size_t current_program() const noexcept { return program_index_; }
-  [[nodiscard]] const ir::Module& working_module() const { return *working_; }
 
   /// Episode return accumulated so far (for reward-mean curves).
   [[nodiscard]] double episode_return() const noexcept { return episode_return_; }
@@ -159,7 +122,8 @@ class PhaseOrderEnv final : public Env {
   EnvConfig config_;
   std::vector<int> effective_actions_;   // RL action -> Table-1 index
   std::vector<int> effective_features_;  // observation -> feature index
-  EvaluationCache cache_;
+  std::shared_ptr<runtime::EvalService> service_;
+  std::size_t samples_ = 0;  // simulator calls this env's lookups triggered
 
   std::size_t program_index_ = 0;
   std::size_t next_program_ = 0;
@@ -199,8 +163,8 @@ class MultiActionEnv final : public Env {
   }
   [[nodiscard]] std::size_t action_arity() const override { return 3; }  // {-1, 0, +1}
 
-  [[nodiscard]] std::size_t samples() const noexcept { return cache_.samples(); }
-  [[nodiscard]] std::size_t sample_count() const override { return cache_.samples(); }
+  [[nodiscard]] std::size_t samples() const noexcept { return samples_; }
+  [[nodiscard]] std::size_t sample_count() const override { return samples_; }
   [[nodiscard]] std::uint64_t best_cycles(std::size_t program_index) const;
   [[nodiscard]] const std::vector<int>& best_sequence(std::size_t program_index) const;
   [[nodiscard]] std::uint64_t baseline_cycles(std::size_t program_index);
@@ -212,7 +176,8 @@ class MultiActionEnv final : public Env {
   std::vector<const ir::Module*> programs_;
   EnvConfig config_;
   int steps_per_episode_;
-  EvaluationCache cache_;
+  std::shared_ptr<runtime::EvalService> service_;
+  std::size_t samples_ = 0;
 
   std::size_t program_index_ = 0;
   std::size_t next_program_ = 0;
@@ -231,11 +196,6 @@ class MultiActionEnv final : public Env {
 /// still `fingerprint`. It looks nothing up in an EvalService, so cache hit
 /// counts are the same in every build type. Release builds do nothing.
 void check_unchanged(const ir::Module& m, std::uint64_t fingerprint);
-
-/// Applies a pass sequence to a clone and returns the resulting cycles
-/// (shared by search baselines and evaluation harnesses).
-std::uint64_t evaluate_sequence_on(const ir::Module& program, const std::vector<int>& sequence,
-                                   EvaluationCache& cache);
 
 /// The observation PhaseOrderEnv produces for `module` given the RL-action
 /// histogram `histogram` (size = action arity) and the feature subset

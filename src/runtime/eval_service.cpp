@@ -14,8 +14,8 @@ namespace autophase::runtime {
 
 namespace {
 
-// Mirrors the legacy EvaluationCache policy: a program the simulator cannot
-// execute is treated as unusably slow, like an HLS tool timeout.
+// A program the simulator cannot execute is treated as unusably slow, like an
+// HLS tool timeout.
 constexpr std::uint64_t kFailurePenaltyCycles = 1ull << 40;
 
 std::size_t round_up_pow2(std::size_t n) {
@@ -50,10 +50,6 @@ EvalService::Shard& EvalService::shard_for(std::uint64_t key) noexcept {
 
 const EvalService::Shard& EvalService::shard_for(std::uint64_t key) const noexcept {
   return shards_[(key ^ (key >> 32)) & (shards_.size() - 1)];
-}
-
-std::uint64_t EvalService::cycles(const ir::Module& m, bool* was_sample) {
-  return measure_by_fingerprint(ir::module_fingerprint(m), m, was_sample).cycles;
 }
 
 Measure EvalService::measure(const ir::Module& m, bool* was_sample) {
@@ -132,11 +128,6 @@ Measure EvalService::measure_by_fingerprint(std::uint64_t fingerprint, const ir:
     shard.stats.eval_nanos += nanos;
   }
   return measure;
-}
-
-std::uint64_t EvalService::evaluate_sequence(const ir::Module& program,
-                                             const std::vector<int>& sequence, bool* was_sample) {
-  return evaluate_sequence(program, ir::module_fingerprint(program), sequence, was_sample);
 }
 
 std::uint64_t EvalService::evaluate_sequence(const ir::Module& program,

@@ -80,24 +80,20 @@ class EvalService {
   EvalService(const EvalService&) = delete;
   EvalService& operator=(const EvalService&) = delete;
 
-  /// Memoised cycle count of a materialised module. `was_sample` (optional)
-  /// reports whether THIS call ran the simulator — under contention exactly
-  /// one caller per unique module gets `true`; the rest block until the
-  /// result is ready and see a hit.
-  std::uint64_t cycles(const ir::Module& m, bool* was_sample = nullptr);
-  /// Full cached measurement (cycles + area) of a materialised module; same
-  /// exactly-once semantics as cycles().
+  /// Memoised measurement (cycles + area) of a materialised module.
+  /// `was_sample` (optional) reports whether THIS call ran the simulator —
+  /// under contention exactly one caller per unique module gets `true`; the
+  /// rest block until the result is ready and see a hit.
   Measure measure(const ir::Module& m, bool* was_sample = nullptr);
   /// Same, with the module fingerprint precomputed by the caller (the Pareto
   /// decode fingerprints every candidate for its tie-breaks anyway).
   Measure measure(const ir::Module& m, std::uint64_t fingerprint, bool* was_sample = nullptr);
 
-  /// (program, sequence) evaluation through the secondary key: a sequence
-  /// hit returns without cloning the program or applying a single pass.
-  std::uint64_t evaluate_sequence(const ir::Module& program, const std::vector<int>& sequence,
-                                  bool* was_sample = nullptr);
-  /// Same, with the program fingerprint precomputed by the caller (search
-  /// loops evaluate thousands of sequences against one immutable program).
+  /// Cycles of `program` after `sequence`, through the secondary
+  /// (program, sequence) key: a sequence hit returns without cloning the
+  /// program or applying a single pass. The caller passes the program's
+  /// fingerprint (search loops evaluate thousands of sequences against one
+  /// immutable program).
   std::uint64_t evaluate_sequence(const ir::Module& program, std::uint64_t program_fingerprint,
                                   const std::vector<int>& sequence, bool* was_sample = nullptr);
   /// Measure variant of the secondary-key path.
@@ -139,7 +135,6 @@ class EvalService {
   [[nodiscard]] std::size_t shard_count() const noexcept { return shards_.size(); }
   [[nodiscard]] EvalStats shard_stats(std::size_t shard) const;
 
-  void set_pool(ThreadPool* pool) noexcept { pool_ = pool; }
   [[nodiscard]] ThreadPool* pool() const noexcept { return pool_; }
   [[nodiscard]] const hls::ResourceConstraints& constraints() const noexcept {
     return config_.constraints;

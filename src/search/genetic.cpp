@@ -105,7 +105,7 @@ SearchResult genetic_search(const ir::Module& program, const SearchBudget& budge
                             const GeneticConfig& config) {
   Evaluator eval(program, budget);
   eval.evaluate({});
-  GeneticStepper stepper(config, budget.sequence_length, Rng(budget.seed));
+  GeneticStepper stepper(config, kSequenceLength, Rng(budget.seed));
   while (!eval.exhausted()) stepper.step(eval);
   return eval.result();
 }

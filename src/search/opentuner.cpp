@@ -46,8 +46,7 @@ SearchResult opentuner_search(const ir::Module& program, const SearchBudget& bud
   for (int kind = 0; kind < 3; ++kind) {
     GeneticConfig gc;
     gc.crossover_kind = kind;
-    gas.push_back(
-        std::make_unique<GeneticStepper>(gc, budget.sequence_length, rng.split()));
+    gas.push_back(std::make_unique<GeneticStepper>(gc, kSequenceLength, rng.split()));
     GeneticStepper* ga = gas.back().get();
     arms.push_back(Arm{[ga](Evaluator& e) { return ga->step(e); }, {}, 0});
   }
@@ -55,7 +54,7 @@ SearchResult opentuner_search(const ir::Module& program, const SearchBudget& bud
   for (int kind = 0; kind < 3; ++kind) {
     PsoConfig pc;
     pc.crossover_fraction = crossover_settings[kind];
-    psos.push_back(std::make_unique<PsoStepper>(pc, budget.sequence_length, rng.split()));
+    psos.push_back(std::make_unique<PsoStepper>(pc, kSequenceLength, rng.split()));
     PsoStepper* pso = psos.back().get();
     arms.push_back(Arm{[pso](Evaluator& e) { return pso->step(e); }, {}, 0});
   }

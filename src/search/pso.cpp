@@ -108,7 +108,7 @@ SearchResult pso_search(const ir::Module& program, const SearchBudget& budget,
                         const PsoConfig& config) {
   Evaluator eval(program, budget);
   eval.evaluate({});
-  PsoStepper stepper(config, budget.sequence_length, Rng(budget.seed));
+  PsoStepper stepper(config, kSequenceLength, Rng(budget.seed));
   while (!eval.exhausted()) stepper.step(eval);
   return eval.result();
 }

@@ -27,7 +27,7 @@ SearchResult random_search(const ir::Module& program, const SearchBudget& budget
     std::vector<std::vector<int>> candidates;
     candidates.reserve(chunk);
     for (std::size_t i = 0; i < chunk; ++i) {
-      candidates.push_back(random_sequence(rng, budget.sequence_length));
+      candidates.push_back(random_sequence(rng, kSequenceLength));
     }
     eval.evaluate_batch(candidates);
   }
@@ -43,7 +43,7 @@ SearchResult greedy_search(const ir::Module& program, const SearchBudget& budget
   // the algorithm the paper attributes to Huang et al. 2013 and shows to be
   // easily trapped: each insertion is judged by its *immediate* speedup, so
   // enabling passes with zero standalone gain are never chosen.
-  while (static_cast<int>(current.size()) < budget.sequence_length && !eval.exhausted()) {
+  while (static_cast<int>(current.size()) < kSequenceLength && !eval.exhausted()) {
     // All (pass, position) insertions of a round are independent: enumerate
     // them up front and evaluate chunk by chunk in parallel. The winner is
     // chosen in enumeration order (first-wins on ties), matching the serial

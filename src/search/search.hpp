@@ -3,8 +3,8 @@
 // a DEAP-style genetic algorithm, particle swarm optimisation, and an
 // OpenTuner-style AUC-bandit ensemble over {GA, PSO} x 3 crossover settings.
 // All report the paper's "Samples / Program" metric via the shared
-// EvaluationCache (cache hits are free, exactly like re-querying LegUp on an
-// unchanged design).
+// runtime::EvalService (cache hits are free, exactly like re-querying LegUp
+// on an unchanged design).
 #pragma once
 
 #include <cstdint>
@@ -22,9 +22,11 @@ struct SearchResult {
   std::size_t samples = 0;
 };
 
+/// Length of every searched pass sequence (the paper's pass length).
+inline constexpr int kSequenceLength = 45;
+
 struct SearchBudget {
   std::size_t max_samples = 1000;
-  int sequence_length = 45;  // the paper's pass length
   std::uint64_t seed = 1;
   /// Worker pool for batched candidate evaluation; nullptr (the default)
   /// evaluates serially. Candidate generation and best-result selection are

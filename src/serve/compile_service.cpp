@@ -586,9 +586,9 @@ void CompileService::shutdown() {
     const std::lock_guard<std::mutex> lock(mutex_);
     if (!stopping_) {
       stopping_ = true;
-      // With zero workers nothing can drain, so a "draining" shutdown would
-      // strand queued promises; cancel explicitly instead.
-      if (!config_.drain_on_shutdown || config_.workers == 0) {
+      // Workers drain the queue. With zero workers nothing can, and a
+      // draining shutdown would strand queued promises; cancel them instead.
+      if (config_.workers == 0) {
         cancelled = std::move(queue_);
         queue_.clear();
       }

@@ -187,12 +187,10 @@ struct ServeMetrics {
 struct CompileServiceConfig {
   /// Worker threads. 0 is a valid inline-only configuration: nothing drains
   /// the queue (compile_sync still works), which tests use to pin down
-  /// backpressure and cancellation deterministically.
+  /// backpressure and cancellation deterministically; shutdown() then
+  /// cancels whatever is still queued.
   std::size_t workers = 4;
   std::size_t queue_capacity = 64;
-  /// On shutdown/destruction: finish queued requests (true) or cancel them
-  /// with an error response (false).
-  bool drain_on_shutdown = true;
   /// Overload control: when the queue is saturated, shed instead of blocking
   /// the submitter. The victim is the cheapest-to-retry queued job (lowest
   /// priority, youngest within it) when the incoming request outranks it;
@@ -280,8 +278,10 @@ class CompileService {
   /// both paths produce bit-identical pass sequences by construction.
   Result<CompileResponse> compile_sync(const CompileRequest& request);
 
-  /// Idempotent; honours config.drain_on_shutdown. Called by the destructor,
-  /// which therefore never races queued work against member teardown.
+  /// Idempotent. Workers finish every queued request before they exit; with
+  /// zero workers, queued requests resolve with a "cancelled" error instead.
+  /// Called by the destructor, which therefore never races queued work
+  /// against member teardown.
   void shutdown();
 
   /// warm_up() for one registered model against this service's eval service

@@ -13,6 +13,9 @@ namespace autophase::serve {
 
 namespace {
 
+/// Ring points per node. More points = smoother key spread.
+constexpr std::size_t kVirtualNodes = 64;
+
 bool is_timeout(const Status& status) {
   return status.message().find("deadline exceeded") != std::string::npos;
 }
@@ -35,7 +38,7 @@ RemoteCompileClient::RemoteCompileClient(std::vector<net::RemoteEndpoint> nodes,
   // instance routes identically — cache affinity survives client restarts.
   for (std::size_t n = 0; n < nodes_.size(); ++n) {
     const std::string key = nodes_[n].host + ":" + std::to_string(nodes_[n].port);
-    for (std::size_t v = 0; v < std::max<std::size_t>(1, config_.virtual_nodes); ++v) {
+    for (std::size_t v = 0; v < kVirtualNodes; ++v) {
       ring_.emplace_back(fnv1a(key + "#" + std::to_string(v)), n);
     }
   }

@@ -28,8 +28,6 @@ struct RemoteClientConfig {
   std::chrono::milliseconds request_deadline{30'000};
   /// Idle connections kept per node beyond which release() closes instead.
   std::size_t pool_per_node = 4;
-  /// Ring points per node. More points = smoother key spread.
-  std::size_t virtual_nodes = 64;
   std::size_t max_frame_payload = net::kDefaultMaxPayload;
   /// Failure-aware routing: consecutive failures (timeouts included) against
   /// an endpoint before it is backoff-suppressed. While suppressed, the ring

@@ -44,14 +44,12 @@ class Arena {
     cursor_ += bytes;
     remaining_ -= bytes;
     ++allocations_;
-    bytes_allocated_ += bytes;
     return out;
   }
 
   // ---- Instrumentation (regression-tested: a CoW rollout clone of an
   // unmutated module must allocate O(functions), not O(instructions)) ----
   [[nodiscard]] std::size_t allocation_count() const noexcept { return allocations_; }
-  [[nodiscard]] std::size_t bytes_allocated() const noexcept { return bytes_allocated_; }
   [[nodiscard]] std::size_t chunk_count() const noexcept { return chunks_.size(); }
 
  private:
@@ -62,7 +60,6 @@ class Arena {
   std::size_t remaining_ = 0;
   std::size_t chunk_bytes_;
   std::size_t allocations_ = 0;
-  std::size_t bytes_allocated_ = 0;
 };
 
 /// The ambient arena new IR nodes allocate from (null = plain heap).

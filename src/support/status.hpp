@@ -61,8 +61,6 @@ class Result {
     return std::move(*value_);
   }
 
-  [[nodiscard]] T value_or(T fallback) const& { return is_ok() ? *value_ : std::move(fallback); }
-
  private:
   std::optional<T> value_;
   Status status_;

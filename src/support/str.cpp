@@ -52,10 +52,6 @@ std::string_view trim(std::string_view text) {
   return text.substr(b, e - b);
 }
 
-bool starts_with(std::string_view text, std::string_view prefix) {
-  return text.size() >= prefix.size() && text.substr(0, prefix.size()) == prefix;
-}
-
 std::string pad_left(std::string_view text, std::size_t width) {
   std::string out(text);
   if (out.size() < width) out.insert(0, width - out.size(), ' ');

@@ -18,8 +18,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 std::string_view trim(std::string_view text);
 
-bool starts_with(std::string_view text, std::string_view prefix);
-
 /// Left-pad/right-pad to a fixed width (for ASCII tables).
 std::string pad_left(std::string_view text, std::size_t width);
 std::string pad_right(std::string_view text, std::size_t width);

@@ -14,6 +14,7 @@
 #include "progen/codegen.hpp"
 #include "progen/random_program.hpp"
 #include "rl/env.hpp"
+#include "runtime/eval_service.hpp"
 
 namespace autophase {
 namespace {
@@ -63,8 +64,8 @@ TEST(Integration, OrderMattersRotateBeforeUnroll) {
   // rotated one.
   auto rotated_only = ir::clone_module(*m);
   passes::apply_pass(*rotated_only, pass_id("-loop-rotate"));
-  rl::EvaluationCache cache(hls::ResourceConstraints{}, interp::InterpreterOptions{});
-  EXPECT_LE(cache.cycles(*rotate_first), cache.cycles(*rotated_only));
+  runtime::EvalService service;
+  EXPECT_LE(service.measure(*rotate_first).cycles, service.measure(*rotated_only).cycles);
 }
 
 TEST(Integration, O3IsNearFixpoint) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cstdint>
@@ -37,7 +38,7 @@ TEST(EvalService, CountsUniqueModuleExactlyOnceUnderContention) {
   ThreadPool pool(8);
   constexpr std::size_t kCalls = 64;
   std::vector<std::uint64_t> results(kCalls, 0);
-  pool.parallel_for(kCalls, [&](std::size_t i) { results[i] = service.cycles(*m); });
+  pool.parallel_for(kCalls, [&](std::size_t i) { results[i] = service.measure(*m).cycles; });
   for (const std::uint64_t r : results) EXPECT_EQ(r, results[0]);
   EXPECT_EQ(service.samples(), 1u);
   const EvalStats stats = service.stats();
@@ -47,15 +48,18 @@ TEST(EvalService, CountsUniqueModuleExactlyOnceUnderContention) {
 }
 
 TEST(EvalService, SampleAttributionIsExactAcrossHandles) {
-  // Two handles onto one service hammering the same module from different
-  // threads: exactly one of them is charged the sample.
+  // Two callers of one service hammering the same module from different
+  // threads: exactly one of them is told its call was the sample.
   auto m = progen::build_chstone_like("qsort");
   auto service = std::make_shared<EvalService>();
-  rl::EvaluationCache a(service);
-  rl::EvaluationCache b(service);
+  std::array<bool, 2> sampled{};
   ThreadPool pool(2);
-  pool.parallel_for(2, [&](std::size_t i) { (i == 0 ? a : b).cycles(*m); });
-  EXPECT_EQ(a.samples() + b.samples(), 1u);
+  pool.parallel_for(2, [&](std::size_t i) {
+    bool was_sample = false;
+    service->measure(*m, &was_sample);
+    sampled[i] = was_sample;
+  });
+  EXPECT_EQ(static_cast<int>(sampled[0]) + static_cast<int>(sampled[1]), 1);
   EXPECT_EQ(service->samples(), 1u);
 }
 
@@ -91,9 +95,10 @@ TEST(EvalService, SequenceKeySkipsPassReapplication) {
   auto m = progen::build_chstone_like("sha");
   EvalService service;
   const std::vector<int> seq = {38, 31, 0};
-  const std::uint64_t first = service.evaluate_sequence(*m, seq);
+  const std::uint64_t fingerprint = ir::module_fingerprint(*m);
+  const std::uint64_t first = service.evaluate_sequence(*m, fingerprint, seq);
   const std::size_t samples_after_first = service.samples();
-  const std::uint64_t second = service.evaluate_sequence(*m, seq);
+  const std::uint64_t second = service.evaluate_sequence(*m, fingerprint, seq);
   EXPECT_EQ(first, second);
   EXPECT_EQ(service.samples(), samples_after_first);
   const EvalStats stats = service.stats();
@@ -108,9 +113,10 @@ TEST(EvalService, ShardStatsSumToAggregate) {
   EvalService service(cfg);
   for (const auto& name : {"sha", "gsm", "qsort"}) {
     auto m = progen::build_chstone_like(name);
-    service.evaluate_sequence(*m, {38});
-    service.evaluate_sequence(*m, {38});  // sequence hit
-    service.cycles(*m);
+    const std::uint64_t fingerprint = ir::module_fingerprint(*m);
+    service.evaluate_sequence(*m, fingerprint, {38});
+    service.evaluate_sequence(*m, fingerprint, {38});  // sequence hit
+    service.measure(*m);
   }
   EvalStats summed;
   for (std::size_t s = 0; s < service.shard_count(); ++s) summed += service.shard_stats(s);

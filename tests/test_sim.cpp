@@ -93,6 +93,26 @@ TEST_F(SimGossip, CleanLinksConvergeAFleetFromOnePublisher) {
   }
 }
 
+TEST_F(SimGossip, PullVolunteersInventoryAndPushesWhatThePeerLacks) {
+  SimFleet fleet(2, /*seed=*/7);
+  fleet.nodes[0]->registry->publish("agent", tiny_sim_artifact(1));
+  const auto blob = fleet.nodes[0]->registry->export_model("agent", 1);
+  ASSERT_TRUE(blob.is_ok());
+
+  // Node 0 pulls from a peer that holds nothing: there is nothing to fetch,
+  // but the peer answers the volunteered inventory with a wants list and
+  // node 0 ships the model in the same round.
+  auto report = fleet.nodes[0]->core.pull_from(*fleet.nodes[0]->transport,
+                                               fleet.nodes[1]->endpoint);
+  ASSERT_TRUE(report.is_ok()) << report.message();
+  EXPECT_EQ(report.value().fetched, 0u);
+  EXPECT_EQ(report.value().pushed, 1u);
+  EXPECT_EQ(report.value().pushed_bytes, blob.value().size());
+  const auto pushed = fleet.nodes[1]->registry->export_model("agent", 1);
+  ASSERT_TRUE(pushed.is_ok());
+  EXPECT_EQ(pushed.value(), blob.value());
+}
+
 TEST_F(SimGossip, NineNodesConvergeThroughThreeWayPartitionAndTenPercentLoss) {
   net::SimFaultConfig faults;
   faults.drop = 0.10;
