@@ -522,10 +522,18 @@ void expect_dense_ids(const Module& m) {
 
 TEST(IrIds, ClonesAreDenseInBlockOrder) {
   const auto source = edited_kernel("gsm", 3);
-  expect_dense_ids(*clone_module(*source));
-  const auto rollout = clone_module_for_rollout(*source);
-  rollout->materialize_all();
-  expect_dense_ids(*rollout);
+  const std::string text = print_module(*source);
+  const auto lazy = clone_module_for_rollout(*source);
+  const auto materialised = clone_module_for_rollout(*source);
+  materialised->materialize_all();
+  expect_dense_ids(*materialised);
+  // A deep clone of the kernel, of a lazy rollout clone and of a
+  // materialised one: the same ids and the same text.
+  for (const Module* from : {source.get(), lazy.get(), materialised.get()}) {
+    const auto copy = clone_module(*from);
+    expect_dense_ids(*copy);
+    EXPECT_EQ(print_module(*copy), text);
+  }
 }
 
 TEST(IrIds, ErasedIdsAreNeverIssuedAgain) {
@@ -886,6 +894,68 @@ TEST(Clone, ModuleCloneIsDeepAndEquivalent) {
   EXPECT_NE(print_module(*copy), before);
   EXPECT_EQ(print_module(*m), before);
   EXPECT_TRUE(verify_module(*copy).is_ok());
+}
+
+/// A context maps what it cloned or was seeded with and answers every other
+/// node with itself: a node of another function, an unlinked instruction and
+/// a node created after the context.
+TEST(Clone, ContextMapsOnlyItsSourceFunction) {
+  Module m("ctx");
+  Function* f = m.create_function("f", Type::i32(), {Type::i32(), Type::i32()}, {"x", "y"});
+  Function* g = m.create_function("g", Type::i32(), {Type::i32()}, {"z"});
+  IRBuilder b(m);
+  BasicBlock* entry = f->create_block("entry");
+  BasicBlock* exit = f->create_block("exit");
+  b.set_insert_point(entry);
+  Value* sum = b.add(f->arg(0), f->arg(1), "sum");
+  b.br(exit);
+  b.set_insert_point(exit);
+  b.ret(sum);
+  BasicBlock* g_entry = g->create_block("entry");
+  b.set_insert_point(g_entry);
+  Value* twice = b.add(g->arg(0), g->arg(0), "twice");
+  b.ret(twice);
+  // g's nodes carry the ids of f's: only the owner tells them apart.
+  ASSERT_EQ(g_entry->id(), entry->id());
+  ASSERT_EQ(static_cast<Instruction*>(twice)->id(), static_cast<Instruction*>(sum)->id());
+
+  CloneContext ctx;
+  ctx.values[f->arg(0)] = m.get_i32(7);
+  const std::vector<BasicBlock*> source = f->blocks();
+  const std::vector<BasicBlock*> copies = clone_blocks(*f, source, ctx, ".c");
+  ASSERT_EQ(copies.size(), source.size());
+  for (std::size_t i = 0; i < source.size(); ++i) {
+    EXPECT_EQ(ctx.map_block(source[i]), copies[i]);
+    ASSERT_EQ(copies[i]->size(), source[i]->size());
+    for (std::size_t j = 0; j < source[i]->size(); ++j) {
+      EXPECT_EQ(ctx.map_value(source[i]->inst(j)), copies[i]->inst(j));
+    }
+  }
+  EXPECT_EQ(ctx.map_value(f->arg(0)), m.get_i32(7));
+  // The copies were remapped through the context.
+  EXPECT_EQ(copies[0]->front()->operand(0), m.get_i32(7));
+  EXPECT_EQ(copies[0]->front()->operand(1), f->arg(1));
+  EXPECT_EQ(copies[0]->terminator()->successor(0), copies[1]);
+  EXPECT_EQ(copies[1]->terminator()->operand(0), copies[0]->front());
+
+  // Everything else maps to itself.
+  EXPECT_EQ(ctx.map_value(f->arg(1)), f->arg(1));
+  EXPECT_EQ(ctx.map_value(m.get_i32(3)), m.get_i32(3));
+  EXPECT_EQ(ctx.map_value(g->arg(0)), g->arg(0));
+  EXPECT_EQ(ctx.map_value(twice), twice);
+  EXPECT_EQ(ctx.map_block(g_entry), g_entry);
+  const auto unlinked = Instruction::binary(Opcode::kAdd, sum, sum, "unlinked");
+  EXPECT_EQ(ctx.map_value(unlinked.get()), unlinked.get());
+  for (BasicBlock* copy : copies) {
+    EXPECT_EQ(ctx.map_block(copy), copy);
+    EXPECT_EQ(ctx.map_value(copy->front()), copy->front());
+  }
+  BasicBlock* fresh = f->create_block("fresh");
+  b.set_insert_point(fresh);
+  Value* late = b.add(sum, sum, "late");
+  b.ret(late);
+  EXPECT_EQ(ctx.map_block(fresh), fresh);
+  EXPECT_EQ(ctx.map_value(late), late);
 }
 
 TEST(Clone, ExecutionMatches) {
