@@ -109,6 +109,15 @@ std::unique_ptr<ir::Module> corpus_program() {
   }
 }
 
+void BM_CloneModuleCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    auto copy = ir::clone_module(*m);
+    benchmark::DoNotOptimize(copy);
+  }
+}
+BENCHMARK(BM_CloneModuleCorpus)->Unit(benchmark::kMicrosecond);
+
 void BM_ModuleFingerprint(benchmark::State& state) {
   auto m = progen::build_chstone_like("gsm");
   for (auto _ : state) {

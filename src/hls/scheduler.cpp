@@ -176,7 +176,10 @@ ir::IdTable<Instruction, int> issue_cycles(const ir::Function& f, const Resource
 double estimate_area(const ir::Module& m) {
   double area = 0.0;
   for (const ir::Function* f : m.functions()) {
-    for (const ir::BasicBlock* bb : const_cast<ir::Function*>(f)->blocks()) {
+    // A lazy rollout clone is read through its CoW source, not copied.
+    const ir::Function* body = f->reading_body();
+    for (std::size_t b = 0; b < body->block_count(); ++b) {
+      const ir::BasicBlock* bb = body->block(b);
       for (std::size_t i = 0; i < bb->size(); ++i) {
         const Instruction* inst = bb->inst(i);
         area += op_area(*inst);

@@ -48,7 +48,7 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   // State encoding: one FSM state per (block, cycle) with >=1 state blocks,
   // numbered in block order; zero-state blocks fold into their successor
   // transition and keep first state 0.
-  const std::vector<BasicBlock*> blocks = const_cast<ir::Function&>(f).blocks();
+  const std::vector<BasicBlock*> blocks = f.blocks();
   int total_states = 1;  // state 0 = idle
   ir::IdTable<BasicBlock, int> first_state(f, 0);
   for (BasicBlock* bb : blocks) {

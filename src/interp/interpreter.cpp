@@ -203,7 +203,7 @@ struct Interpreter::Impl {
     ir::IdTable<Instruction, int> inst_slot(f, -1);
     ir::IdTable<BasicBlock, int> block_index(f, -1);
     int next_slot = static_cast<int>(f.arg_count());
-    const auto blocks = const_cast<Function&>(f).blocks();
+    const auto blocks = f.blocks();
     for (std::size_t b = 0; b < blocks.size(); ++b) {
       block_index[blocks[b]] = static_cast<int>(b);
       for (Instruction* inst : blocks[b]->instructions()) {

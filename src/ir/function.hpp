@@ -63,8 +63,9 @@ class Function {
   [[nodiscard]] const Function* reading_body() const noexcept {
     return cow_source_ != nullptr ? cow_source_ : this;
   }
-  /// Deep-copies the source body into this function through the module's
-  /// shared clone context (no-op when not lazy). Every accessor that hands
+  /// Deep-copies the source body into this function through a clone
+  /// context over the source function and the module's globals and
+  /// functions mapping (no-op when not lazy). Every accessor that hands
   /// out mutable blocks calls this first, so passes can never see — let
   /// alone mutate — the source module's blocks.
   void materialize() const {

@@ -104,8 +104,7 @@ bool Module::has_lazy_functions() const noexcept {
 void Module::materialize_all() {
   if (cow_ == nullptr) return;
   for (const auto& f : functions_) f->materialize();
-  // All bodies are local now; drop the clone context (it holds one mapping
-  // per cloned value) and the borrowed source pointer with it.
+  // All bodies are local now; drop the maps of globals and functions.
   cow_.reset();
 }
 

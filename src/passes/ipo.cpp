@@ -86,10 +86,8 @@ class InlinePass {
 
     BasicBlock* cont = split_after_call(call);
 
-    CloneContext ctx;
-    for (std::size_t i = 0; i < callee->arg_count(); ++i) {
-      ctx.values[callee->arg(i)] = call->operand(i);
-    }
+    CloneContext ctx(*callee);
+    for (std::size_t i = 0; i < callee->arg_count(); ++i) ctx.map_arg(i, call->operand(i));
     const std::vector<BasicBlock*> cloned =
         ir::clone_blocks(*caller, callee->blocks(), ctx, ".i");
 
@@ -199,16 +197,14 @@ class PartialInlinerPass {
     BasicBlock* cont = split_after_call(call);
 
     // Clone the entry computation with arguments bound.
-    CloneContext ctx;
-    for (std::size_t i = 0; i < g.arg_count(); ++i) ctx.values[g.arg(i)] = call->operand(i);
+    CloneContext ctx(g);
+    for (std::size_t i = 0; i < g.arg_count(); ++i) ctx.map_arg(i, call->operand(i));
     BasicBlock* entry = g.entry();
-    std::vector<Instruction*> cloned;
     for (Instruction* inst : entry->instructions()) {
       if (inst->is_terminator()) continue;
       Instruction* copy = bb->push_back(inst->clone());
       ir::remap_instruction(copy, ctx);
-      ctx.values[inst] = copy;
-      cloned.push_back(copy);
+      ctx.insts[inst] = copy;
     }
 
     // Slow path block holds the original call.

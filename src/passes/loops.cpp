@@ -8,7 +8,6 @@
 // forests discover (Fig. 6).
 #include <algorithm>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ir/cfg.hpp"
 #include "ir/clone.hpp"
@@ -555,9 +554,7 @@ class LoopUnrollPass {
     std::vector<CloneContext> ctxs;
     ctxs.reserve(static_cast<std::size_t>(copies - 1));
     for (std::int64_t k = 1; k < copies; ++k) {
-      CloneContext ctx;
-      ctxs.push_back(std::move(ctx));
-      CloneContext& c = ctxs.back();
+      CloneContext& c = ctxs.emplace_back(f);
       // Seed values for header phis: iteration k's phi value is iteration
       // k-1's "next".
       std::unordered_map<Instruction*, Value*> seeds;
@@ -570,11 +567,11 @@ class LoopUnrollPass {
       clone_blocks(f, orig_blocks, c, ".u" + std::to_string(k));
       // Replace the cloned header phis with their seeds.
       for (Instruction* phi : header_phis) {
-        Instruction* phi_clone = ir::as_instruction(c.values.at(phi));
+        Instruction* phi_clone = ir::as_instruction(c.insts.at(phi));
         Value* seed = seeds.at(phi);
         phi_clone->replace_all_uses_with(seed);
         phi_clone->erase_from_parent();
-        c.values[phi] = seed;
+        c.insts[phi] = seed;
       }
     }
 
@@ -629,13 +626,10 @@ class LoopUnrollPass {
 
     // Any remaining external users of original loop values observe the final
     // iteration's version.
-    std::unordered_set<const BasicBlock*> all_loop_blocks(orig_blocks.begin(),
-                                                          orig_blocks.end());
-    for (const auto& ctx : ctxs) {
-      for (const auto& [orig, copy] : ctx.blocks) {
-        (void)orig;
-        all_loop_blocks.insert(copy);
-      }
+    ir::IdTable<BasicBlock, bool> all_loop_blocks(f, false);
+    for (BasicBlock* bb : orig_blocks) {
+      all_loop_blocks[bb] = true;
+      for (const auto& ctx : ctxs) all_loop_blocks[ctx.blocks.at(bb)] = true;
     }
     for (BasicBlock* bb : orig_blocks) {
       for (Instruction* inst : bb->instructions()) {
@@ -643,7 +637,7 @@ class LoopUnrollPass {
         const auto users = inst->users();
         for (Instruction* user :
              std::vector<Instruction*>(users.begin(), users.end())) {
-          if (user->parent() == nullptr || all_loop_blocks.contains(user->parent())) continue;
+          if (user->parent() == nullptr || all_loop_blocks.find(user->parent())) continue;
           if (user->is_phi() && user->parent() == exit) continue;  // handled above
           user->replace_uses_of(inst, resolve_k(last, inst));
         }
@@ -1102,7 +1096,7 @@ class LoopUnswitchPass {
     }
 
     // Clone the whole loop; original takes the true side, clone the false.
-    CloneContext ctx;
+    CloneContext ctx(f);
     const std::vector<BasicBlock*> blocks = loop.blocks();
     clone_blocks(f, blocks, ctx, ".us");
 
@@ -1134,10 +1128,9 @@ class LoopUnswitchPass {
         const std::size_t n = phi->incoming_count();
         for (std::size_t i = 0; i < n; ++i) {
           BasicBlock* in = phi->incoming_block(i);
-          const auto it = ctx.blocks.find(in);
-          if (it == ctx.blocks.end()) continue;
-          if (it->second->parent() != nullptr && exit->has_predecessor(it->second)) {
-            phi->add_incoming(ctx.map_value(phi->incoming_value(i)), it->second);
+          BasicBlock* copy = ctx.blocks.find(in);
+          if (copy != nullptr && exit->has_predecessor(copy)) {
+            phi->add_incoming(ctx.map_value(phi->incoming_value(i)), copy);
           }
         }
       }

@@ -1,13 +1,12 @@
 // Scalar (SSA-value) optimisation passes of Table 1.
 #include <algorithm>
-#include <map>
-#include <set>
+#include <utility>
 #include <unordered_map>
-#include <unordered_set>
 
 #include "ir/cfg.hpp"
 #include "ir/dominators.hpp"
 #include "ir/fold.hpp"
+#include "ir/id_table.hpp"
 #include "ir/loop_info.hpp"
 #include "passes/all_passes.hpp"
 #include "passes/util.hpp"
@@ -253,21 +252,25 @@ class ReassociatePass {
   }
 
  private:
-  std::unordered_map<const Value*, int> rank_;
+  static constexpr int kUnranked = 1 << 30;
+  /// Instruction ranks in reverse post-order, after the arguments' (index + 1).
+  ir::IdTable<Instruction, int> rank_;
 
   void compute_ranks(Function& f) {
-    rank_.clear();
-    int r = 1;
-    for (std::size_t i = 0; i < f.arg_count(); ++i) rank_[f.arg(i)] = r++;
+    rank_.reset(f, kUnranked);
+    int r = static_cast<int>(f.arg_count()) + 1;
     for (BasicBlock* bb : ir::reverse_post_order(f)) {
-      for (Instruction* inst : bb->instructions()) rank_[inst] = r++;
+      for (std::size_t i = 0; i < bb->size(); ++i) rank_[bb->inst(i)] = r++;
     }
   }
 
   int rank_of(const Value* v) const {
     if (v->is_constant()) return 0;
-    const auto it = rank_.find(v);
-    return it == rank_.end() ? 1 << 30 : it->second;
+    if (v->value_kind() == ir::ValueKind::kArgument) {
+      return static_cast<int>(static_cast<const ir::Argument*>(v)->index()) + 1;
+    }
+    const Instruction* inst = ir::as_instruction(v);
+    return inst != nullptr ? rank_.find(inst) : kUnranked;
   }
 
   bool run_on_function(Module& m, Function& f) {
@@ -612,9 +615,10 @@ class SCCPPass {
     std::int64_t value = 0;
   };
 
-  std::unordered_map<const Value*, Lattice> lattice_;
-  std::unordered_set<const BasicBlock*> executable_;
-  std::set<std::pair<const BasicBlock*, const BasicBlock*>> executable_edges_;
+  ir::IdTable<Instruction, Lattice> lattice_;
+  ir::IdTable<BasicBlock, bool> executable_;
+  /// Per block, the predecessors whose edge into it is executable.
+  ir::IdTable<BasicBlock, std::vector<const BasicBlock*>> executable_edges_;
   std::vector<const Instruction*> inst_worklist_;
   std::vector<BasicBlock*> block_worklist_;
 
@@ -623,7 +627,12 @@ class SCCPPass {
     if (v->value_kind() == ir::ValueKind::kUndef) return {State::kConstant, 0};
     if (v->value_kind() == ir::ValueKind::kGlobalVariable) return {State::kOverdefined, 0};
     if (v->value_kind() == ir::ValueKind::kArgument) return {State::kOverdefined, 0};
-    return lattice_[v];
+    return lattice_.find(ir::as_instruction(v));
+  }
+
+  bool is_executable_edge(const BasicBlock* from, const BasicBlock* to) {
+    const auto& preds = executable_edges_[to];
+    return std::find(preds.begin(), preds.end(), from) != preds.end();
   }
 
   void mark_overdefined(const Instruction* inst) {
@@ -650,10 +659,11 @@ class SCCPPass {
   }
 
   void mark_edge(BasicBlock* from, BasicBlock* to) {
-    if (!executable_edges_.insert({from, to}).second) return;
+    if (is_executable_edge(from, to)) return;
+    executable_edges_[to].push_back(from);
     // New edge: phis in `to` must be revisited.
     for (Instruction* phi : to->phis()) inst_worklist_.push_back(phi);
-    if (executable_.insert(to).second) block_worklist_.push_back(to);
+    if (!std::exchange(executable_[to], true)) block_worklist_.push_back(to);
   }
 
   void visit_terminator(Instruction* term) {
@@ -693,7 +703,7 @@ class SCCPPass {
   }
 
   void visit(const Instruction* inst) {
-    if (!executable_.contains(inst->parent())) return;
+    if (!executable_[inst->parent()]) return;
     if (inst->is_terminator()) {
       visit_terminator(const_cast<Instruction*>(inst));
       return;
@@ -704,7 +714,7 @@ class SCCPPass {
       State s = State::kUnknown;
       std::int64_t value = 0;
       for (std::size_t i = 0; i < inst->incoming_count(); ++i) {
-        if (!executable_edges_.contains({inst->incoming_block(i), inst->parent()})) continue;
+        if (!is_executable_edge(inst->incoming_block(i), inst->parent())) continue;
         const Lattice in = value_of(inst->incoming_value(i));
         if (in.state == State::kOverdefined) {
           s = State::kOverdefined;
@@ -770,14 +780,14 @@ class SCCPPass {
   }
 
   bool run_on_function(Module& m, Function& f) {
-    lattice_.clear();
-    executable_.clear();
-    executable_edges_.clear();
+    lattice_.reset(f, Lattice{});
+    executable_.reset(f, false);
+    executable_edges_.reset(f, {});
     inst_worklist_.clear();
     block_worklist_.clear();
 
     if (f.entry() == nullptr) return false;
-    executable_.insert(f.entry());
+    executable_[f.entry()] = true;
     block_worklist_.push_back(f.entry());
 
     while (!block_worklist_.empty() || !inst_worklist_.empty()) {
@@ -796,14 +806,13 @@ class SCCPPass {
     // Apply: replace constant-valued instructions, fold branches.
     bool changed = false;
     for (BasicBlock* bb : f.blocks()) {
-      if (!executable_.contains(bb)) continue;
+      if (!executable_[bb]) continue;
       for (Instruction* inst : bb->instructions()) {
         if (inst->type()->is_void() || inst->is_terminator()) continue;
-        const auto it = lattice_.find(inst);
-        if (it != lattice_.end() && it->second.state == State::kConstant &&
-            inst->type()->is_int()) {
+        const Lattice l = lattice_[inst];
+        if (l.state == State::kConstant && inst->type()->is_int()) {
           if (inst->has_users()) {
-            inst->replace_all_uses_with(m.get_int(inst->type(), it->second.value));
+            inst->replace_all_uses_with(m.get_int(inst->type(), l.value));
             changed = true;
           }
           if (!inst->has_side_effects() && !inst->has_users() &&
@@ -844,7 +853,7 @@ class ADCEPass {
 
  private:
   bool run_on_function(Module& m, Function& f) {
-    std::unordered_set<const Instruction*> live;
+    ir::IdTable<Instruction, bool> live(f, false);
     std::vector<const Instruction*> worklist;
     for (BasicBlock* bb : f.blocks()) {
       for (Instruction* inst : bb->instructions()) {
@@ -854,7 +863,7 @@ class ADCEPass {
             inst->opcode() == Opcode::kCall &&
             !(inst->callee() != nullptr && inst->callee()->attrs().readnone);
         if (inst->is_terminator() || inst->has_side_effects() || non_pure_call) {
-          if (live.insert(inst).second) worklist.push_back(inst);
+          if (!std::exchange(live[inst], true)) worklist.push_back(inst);
         }
       }
     }
@@ -863,14 +872,14 @@ class ADCEPass {
       worklist.pop_back();
       for (const Value* op : inst->operands()) {
         const Instruction* def = ir::as_instruction(op);
-        if (def != nullptr && live.insert(def).second) worklist.push_back(def);
+        if (def != nullptr && !std::exchange(live[def], true)) worklist.push_back(def);
       }
     }
 
     bool changed = false;
     for (BasicBlock* bb : f.blocks()) {
       for (Instruction* inst : bb->instructions()) {
-        if (live.contains(inst)) continue;
+        if (live[inst]) continue;
         if (!inst->type()->is_void() && inst->has_users()) {
           inst->replace_all_uses_with(m.get_undef(inst->type()));
         }

@@ -1,11 +1,11 @@
 #include "passes/util.hpp"
 
 #include <algorithm>
-#include <unordered_map>
-#include <unordered_set>
+#include <utility>
 
 #include "ir/cfg.hpp"
 #include "ir/fold.hpp"
+#include "ir/id_table.hpp"
 
 namespace autophase::passes {
 
@@ -244,48 +244,46 @@ bool is_promotable(const Instruction* alloca_inst) {
   return true;
 }
 
+/// alloca_index of an instruction that is not a promoted alloca.
+constexpr std::size_t kNotPromoted = static_cast<std::size_t>(-1);
+
 struct PromotionState {
   std::vector<Instruction*> allocas;
-  std::unordered_map<const Instruction*, std::size_t> alloca_index;
+  ir::IdTable<Instruction, std::size_t> alloca_index;
   // Per block: phis placed for each alloca.
-  std::unordered_map<BasicBlock*, std::vector<std::pair<std::size_t, Instruction*>>> placed;
+  ir::IdTable<BasicBlock, std::vector<std::pair<std::size_t, Instruction*>>> placed;
   std::vector<Value*> current;  // renaming stack snapshot (save/restore)
 };
 
 void rename_walk(BasicBlock* bb, const ir::DominatorTree& dt, PromotionState& st, Module* m) {
   std::vector<std::pair<std::size_t, Value*>> saved;
 
-  const auto placed_it = st.placed.find(bb);
-  if (placed_it != st.placed.end()) {
-    for (const auto& [idx, phi] : placed_it->second) {
-      saved.emplace_back(idx, st.current[idx]);
-      st.current[idx] = phi;
-    }
+  for (const auto& [idx, phi] : st.placed[bb]) {
+    saved.emplace_back(idx, st.current[idx]);
+    st.current[idx] = phi;
   }
 
   for (Instruction* inst : bb->instructions()) {
     if (inst->opcode() == Opcode::kLoad) {
       const Instruction* a = ir::as_instruction(inst->operand(0));
-      const auto it = a != nullptr ? st.alloca_index.find(a) : st.alloca_index.end();
-      if (it == st.alloca_index.end()) continue;
-      Value* v = st.current[it->second];
+      const std::size_t idx = a != nullptr ? st.alloca_index.find(a) : kNotPromoted;
+      if (idx == kNotPromoted) continue;
+      Value* v = st.current[idx];
       if (v == nullptr) v = m->get_undef(inst->type());
       inst->replace_all_uses_with(v);
       inst->erase_from_parent();
     } else if (inst->opcode() == Opcode::kStore) {
       const Instruction* a = ir::as_instruction(inst->operand(1));
-      const auto it = a != nullptr ? st.alloca_index.find(a) : st.alloca_index.end();
-      if (it == st.alloca_index.end()) continue;
-      saved.emplace_back(it->second, st.current[it->second]);
-      st.current[it->second] = inst->operand(0);
+      const std::size_t idx = a != nullptr ? st.alloca_index.find(a) : kNotPromoted;
+      if (idx == kNotPromoted) continue;
+      saved.emplace_back(idx, st.current[idx]);
+      st.current[idx] = inst->operand(0);
       inst->erase_from_parent();
     }
   }
 
   for (BasicBlock* succ : bb->successors()) {
-    const auto it = st.placed.find(succ);
-    if (it == st.placed.end()) continue;
-    for (const auto& [idx, phi] : it->second) {
+    for (const auto& [idx, phi] : st.placed[succ]) {
       if (phi->incoming_index_for(bb) >= 0) continue;  // edge already filled
       Value* v = st.current[idx];
       if (v == nullptr) v = m->get_undef(phi->type());
@@ -347,6 +345,7 @@ std::vector<Instruction*> find_promotable_allocas(Function& f) {
 
 std::size_t promote_allocas(Function& f, const std::vector<Instruction*>& allocas) {
   PromotionState st;
+  st.alloca_index.reset(f, kNotPromoted);
   for (Instruction* a : allocas) {
     if (a->parent() == f.entry() && is_promotable(a)) {
       st.alloca_index[a] = st.allocas.size();
@@ -359,32 +358,37 @@ std::size_t promote_allocas(Function& f, const std::vector<Instruction*>& alloca
   // edges, so clean the CFG first (entry-block allocas are never affected).
   ir::remove_unreachable_blocks(f);
   st.current.assign(st.allocas.size(), nullptr);
+  st.placed.reset(f, {});
 
   const auto tree = ir::dominators(f);
   const ir::DominatorTree& dt = *tree;
   const auto frontiers = dt.dominance_frontiers();
 
   // Phi placement at the iterated dominance frontier of each alloca's stores.
+  // Per block, the last alloca (its index + 1) that stores there and that
+  // has a phi there.
+  ir::IdTable<BasicBlock, std::size_t> def_stamp(f, 0);
+  ir::IdTable<BasicBlock, std::size_t> phi_stamp(f, 0);
   for (std::size_t idx = 0; idx < st.allocas.size(); ++idx) {
     Instruction* a = st.allocas[idx];
+    const std::size_t stamp = idx + 1;
     std::vector<BasicBlock*> worklist;
-    std::unordered_set<BasicBlock*> def_blocks;
     for (Instruction* user : a->users()) {
-      if (user->opcode() == Opcode::kStore && def_blocks.insert(user->parent()).second &&
+      if (user->opcode() == Opcode::kStore &&
+          std::exchange(def_stamp[user->parent()], stamp) != stamp &&
           dt.is_reachable(user->parent())) {
         worklist.push_back(user->parent());
       }
     }
-    std::unordered_set<BasicBlock*> has_phi;
     while (!worklist.empty()) {
       BasicBlock* x = worklist.back();
       worklist.pop_back();
       for (BasicBlock* y : frontiers[x->id()]) {
-        if (!has_phi.insert(y).second) continue;
+        if (std::exchange(phi_stamp[y], stamp) == stamp) continue;
         Instruction* phi =
             y->insert_at(0, Instruction::phi(a->allocated_type(), a->name() + ".phi"));
         st.placed[y].emplace_back(idx, phi);
-        if (!def_blocks.contains(y)) worklist.push_back(y);
+        if (def_stamp[y] != stamp) worklist.push_back(y);
       }
     }
   }

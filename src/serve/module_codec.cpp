@@ -737,9 +737,7 @@ void write_module(ByteWriter& w, const ir::Module& module) {
   }
 
   for (std::size_t f = 0; f < module.function_count(); ++f) {
-    // const_cast: blocks()/instructions() are read-only snapshots; the IR
-    // API lacks const overloads (same convention as ir::clone_module).
-    ir::Function* func = const_cast<ir::Function*>(module.function(f));
+    const ir::Function* func = module.function(f);
     const FunctionIndex index(*func);
     w.u64(func->block_count());
     for (ir::BasicBlock* bb : func->blocks()) {

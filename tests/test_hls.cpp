@@ -204,6 +204,20 @@ TEST(Scheduler, ProfileScheduleCoversOnlyWhatRan) {
   EXPECT_GT(partial, 0u);
 }
 
+TEST(Scheduler, AreaOfALazyCloneLeavesItLazy) {
+  const std::unique_ptr<Module> sources[] = {progen::build_chstone_like("gsm"),
+                                             progen::generate_filtered_program(1)};
+  for (const auto& src : sources) {
+    const auto lazy = ir::clone_module_for_rollout(*src);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(estimate_area(*lazy)),
+              std::bit_cast<std::uint64_t>(estimate_area(*src)))
+        << src->name();
+    for (const Function* f : lazy->functions()) {
+      EXPECT_TRUE(f->has_lazy_body()) << src->name() << " " << f->name();
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // CostCharacterization: everything the reward is made of, for every costed
 // module, folded into one pinned digest: profile_cycles' cycles, FSM cycles,

@@ -919,8 +919,8 @@ TEST(Clone, ContextMapsOnlyItsSourceFunction) {
   ASSERT_EQ(g_entry->id(), entry->id());
   ASSERT_EQ(static_cast<Instruction*>(twice)->id(), static_cast<Instruction*>(sum)->id());
 
-  CloneContext ctx;
-  ctx.values[f->arg(0)] = m.get_i32(7);
+  CloneContext ctx(*f);
+  ctx.map_arg(0, m.get_i32(7));
   const std::vector<BasicBlock*> source = f->blocks();
   const std::vector<BasicBlock*> copies = clone_blocks(*f, source, ctx, ".c");
   ASSERT_EQ(copies.size(), source.size());
