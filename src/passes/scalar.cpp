@@ -1,7 +1,7 @@
 // Scalar (SSA-value) optimisation passes of Table 1.
 #include <algorithm>
-#include <utility>
 #include <unordered_map>
+#include <utility>
 
 #include "ir/cfg.hpp"
 #include "ir/dominators.hpp"
