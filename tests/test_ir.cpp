@@ -577,8 +577,13 @@ TEST(IrIds, TakeThenInsertGivesAFreshId) {
 TEST(IrIds, ForeignAndUnlinkedNodesAreNotInTables) {
   // g's blocks and instructions reuse ids that f's nodes also have; every
   // table over f must still answer "not here" for them, as a pointer map
-  // would, and never the entry of f's node with the same id.
+  // would, and never the entry of f's node with the same id. Likewise a
+  // global and a function of another module sit at the positions of m's own.
+  Module elsewhere("elsewhere");
+  GlobalVariable* foreign_global = elsewhere.create_global(Type::i32(), 1, "there");
+  Function* foreign_callee = elsewhere.create_function("away", Type::i32(), {});
   Module m("ids");
+  m.create_global(Type::i32(), 1, "here");
   Function* f = cached_loop_function(m);
   Function* g = m.create_function("other", Type::i32(), {Type::i32()}, {"x"});
   std::vector<BasicBlock*> g_blocks;
@@ -600,8 +605,8 @@ TEST(IrIds, ForeignAndUnlinkedNodesAreNotInTables) {
     EXPECT_EQ(li.loop_for(bb), nullptr);
   }
 
-  // Each malformed use in f prints as `?`, and the codec and the
-  // interpreter refuse it.
+  // Each malformed use in f prints as `?` (a foreign global or callee by its
+  // name), and the codec and the interpreter refuse it.
   const auto expect_missing = [&](const std::string& printed) {
     const std::string text = print_module(m);
     EXPECT_NE(text.find(printed), std::string::npos) << text;
@@ -618,6 +623,12 @@ TEST(IrIds, ForeignAndUnlinkedNodesAreNotInTables) {
     expect_missing("add i32 %?, i32 1");
     exit->front()->erase_from_parent();
   }
+  exit->insert_at(0, Instruction::load(foreign_global));
+  expect_missing("@there");
+  exit->front()->erase_from_parent();
+  exit->insert_at(0, Instruction::call(foreign_callee, {}));
+  expect_missing("call @away(");
+  exit->front()->erase_from_parent();
   // A phi edge from g's block whose id is the header's.
   ASSERT_EQ(g_blocks[1]->id(), header->id());
   header->front()->add_incoming(m.get_i32(7), g_blocks[1]);
