@@ -171,6 +171,19 @@ void BM_ProfileCyclesCorpus(benchmark::State& state) {
 }
 BENCHMARK(BM_ProfileCyclesCorpus)->Unit(benchmark::kMicrosecond);
 
+/// The cycle profiler on a fresh rollout clone of the corpus program, as an
+/// env reset or a serve-root miss costs it: the clone reads through to the
+/// program's bodies, so its price over BM_ProfileCyclesCorpus is the clone.
+void BM_ProfileRolloutCloneCorpus(benchmark::State& state) {
+  const auto m = corpus_program();
+  for (auto _ : state) {
+    const auto clone = ir::clone_module_for_rollout(*m);
+    auto est = hls::profile_cycles(*clone);
+    benchmark::DoNotOptimize(est);
+  }
+}
+BENCHMARK(BM_ProfileRolloutCloneCorpus)->Unit(benchmark::kMicrosecond);
+
 /// The module codec's encoder on the corpus program (the wire form of a
 /// remote compile request).
 void BM_SerializeModuleCorpus(benchmark::State& state) {

@@ -128,9 +128,10 @@ int schedule_block(const BasicBlock& bb, const ResourceConstraints& rc,
 }  // namespace
 
 FunctionSchedule schedule_function(const ir::Function& f, const ResourceConstraints& rc) {
-  FunctionSchedule out{ir::IdTable<BasicBlock, int>(f, 0), 0};
-  ir::IdTable<Instruction, IssueState> issued(f, IssueState{});
-  for (const BasicBlock* bb : f.blocks()) {
+  const ir::Function& body = *f.reading_body();
+  FunctionSchedule out{ir::IdTable<BasicBlock, int>(body, 0), 0};
+  ir::IdTable<Instruction, IssueState> issued(body, IssueState{});
+  for (const BasicBlock* bb : body.blocks()) {
     out.states[bb] = schedule_block(*bb, rc, issued);
     out.total_states += out.states[bb];
   }
@@ -161,9 +162,10 @@ ModuleSchedule schedule_profile(const interp::Profile& profile, const ResourceCo
 }
 
 ir::IdTable<Instruction, int> issue_cycles(const ir::Function& f, const ResourceConstraints& rc) {
-  ir::IdTable<Instruction, IssueState> issued(f, IssueState{});
-  ir::IdTable<Instruction, int> out(f, -1);
-  for (const BasicBlock* bb : f.blocks()) {
+  const ir::Function& body = *f.reading_body();
+  ir::IdTable<Instruction, IssueState> issued(body, IssueState{});
+  ir::IdTable<Instruction, int> out(body, -1);
+  for (const BasicBlock* bb : body.blocks()) {
     (void)schedule_block(*bb, rc, issued);
     for (std::size_t i = 0; i < bb->size(); ++i) {
       const Instruction* inst = bb->inst(i);
@@ -176,7 +178,6 @@ ir::IdTable<Instruction, int> issue_cycles(const ir::Function& f, const Resource
 double estimate_area(const ir::Module& m) {
   double area = 0.0;
   for (const ir::Function* f : m.functions()) {
-    // A lazy rollout clone is read through its CoW source, not copied.
     const ir::Function* body = f->reading_body();
     for (std::size_t b = 0; b < body->block_count(); ++b) {
       const ir::BasicBlock* bb = body->block(b);

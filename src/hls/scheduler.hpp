@@ -44,6 +44,8 @@ struct ModuleSchedule {
   }
 };
 
+/// Schedules f's reading_body(): the blocks the interpreter runs for f, so
+/// a lazy rollout clone is scheduled without being copied.
 FunctionSchedule schedule_function(const ir::Function& f, const ResourceConstraints& rc);
 ModuleSchedule schedule_module(const ir::Module& m, const ResourceConstraints& rc = {});
 

@@ -31,6 +31,7 @@ int width_of(const ir::Type* t) {
 
 std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule,
                          const ResourceConstraints& rc) {
+  const ir::Function& body = *f.reading_body();  // the blocks schedule_function covers
   std::ostringstream os;
   os << "// Generated by AutoPhase HLS backend (clock " << fmt_double(rc.frequency_mhz(), 0)
      << " MHz)\n";
@@ -48,9 +49,9 @@ std::string emit_verilog(const ir::Function& f, const FunctionSchedule& schedule
   // State encoding: one FSM state per (block, cycle) with >=1 state blocks,
   // numbered in block order; zero-state blocks fold into their successor
   // transition and keep first state 0.
-  const std::vector<BasicBlock*> blocks = f.blocks();
+  const std::vector<BasicBlock*> blocks = body.blocks();
   int total_states = 1;  // state 0 = idle
-  ir::IdTable<BasicBlock, int> first_state(f, 0);
+  ir::IdTable<BasicBlock, int> first_state(body, 0);
   for (BasicBlock* bb : blocks) {
     const int states = schedule.states.find(bb);
     if (states > 0) {

@@ -6,7 +6,6 @@
 #include <cstring>
 #include <new>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/id_table.hpp"
@@ -137,9 +136,7 @@ thread_local ThreadArena t_arena;
 
 struct Interpreter::Impl {
   InterpreterOptions options;
-  std::vector<DecodedFunction> functions;
-  std::unordered_map<const Function*, int> function_index;
-  std::unordered_map<const ir::GlobalVariable*, std::uint64_t> global_base;
+  std::vector<DecodedFunction> functions;  // by Function::index()
   std::size_t globals_end = 8;  // address 0..7 reserved (null page)
   int main_index = -1;
 
@@ -154,14 +151,13 @@ struct Interpreter::Impl {
     const ir::GlobalVariable* global = nullptr;
     bool dirty = false;
   };
-  std::vector<GlobalRegion> regions;  // sorted by base
+  std::vector<GlobalRegion> regions;  // by GlobalVariable::index(), so sorted by base
 
   void layout_globals(const ir::Module& m) {
     std::size_t cursor = 8;
     for (std::size_t i = 0; i < m.global_count(); ++i) {
       const ir::GlobalVariable* g = m.global(i);
       cursor = (cursor + 7) & ~std::size_t{7};
-      global_base[g] = cursor;
       regions.push_back({cursor, g->size_in_bytes(), g, false});
       cursor += g->size_in_bytes();
     }
@@ -187,16 +183,17 @@ struct Interpreter::Impl {
   }
 
   void decode_module(const ir::Module& m) {
-    const auto funcs = m.functions();
-    for (std::size_t i = 0; i < funcs.size(); ++i) {
-      function_index[funcs[i]] = static_cast<int>(i);
-      if (funcs[i]->name() == "main") main_index = static_cast<int>(i);
+    functions.resize(m.function_count());
+    for (std::size_t i = 0; i < m.function_count(); ++i) {
+      if (m.function(i)->name() == "main") main_index = static_cast<int>(i);
+      // A lazy rollout clone is read through its source, whose globals and
+      // callees have the positions of m's.
+      decode_function(*m.function(i)->reading_body(), functions[i]);
     }
-    functions.resize(funcs.size());
-    for (std::size_t i = 0; i < funcs.size(); ++i) decode_function(*funcs[i], functions[i]);
   }
 
   void decode_function(const Function& f, DecodedFunction& out) {
+    const ir::Module& module = *f.parent();
     out.arg_count = static_cast<int>(f.arg_count());
     // Slots: arguments first, then the non-void instructions in block order.
     // A foreign or void operand has no slot, and at() throws for it.
@@ -227,8 +224,9 @@ struct Interpreter::Impl {
         r.kind = OperandKind::kImm;
         r.imm = 0;
       } else if (const ir::GlobalVariable* g = ir::as_global(v)) {
+        if (!module.owns(g)) throw std::out_of_range("interpreter: foreign global");
         r.kind = OperandKind::kImm;
-        r.imm = static_cast<std::int64_t>(global_base.at(g));
+        r.imm = static_cast<std::int64_t>(regions[g->index()].base);
       } else {
         r.kind = OperandKind::kSlot;
         r.slot = slot(v);
@@ -288,7 +286,12 @@ struct Interpreter::Impl {
             d.elem_size =
                 static_cast<std::uint32_t>(inst->operand(0)->type()->pointee()->size_in_bytes());
             break;
-          case Opcode::kCall: d.callee = function_index.at(inst->callee()); break;
+          case Opcode::kCall:
+            if (!module.owns(inst->callee())) {
+              throw std::out_of_range("interpreter: foreign callee");
+            }
+            d.callee = static_cast<int>(inst->callee()->index());
+            break;
           case Opcode::kBr: d.succ0 = block_index.at(inst->successor(0)); break;
           case Opcode::kCondBr:
             d.succ0 = block_index.at(inst->successor(0));

@@ -38,7 +38,8 @@ namespace autophase::interp {
 
 /// Execution profile consumed by the HLS cycle estimator. Both lists are in
 /// module order (functions, then blocks, then instructions), so a function's
-/// blocks sit together.
+/// blocks sit together. A lazy rollout clone's run lists the blocks and
+/// instructions of the bodies it reads (Function::reading_body()).
 struct Profile {
   /// Every block the run entered, with its dynamic entry count.
   std::vector<std::pair<const ir::BasicBlock*, std::uint64_t>> block_counts;

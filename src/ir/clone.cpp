@@ -4,11 +4,11 @@
 
 namespace autophase::ir {
 
-CloneContext::CloneContext(const Function& source, const CowState* module)
+CloneContext::CloneContext(const Function& source, Module* dest)
     : blocks(source, nullptr),
       insts(source, nullptr),
       source_(&source),
-      module_(module),
+      dest_(dest),
       args_(source.arg_count(), nullptr) {}
 
 Value* CloneContext::map_value(Value* v) const {
@@ -24,15 +24,15 @@ Value* CloneContext::map_value(Value* v) const {
       return mapped != nullptr ? mapped : v;
     }
     case ValueKind::kGlobalVariable: {
-      if (module_ == nullptr) return v;
-      const auto it = module_->globals.find(as_global(v));
-      return it == module_->globals.end() ? v : it->second;
+      if (dest_ == nullptr) return v;
+      assert(source_->parent()->owns(as_global(v)) && "global of another module");
+      return dest_->global(as_global(v)->index());
     }
     case ValueKind::kConstantInt:
-      if (module_ == nullptr) return v;
-      return module_->dest->get_int(v->type(), as_constant_int(v)->value());
+      if (dest_ == nullptr) return v;
+      return dest_->get_int(v->type(), as_constant_int(v)->value());
     case ValueKind::kUndef:
-      return module_ == nullptr ? v : module_->dest->get_undef(v->type());
+      return dest_ == nullptr ? v : dest_->get_undef(v->type());
   }
   return v;
 }
@@ -43,9 +43,9 @@ BasicBlock* CloneContext::map_block(BasicBlock* bb) const {
 }
 
 Function* CloneContext::map_function(Function* f) const {
-  if (module_ == nullptr) return f;
-  const auto it = module_->functions.find(f);
-  return it == module_->functions.end() ? f : it->second;
+  if (dest_ == nullptr) return f;
+  assert(source_->parent()->owns(f) && "callee of another module");
+  return dest_->function(f->index());
 }
 
 namespace {
@@ -138,15 +138,13 @@ std::unique_ptr<Module> clone_module_for_rollout(const Module& src) {
   support::ArenaScope scope(arena.get());
   auto dest = std::make_unique<Module>(src.name());
   dest->adopt_arena(std::move(arena));
-  auto cow = std::make_shared<CowState>();
-  cow->dest = dest.get();
 
+  // Created in order, so every copy has its source's index().
   for (std::size_t i = 0; i < src.global_count(); ++i) {
     const GlobalVariable* g = src.global(i);
-    cow->globals[g] = dest->create_global(g->element_type(), g->element_count(), g->name(),
-                                          g->init(), g->is_constant_data());
+    dest->create_global(g->element_type(), g->element_count(), g->name(), g->init(),
+                        g->is_constant_data());
   }
-  // Signatures before any body so call instructions can remap.
   for (std::size_t i = 0; i < src.function_count(); ++i) {
     const Function* f = src.function(i);
     std::vector<Type*> param_types;
@@ -158,26 +156,21 @@ std::unique_ptr<Module> clone_module_for_rollout(const Module& src) {
     Function* copy = dest->create_function(f->name(), f->return_type(), param_types, param_names);
     copy->attrs() = f->attrs();
     copy->cow_source_ = f;
-    cow->functions[f] = copy;
   }
-  dest->set_cow_state(std::move(cow));
   return dest;
 }
 
 void Function::materialize_body() const {
   // Logically-const lazy initialisation; rollout clones are thread-confined
-  // while lazy (clone.hpp contract), so no synchronisation.
+  // while lazy (clone.hpp contract), so no synchronisation. The source is
+  // only read, a lazy one through to the body it reads.
   auto* self = const_cast<Function*>(this);
-  const Function* src = self->cow_source_;
-  if (src == nullptr) return;
-  CowState* cow = self->parent_->cow_state();
-  assert(cow != nullptr && "lazy body without CoW state");
+  const Function* src = reading_body();
   // Clear the marker first: clone_blocks appends through create_block(),
   // which must not re-enter materialisation.
   self->cow_source_ = nullptr;
   support::ArenaScope scope(self->parent_->arena());
-  // (A lazy source materialises here first; its own ArenaScope nests.)
-  CloneContext ctx(*src, cow);
+  CloneContext ctx(*src, self->parent_);
   for (std::size_t a = 0; a < src->arg_count(); ++a) ctx.map_arg(a, self->arg(a));
   clone_blocks(*self, src->blocks(), ctx, "");
 }

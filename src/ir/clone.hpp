@@ -1,12 +1,13 @@
 // Cloning: clone_blocks() through a CloneContext is the one path that copies
 // a function body, for whole-module clones (Function::materialize_body) and
-// for the inliner, partial inliner, loop unroller and loop unswitcher.
+// for the inliner, partial inliner, loop unroller and loop unswitcher. A
+// module clone creates its globals and functions in its source's order, so
+// each copy has its source's index() and no map between them is kept.
 #pragma once
 
 #include <memory>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/id_table.hpp"
@@ -14,26 +15,18 @@
 
 namespace autophase::ir {
 
-/// What a rollout clone maps besides function bodies: the clone itself,
-/// where constants are re-interned, and its copies of the source's globals
-/// and functions. Tens of entries per module, so plain maps.
-struct CowState {
-  Module* dest = nullptr;
-  std::unordered_map<const GlobalVariable*, GlobalVariable*> globals;
-  std::unordered_map<const Function*, Function*> functions;
-};
-
 /// Remapping state of a clone of (part of) one source function: its blocks
-/// and instructions map through IdTables over that function, its arguments
-/// by index, and globals, functions and constants through the CowState of a
-/// cross-module clone. Like the tables, a context covers the source's nodes
-/// as they were when it was made. Anything else maps to itself: a node of
-/// another function, an unlinked instruction, a node created later (the
-/// copies among them), an unmapped argument, and without a CowState every
-/// global, function and constant.
+/// and instructions map through IdTables over that function, and its
+/// arguments by index. A cross-module clone names its destination module:
+/// a global or a callee then maps to the destination's at the same index(),
+/// and a constant to the destination's interned copy. Like the tables, a
+/// context covers the source's nodes as they were when it was made.
+/// Anything else maps to itself: a node of another function, an unlinked
+/// instruction, a node created later (the copies among them), an unmapped
+/// argument, and without a destination every global, function and constant.
 class CloneContext {
  public:
-  explicit CloneContext(const Function& source, const CowState* module = nullptr);
+  explicit CloneContext(const Function& source, Module* dest = nullptr);
 
   [[nodiscard]] Value* map_value(Value* v) const;
   [[nodiscard]] BasicBlock* map_block(BasicBlock* bb) const;
@@ -46,7 +39,7 @@ class CloneContext {
 
  private:
   const Function* source_;
-  const CowState* module_;
+  Module* dest_;
   std::vector<Value*> args_;
 };
 
@@ -69,15 +62,19 @@ std::unique_ptr<Module> clone_module(const Module& src);
 /// Cheap rollout clone: globals, function signatures, arguments and
 /// attributes are copied eagerly, while function *bodies* stay lazy
 /// references into `src` until something asks for mutable blocks
-/// (passes::apply_pass materialises the whole module). The printer and the
-/// feature extractor read through Function::reading_body(), so
-/// fingerprinting an unmutated clone never copies a body.
+/// (passes::apply_pass materialises the whole module). The printer, the
+/// feature extractor, the interpreter, the scheduler and the module codec
+/// read through Function::reading_body(), so fingerprinting, costing or
+/// serialising an unmutated clone never copies a body. `src` may itself be
+/// a lazy clone: the new clone then reads through both.
 ///
 /// Contracts: `src` must outlive the clone until materialize_all() has run
 /// (EvalService/env rollouts borrow the long-lived base program; the serve
-/// decoder materialises before a module escapes into a response), and the
-/// clone is thread-confined while lazy. Concurrent rollout clones of one
-/// shared source are safe: the source is only ever read.
+/// decoder materialises before a module escapes into a response), neither
+/// gains nor loses a global or a function meanwhile (the clone reads their
+/// positions), and the clone is thread-confined while lazy. Concurrent
+/// rollout clones of one shared source are safe: the source is only ever
+/// read.
 std::unique_ptr<Module> clone_module_for_rollout(const Module& src);
 
 }  // namespace autophase::ir

@@ -98,10 +98,23 @@ void Function::move_block(BasicBlock* bb, std::size_t index) {
 std::size_t Function::instruction_count() const noexcept {
   // Read-through while lazy: the source body is bit-identical to what
   // materialisation would build, so counting it is exact and free.
-  if (cow_source_ != nullptr) return cow_source_->instruction_count();
   std::size_t n = 0;
-  for (const auto& bb : blocks_) n += bb->size();
+  for (const auto& bb : reading_body()->blocks_) n += bb->size();
   return n;
+}
+
+bool Function::mirrors(const Function& body) const noexcept {
+  const Module& clone = *parent_;
+  const Module& source = *body.parent_;
+  bool same = body.index_ == index_ && clone.global_count() == source.global_count() &&
+              clone.function_count() == source.function_count();
+  for (std::size_t i = 0; same && i < clone.global_count(); ++i) {
+    same = clone.global(i)->name() == source.global(i)->name();
+  }
+  for (std::size_t i = 0; same && i < clone.function_count(); ++i) {
+    same = clone.function(i)->name() == source.function(i)->name();
+  }
+  return same;
 }
 
 }  // namespace autophase::ir

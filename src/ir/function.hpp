@@ -2,6 +2,7 @@
 // block is the entry block. Functions are owned by a Module.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,6 +39,8 @@ class Function {
   static void operator delete(void* ptr) noexcept { support::arena_aware_deallocate(ptr); }
 
   [[nodiscard]] Module* parent() const noexcept { return parent_; }
+  /// Position in the module's function list (Module::function(index())).
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
   [[nodiscard]] const std::string& name() const noexcept { return name_; }
   void set_name(std::string name) { name_ = std::move(name); }
   [[nodiscard]] Type* return_type() const noexcept { return return_type_; }
@@ -55,19 +58,25 @@ class Function {
   /// clone's source module (clone_module_for_rollout) — no blocks have been
   /// deep-copied yet.
   [[nodiscard]] bool has_lazy_body() const noexcept { return cow_source_ != nullptr; }
-  /// The function whose blocks to *read*: the CoW source while lazy (its
-  /// body is bit-identical to what materialisation would produce — block
-  /// order, names, and operands are all preserved by the clone), this
-  /// function otherwise. The printer and the feature extractor go through
-  /// this, so fingerprinting an unmutated rollout clone never deep-copies.
+  /// The function whose blocks to *read*: while lazy, the end of the chain
+  /// of CoW sources (a rollout clone of a lazy clone reads through both),
+  /// this function otherwise. That body is bit-identical to what
+  /// materialisation would produce (block order, names and operands), and
+  /// its globals and callees sit at the positions of this module's copies,
+  /// so a reader indexes this module's globals and functions by their
+  /// index(). The printer, the feature extractor, the interpreter, the
+  /// scheduler and the module codec go through this, so costing or
+  /// serialising an unmutated rollout clone never deep-copies.
   [[nodiscard]] const Function* reading_body() const noexcept {
-    return cow_source_ != nullptr ? cow_source_ : this;
+    const Function* body = this;
+    while (body->cow_source_ != nullptr) body = body->cow_source_;
+    assert(body == this || mirrors(*body));
+    return body;
   }
-  /// Deep-copies the source body into this function through a clone
-  /// context over the source function and the module's globals and
-  /// functions mapping (no-op when not lazy). Every accessor that hands
-  /// out mutable blocks calls this first, so passes can never see — let
-  /// alone mutate — the source module's blocks.
+  /// Deep-copies the reading body into this function through a clone
+  /// context over that body and this module (no-op when not lazy). Every
+  /// accessor that hands out mutable blocks calls this first, so passes can
+  /// never see — let alone mutate — the source module's blocks.
   void materialize() const {
     if (cow_source_ != nullptr) materialize_body();
   }
@@ -122,6 +131,7 @@ class Function {
   }
 
  private:
+  friend class Module;      // numbers its functions as it creates and erases them
   friend class BasicBlock;  // issues instruction ids as it links them
   friend std::unique_ptr<Module> clone_module_for_rollout(const Module& src);
   friend std::shared_ptr<const DominatorTree> dominators(Function& f);
@@ -142,8 +152,13 @@ class Function {
   /// and the *source* function is only ever read, never touched, preserving
   /// the concurrent-clone contract of clone_blocks.
   void materialize_body() const;
+  /// Debug check behind reading_body(): `body` holds this function's place
+  /// in its module, whose globals and functions match this module's by
+  /// position and name.
+  [[nodiscard]] bool mirrors(const Function& body) const noexcept;
 
   Module* parent_;
+  std::size_t index_ = 0;
   std::string name_;
   Type* return_type_;
   std::vector<std::unique_ptr<Argument>> args_;

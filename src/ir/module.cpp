@@ -10,6 +10,7 @@ Function* Module::create_function(std::string name, Type* return_type,
   assert(find_function(name) == nullptr && "duplicate function name");
   functions_.push_back(std::make_unique<Function>(this, std::move(name), return_type, param_types,
                                                   std::move(param_names)));
+  functions_.back()->index_ = functions_.size() - 1;
   return functions_.back().get();
 }
 
@@ -28,13 +29,9 @@ Function* Module::find_function(const std::string& name) const noexcept {
 }
 
 void Module::erase_function(Function* f) {
-  for (std::size_t i = 0; i < functions_.size(); ++i) {
-    if (functions_[i].get() == f) {
-      functions_.erase(functions_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-  assert(false && "erase_function target not in module");
+  assert(owns(f) && "erase_function target not in module");
+  functions_.erase(functions_.begin() + static_cast<std::ptrdiff_t>(f->index()));
+  for (std::size_t i = 0; i < functions_.size(); ++i) functions_[i]->index_ = i;
 }
 
 GlobalVariable* Module::create_global(Type* element_type, std::size_t element_count,
@@ -42,6 +39,7 @@ GlobalVariable* Module::create_global(Type* element_type, std::size_t element_co
                                       bool is_constant_data) {
   globals_.push_back(std::make_unique<GlobalVariable>(element_type, element_count, std::move(name),
                                                       std::move(init), is_constant_data));
+  globals_.back()->index_ = globals_.size() - 1;
   return globals_.back().get();
 }
 
@@ -54,13 +52,9 @@ std::vector<GlobalVariable*> Module::globals() const {
 
 void Module::erase_global(GlobalVariable* g) {
   assert(!g->has_users() && "erasing a global that still has users");
-  for (std::size_t i = 0; i < globals_.size(); ++i) {
-    if (globals_[i].get() == g) {
-      globals_.erase(globals_.begin() + static_cast<std::ptrdiff_t>(i));
-      return;
-    }
-  }
-  assert(false && "erase_global target not in module");
+  assert(owns(g) && "erase_global target not in module");
+  globals_.erase(globals_.begin() + static_cast<std::ptrdiff_t>(g->index()));
+  for (std::size_t i = 0; i < globals_.size(); ++i) globals_[i]->index_ = i;
 }
 
 ConstantInt* Module::get_int(Type* type, std::int64_t value) {
@@ -94,7 +88,6 @@ std::size_t Module::instruction_count() const noexcept {
 }
 
 bool Module::has_lazy_functions() const noexcept {
-  if (cow_ == nullptr) return false;
   for (const auto& f : functions_) {
     if (f->has_lazy_body()) return true;
   }
@@ -102,10 +95,7 @@ bool Module::has_lazy_functions() const noexcept {
 }
 
 void Module::materialize_all() {
-  if (cow_ == nullptr) return;
   for (const auto& f : functions_) f->materialize();
-  // All bodies are local now; drop the maps of globals and functions.
-  cow_.reset();
 }
 
 }  // namespace autophase::ir

@@ -15,8 +15,6 @@
 
 namespace autophase::ir {
 
-struct CowState;  // ir/clone.hpp
-
 class Module {
  public:
   explicit Module(std::string name) : name_(std::move(name)) {}
@@ -42,8 +40,14 @@ class Module {
   [[nodiscard]] Function* find_function(const std::string& name) const noexcept;
   /// Entry point; by convention the function named "main".
   [[nodiscard]] Function* main() const noexcept { return find_function("main"); }
-  /// Destroys a function (no remaining call sites allowed).
+  /// Destroys a function (no remaining call sites allowed) and renumbers
+  /// the ones after it.
   void erase_function(Function* f);
+  /// True when `f` is this module's function at f->index(); false for a
+  /// function of another module.
+  [[nodiscard]] bool owns(const Function* f) const noexcept {
+    return f->index() < functions_.size() && functions_[f->index()].get() == f;
+  }
 
   // ---- Globals ----
   GlobalVariable* create_global(Type* element_type, std::size_t element_count, std::string name,
@@ -51,7 +55,13 @@ class Module {
   [[nodiscard]] std::size_t global_count() const noexcept { return globals_.size(); }
   [[nodiscard]] GlobalVariable* global(std::size_t i) const noexcept { return globals_[i].get(); }
   [[nodiscard]] std::vector<GlobalVariable*> globals() const;
+  /// Destroys a global (no remaining users allowed) and renumbers the ones
+  /// after it.
   void erase_global(GlobalVariable* g);
+  /// True when `g` is this module's global at g->index().
+  [[nodiscard]] bool owns(const GlobalVariable* g) const noexcept {
+    return g->index() < globals_.size() && globals_[g->index()].get() == g;
+  }
 
   // ---- Constants (interned per module) ----
   ConstantInt* get_int(Type* type, std::int64_t value);
@@ -79,8 +89,6 @@ class Module {
   /// globals and arguments are incomplete, and an IPO/DCE pass trusting
   /// them could wrongly erase live defs.
   void materialize_all();
-  [[nodiscard]] CowState* cow_state() const noexcept { return cow_.get(); }
-  void set_cow_state(std::shared_ptr<CowState> state) noexcept { cow_ = std::move(state); }
 
  private:
   // Declared first so it is destroyed last: the nodes owned below may live
@@ -91,7 +99,6 @@ class Module {
   std::vector<std::unique_ptr<GlobalVariable>> globals_;
   std::map<std::pair<Type*, std::int64_t>, std::unique_ptr<ConstantInt>> int_constants_;
   std::map<Type*, std::unique_ptr<Undef>> undefs_;
-  std::shared_ptr<CowState> cow_;
 };
 
 }  // namespace autophase::ir

@@ -150,11 +150,17 @@ class GlobalVariable final : public Value {
     return element_count_ * element_type_->size_in_bytes();
   }
 
+  /// Position in the module's global list (Module::global(index())).
+  [[nodiscard]] std::size_t index() const noexcept { return index_; }
+
  private:
+  friend class Module;  // numbers its globals as it creates and erases them
+
   Type* element_type_;
   std::size_t element_count_;
   std::vector<std::int64_t> init_;
   bool is_constant_data_;
+  std::size_t index_ = 0;
 };
 
 /// Downcast helpers (LLVM-style dyn_cast, without RTTI).

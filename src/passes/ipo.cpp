@@ -1,7 +1,6 @@
 // Interprocedural passes of Table 1.
 #include <algorithm>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "ir/cfg.hpp"
@@ -251,10 +250,9 @@ class FunctionAttrsPass {
       bool reads = false;
       bool writes = false;
     };
-    std::unordered_map<const Function*, Effects> fx;
-
     // Optimistic fixpoint: start with "no effects" and grow until stable.
     const auto funcs = m.functions();
+    std::vector<Effects> fx(funcs.size());  // by Function::index()
     bool stable = false;
     for (std::size_t iter = 0; iter < funcs.size() + 2 && !stable; ++iter) {
       stable = true;
@@ -277,7 +275,7 @@ class FunctionAttrsPass {
                 if (!is_local_pointer(inst->operand(1))) e.reads = true;
                 break;
               case Opcode::kCall: {
-                const Effects ce = fx[inst->callee()];
+                const Effects ce = fx[inst->callee()->index()];
                 e.reads |= ce.reads;
                 e.writes |= ce.writes;
                 // Pointer arguments may expose caller memory to the callee's
@@ -293,7 +291,7 @@ class FunctionAttrsPass {
             }
           }
         }
-        Effects& old = fx[f];
+        Effects& old = fx[f->index()];
         if (old.reads != e.reads || old.writes != e.writes) {
           old = e;
           stable = false;
@@ -303,7 +301,7 @@ class FunctionAttrsPass {
 
     bool changed = false;
     for (Function* f : funcs) {
-      const Effects e = fx[f];
+      const Effects e = fx[f->index()];
       ir::FunctionAttrs attrs;
       attrs.readnone = !e.reads && !e.writes;
       attrs.readonly = !e.writes;

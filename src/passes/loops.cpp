@@ -312,11 +312,9 @@ class LoopRotatePass {
     // Size guard: the header computation is cloned twice.
     if (header_insts.size() > 16) return false;
 
-    // Per-phi init/next values. The "next" value must not be defined in the
-    // header itself (it would be deleted with it); canonical loops compute
-    // the increment in the body.
-    std::unordered_map<Instruction*, Value*> phi_init;
-    std::unordered_map<Instruction*, Value*> phi_next;
+    // The "next" value of a header phi must not be defined in the header
+    // itself (it would be deleted with it); canonical loops compute the
+    // increment in the body.
     for (Instruction* phi : header_phis) {
       Value* init = phi->incoming_for_block(preheader);
       Value* next = phi->incoming_for_block(latch);
@@ -325,61 +323,42 @@ class LoopRotatePass {
           def != nullptr && def->parent() == header) {
         return false;
       }
-      phi_init[phi] = init;
-      phi_next[phi] = next;
     }
 
     Module* m = f.parent();
 
-    // Value maps for the two clones of the header computation. In the
-    // preheader clone a header phi reads its init value; in the latch clone
-    // it reads the next-iteration value.
-    std::unordered_map<Value*, Value*> map_p;
-    std::unordered_map<Value*, Value*> map_l;
-    for (Instruction* phi : header_phis) {
-      map_p[phi] = phi_init[phi];
-      map_l[phi] = phi_next[phi];
-    }
-
-    auto clone_into = [&](BasicBlock* dest, std::unordered_map<Value*, Value*>& map) {
-      for (Instruction* inst : header_insts) {
-        Instruction* copy = dest->insert_before(dest->terminator(), inst->clone());
-        for (std::size_t i = 0; i < copy->operand_count(); ++i) {
-          const auto it = map.find(copy->operand(i));
-          if (it != map.end()) copy->set_operand(i, it->second);
-        }
-        map[inst] = copy;
-      }
-    };
-    clone_into(preheader, map_p);
-    clone_into(latch, map_l);
-
-    auto resolve = [&](std::unordered_map<Value*, Value*>& map, Value* v) -> Value* {
-      const auto it = map.find(v);
-      return it == map.end() ? v : it->second;
-    };
-
-    // Retarget the preheader and latch through cloned guards.
-    Value* cond = term->operand(0);
-    {
-      Instruction* ph_term = preheader->terminator();
-      Value* cond_p = resolve(map_p, cond);
-      preheader->erase(ph_term);
-      preheader->push_back(s0_in ? Instruction::cond_br(cond_p, body, exit)
-                                 : Instruction::cond_br(cond_p, exit, body));
-    }
-    {
-      Value* cond_l = resolve(map_l, cond);
-      latch->erase(latch_term);
-      latch->push_back(s0_in ? Instruction::cond_br(cond_l, body, exit)
-                             : Instruction::cond_br(cond_l, exit, body));
-    }
-
-    // Move the header phis into the body (its preds are now exactly
-    // {preheader, latch}, matching the phis' incoming blocks).
+    // Move the header phis into the body (once the guards below retarget
+    // the preheader and the latch, its preds are exactly {preheader, latch},
+    // matching the phis' incoming blocks).
     for (auto it = header_phis.rbegin(); it != header_phis.rend(); ++it) {
-      auto owned = header->take(*it);
-      body->insert_at(0, std::move(owned));
+      body->insert_at(0, header->take(*it));
+    }
+
+    // Copy the header computation into the preheader and into the latch. In
+    // the first copy a header phi reads its init value, in the second its
+    // next-iteration value. (Made after the move, the contexts cover the
+    // phis' new ids.)
+    CloneContext to_preheader(f);
+    CloneContext to_latch(f);
+    for (Instruction* phi : header_phis) {
+      to_preheader.insts[phi] = phi->incoming_for_block(preheader);
+      to_latch.insts[phi] = phi->incoming_for_block(latch);
+    }
+    for (Instruction* inst : header_insts) {
+      for (auto [dest, ctx] : {std::pair{preheader, &to_preheader}, std::pair{latch, &to_latch}}) {
+        Instruction* copy = dest->insert_before(dest->terminator(), inst->clone());
+        ir::remap_instruction(copy, *ctx);
+        ctx->insts[inst] = copy;
+      }
+    }
+
+    // Retarget the preheader and latch through the copied guards.
+    Value* cond = term->operand(0);
+    for (auto [from, ctx] : {std::pair{preheader, &to_preheader}, std::pair{latch, &to_latch}}) {
+      Value* guard = ctx->map_value(cond);
+      from->erase(from->terminator());
+      from->push_back(s0_in ? Instruction::cond_br(guard, body, exit)
+                            : Instruction::cond_br(guard, exit, body));
     }
 
     // Exit phis whose incoming edge was the header: that one edge becomes
@@ -390,8 +369,8 @@ class LoopRotatePass {
       if (idx < 0) continue;
       Value* w = phi->incoming_value(static_cast<std::size_t>(idx));
       phi->remove_incoming(static_cast<std::size_t>(idx));
-      phi->add_incoming(resolve(map_p, w), preheader);
-      phi->add_incoming(resolve(map_l, w), latch);
+      phi->add_incoming(to_preheader.map_value(w), preheader);
+      phi->add_incoming(to_latch.map_value(w), latch);
     }
 
     // Merge-phi factories. A use of a header value v...
@@ -405,12 +384,12 @@ class LoopRotatePass {
     std::unordered_map<Instruction*, Instruction*> body_phis;
     std::unordered_map<Instruction*, Instruction*> exit_phis;
     auto body_value_for = [&](Instruction* v) -> Value* {
-      if (const auto it = phi_init.find(v); it != phi_init.end()) return v;  // moved phi
+      if (v->is_phi()) return v;  // moved header phi
       const auto it = body_phis.find(v);
       if (it != body_phis.end()) return it->second;
       Instruction* p = body->insert_at(0, Instruction::phi(v->type(), v->name()));
-      p->add_incoming(resolve(map_p, v), preheader);
-      p->add_incoming(resolve(map_l, v), latch);
+      p->add_incoming(to_preheader.map_value(v), preheader);
+      p->add_incoming(to_latch.map_value(v), latch);
       body_phis[v] = p;
       return p;
     };
@@ -418,13 +397,8 @@ class LoopRotatePass {
       const auto it = exit_phis.find(v);
       if (it != exit_phis.end()) return it->second;
       Instruction* p = exit->insert_at(0, Instruction::phi(v->type(), v->name()));
-      if (const auto pit = phi_init.find(v); pit != phi_init.end()) {
-        p->add_incoming(pit->second, preheader);
-        p->add_incoming(phi_next.at(v), latch);
-      } else {
-        p->add_incoming(resolve(map_p, v), preheader);
-        p->add_incoming(resolve(map_l, v), latch);
-      }
+      p->add_incoming(to_preheader.map_value(v), preheader);
+      p->add_incoming(to_latch.map_value(v), latch);
       exit_phis[v] = p;
       return p;
     };

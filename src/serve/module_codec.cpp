@@ -3,7 +3,6 @@
 #include <bit>
 #include <cstdint>
 #include <stdexcept>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -69,8 +68,9 @@ ir::Type* read_type(ByteReader& r, int depth = 0) {
 // Encoder
 // ---------------------------------------------------------------------------
 
-/// Per-function numbering: arguments, instructions and blocks by position.
-/// A lookup of a node of another function throws std::out_of_range.
+/// Per-function numbering: arguments, instructions and blocks by position,
+/// and globals and callees by their index() in the function's module. A
+/// lookup of a node of another function or module throws std::out_of_range.
 class FunctionIndex {
  public:
   explicit FunctionIndex(const ir::Function& f)
@@ -88,6 +88,15 @@ class FunctionIndex {
     if (a->parent() != function_) throw std::out_of_range("module codec: foreign argument");
     return a->index();
   }
+  [[nodiscard]] std::uint32_t global(const ir::Value* v) const {
+    const auto* g = static_cast<const ir::GlobalVariable*>(v);
+    if (!function_->parent()->owns(g)) throw std::out_of_range("module codec: foreign global");
+    return static_cast<std::uint32_t>(g->index());
+  }
+  [[nodiscard]] std::uint32_t callee(const ir::Function* f) const {
+    if (!function_->parent()->owns(f)) throw std::out_of_range("module codec: foreign callee");
+    return static_cast<std::uint32_t>(f->index());
+  }
   [[nodiscard]] std::uint32_t inst(const ir::Value* v) const {
     return insts_.at(static_cast<const ir::Instruction*>(v));
   }
@@ -101,9 +110,7 @@ class FunctionIndex {
   ir::IdTable<ir::BasicBlock, std::uint32_t> blocks_;
 };
 
-void write_ref(ByteWriter& w, const ir::Value* v,
-               const std::unordered_map<const ir::Value*, std::uint32_t>& globals,
-               const FunctionIndex& index) {
+void write_ref(ByteWriter& w, const ir::Value* v, const FunctionIndex& index) {
   switch (v->value_kind()) {
     case ir::ValueKind::kConstantInt: {
       w.u8(kRefConst);
@@ -122,7 +129,7 @@ void write_ref(ByteWriter& w, const ir::Value* v,
       return;
     case ir::ValueKind::kGlobalVariable:
       w.u8(kRefGlobal);
-      w.u32(globals.at(v));
+      w.u32(index.global(v));
       return;
     case ir::ValueKind::kInstruction:
       w.u8(kRefInst);
@@ -131,11 +138,8 @@ void write_ref(ByteWriter& w, const ir::Value* v,
   }
 }
 
-void write_instruction(ByteWriter& w, const ir::Instruction* inst,
-                       const std::unordered_map<const ir::Value*, std::uint32_t>& globals,
-                       const std::unordered_map<const ir::Function*, std::uint32_t>& functions,
-                       const FunctionIndex& index) {
-  const auto ref = [&](const ir::Value* v) { write_ref(w, v, globals, index); };
+void write_instruction(ByteWriter& w, const ir::Instruction* inst, const FunctionIndex& index) {
+  const auto ref = [&](const ir::Value* v) { write_ref(w, v, index); };
   w.u8(static_cast<std::uint8_t>(inst->opcode()));
   w.str(inst->name());
   write_type(w, inst->type());
@@ -164,7 +168,7 @@ void write_instruction(ByteWriter& w, const ir::Instruction* inst,
       w.u64(inst->alloca_count());
       break;
     case ir::Opcode::kCall:
-      w.u32(functions.at(inst->callee()));
+      w.u32(index.callee(inst->callee()));
       w.u64(inst->operand_count());
       for (const ir::Value* arg : inst->operands()) ref(arg);
       break;
@@ -273,7 +277,6 @@ class ModuleDecoder {
     for (std::uint64_t g = 0; g < nglobals; ++g) {
       if (const Status s = read_global(*module); !s.is_ok()) return s;
     }
-    globals_cache_ = module->globals();
 
     const std::uint64_t nfuncs = r_.count(1);
     if (!r_.ok()) return corrupt("function count");
@@ -517,8 +520,10 @@ class ModuleDecoder {
       case kRefConst:
       case kRefUndef: return ref.type;
       case kRefArg: return ref.index < func->arg_count() ? func->arg(ref.index)->type() : nullptr;
-      case kRefGlobal:
-        return ref.index < globals_().size() ? globals_()[ref.index]->type() : nullptr;
+      case kRefGlobal: {
+        const ir::GlobalVariable* g = global_at(func, ref.index);
+        return g != nullptr ? g->type() : nullptr;
+      }
       case kRefInst: return ref.index < recs.size() ? recs[ref.index].type : nullptr;
       default: return nullptr;
     }
@@ -534,8 +539,7 @@ class ModuleDecoder {
       case kRefConst: return func->parent()->get_int(ref.type, ref.value);
       case kRefUndef: return func->parent()->get_undef(ref.type);
       case kRefArg: return ref.index < func->arg_count() ? func->arg(ref.index) : nullptr;
-      case kRefGlobal:
-        return ref.index < globals_().size() ? globals_()[ref.index] : nullptr;
+      case kRefGlobal: return global_at(func, ref.index);
       case kRefInst:
         if (ref.index >= recs.size()) return nullptr;
         if (created[ref.index] != nullptr) return created[ref.index];
@@ -553,10 +557,7 @@ class ModuleDecoder {
       case kRefConst: return func->parent()->get_int(ref.type, ref.value);
       case kRefUndef: return func->parent()->get_undef(ref.type);
       case kRefArg: return ref.index < func->arg_count() ? func->arg(ref.index) : nullptr;
-      case kRefGlobal: {
-        const ir::Module* m = func->parent();
-        return ref.index < m->global_count() ? m->global(ref.index) : nullptr;
-      }
+      case kRefGlobal: return global_at(func, ref.index);
       case kRefInst: return ref.index < recs.size() ? created[ref.index] : nullptr;
       default: return nullptr;
     }
@@ -688,13 +689,14 @@ class ModuleDecoder {
     }
   }
 
-  [[nodiscard]] const std::vector<ir::GlobalVariable*>& globals_() const {
-    return globals_cache_;
+  /// The module's global at `index`, or null past its globals.
+  static ir::GlobalVariable* global_at(const ir::Function* func, std::uint32_t index) {
+    const ir::Module* m = func->parent();
+    return index < m->global_count() ? m->global(index) : nullptr;
   }
 
   ByteReader& r_;
   bool r_ok_ = true;
-  std::vector<ir::GlobalVariable*> globals_cache_;
 };
 
 }  // namespace
@@ -706,11 +708,9 @@ class ModuleDecoder {
 void write_module(ByteWriter& w, const ir::Module& module) {
   w.str(module.name());
 
-  std::unordered_map<const ir::Value*, std::uint32_t> globals;
   w.u64(module.global_count());
   for (std::size_t g = 0; g < module.global_count(); ++g) {
     const ir::GlobalVariable* global = module.global(g);
-    globals[global] = static_cast<std::uint32_t>(g);
     w.str(global->name());
     write_type(w, global->element_type());
     w.u64(global->element_count());
@@ -719,11 +719,9 @@ void write_module(ByteWriter& w, const ir::Module& module) {
     for (const std::int64_t v : global->init()) w.u64(std::bit_cast<std::uint64_t>(v));
   }
 
-  std::unordered_map<const ir::Function*, std::uint32_t> functions;
   w.u64(module.function_count());
   for (std::size_t f = 0; f < module.function_count(); ++f) {
     const ir::Function* func = module.function(f);
-    functions[func] = static_cast<std::uint32_t>(f);
     w.str(func->name());
     write_type(w, func->return_type());
     w.u64(func->arg_count());
@@ -736,16 +734,16 @@ void write_module(ByteWriter& w, const ir::Module& module) {
                                    (attrs.nounwind ? 4 : 0)));
   }
 
+  // A lazy rollout clone is written from its source's bodies, whose
+  // globals and callees have the positions of the clone's.
   for (std::size_t f = 0; f < module.function_count(); ++f) {
-    const ir::Function* func = module.function(f);
-    const FunctionIndex index(*func);
-    w.u64(func->block_count());
-    for (ir::BasicBlock* bb : func->blocks()) {
+    const ir::Function* body = module.function(f)->reading_body();
+    const FunctionIndex index(*body);
+    w.u64(body->block_count());
+    for (ir::BasicBlock* bb : body->blocks()) {
       w.str(bb->name());
       w.u64(bb->size());
-      for (ir::Instruction* inst : bb->instructions()) {
-        write_instruction(w, inst, globals, functions, index);
-      }
+      for (ir::Instruction* inst : bb->instructions()) write_instruction(w, inst, index);
     }
   }
 }

@@ -5,6 +5,7 @@
 // bit-identity of the interpreter are part of the contract under test.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "features/features.hpp"
+#include "hls/cycle_estimator.hpp"
 #include "interp/interpreter.hpp"
 #include "ir/builder.hpp"
 #include "ir/clone.hpp"
@@ -20,6 +22,7 @@
 #include "ml/mlp.hpp"
 #include "passes/pass.hpp"
 #include "progen/chstone_like.hpp"
+#include "progen/random_program.hpp"
 #include "serve/module_codec.hpp"
 #include "support/rng.hpp"
 
@@ -66,6 +69,44 @@ TEST(HotPath, FingerprintingRolloutCloneStaysLazy) {
   EXPECT_TRUE(rollout->has_lazy_functions());
 }
 
+TEST(HotPath, MeasuringRolloutCloneStaysLazy) {
+  // Running, costing and serialising read through the CoW source, also
+  // through a rollout clone of a lazy clone, and copy no body.
+  const std::unique_ptr<ir::Module> sources[] = {progen::build_chstone_like("gsm"),
+                                                 progen::generate_filtered_program(1)};
+  for (const auto& src : sources) {
+    const auto run = interp::run_module(*src);
+    const auto est = hls::profile_cycles(*src);
+    const auto fsm = hls::simulate_fsm_cycles(*src);
+    ASSERT_TRUE(run.is_ok() && est.is_ok() && fsm.is_ok()) << src->name();
+    const std::string blob = serve::serialize_module(*src);
+    const auto lazy = ir::clone_module_for_rollout(*src);
+    const auto lazy_of_lazy = ir::clone_module_for_rollout(*lazy);
+    for (const ir::Module* clone : {lazy.get(), lazy_of_lazy.get()}) {
+      const auto clone_run = interp::run_module(*clone);
+      const auto clone_est = hls::profile_cycles(*clone);
+      const auto clone_fsm = hls::simulate_fsm_cycles(*clone);
+      ASSERT_TRUE(clone_run.is_ok() && clone_est.is_ok() && clone_fsm.is_ok()) << src->name();
+      EXPECT_EQ(clone_run.value().return_value, run.value().return_value) << src->name();
+      EXPECT_EQ(clone_run.value().instructions_executed, run.value().instructions_executed);
+      EXPECT_EQ(clone_run.value().memory_checksum, run.value().memory_checksum);
+      EXPECT_EQ(clone_est.value().cycles, est.value().cycles) << src->name();
+      EXPECT_EQ(clone_est.value().fsm_cycles, est.value().fsm_cycles);
+      EXPECT_EQ(clone_est.value().burst_cycles, est.value().burst_cycles);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(clone_est.value().area),
+                std::bit_cast<std::uint64_t>(est.value().area));
+      EXPECT_EQ(clone_fsm.value(), fsm.value()) << src->name();
+      EXPECT_EQ(serve::serialize_module(*clone), blob) << src->name();
+    }
+    for (const ir::Module* clone : {lazy.get(), lazy_of_lazy.get()}) {
+      for (std::size_t i = 0; i < clone->function_count(); ++i) {
+        EXPECT_TRUE(clone->function(i)->has_lazy_body())
+            << src->name() << " " << clone->function(i)->name();
+      }
+    }
+  }
+}
+
 TEST(HotPath, RolloutCloneBitIdenticalPrintAfterPasses) {
   const auto program = progen::build_chstone_like("gsm");
   const std::vector<int> sequence = {38, 30, 31, 7, 28};  // mem2reg..adce mix
@@ -103,8 +144,8 @@ std::vector<std::uint32_t> ids_and_bounds(const ir::Module& m) {
 
 TEST(IrIds, ConcurrentRolloutReadersLeaveSourceIdsUnchanged) {
   // The passes leave the source's ids sparse; each thread then prints,
-  // fingerprints and serialises its own lazy rollout clone of it (the last
-  // materialises the clone, reading the source's body).
+  // fingerprints and serialises its own lazy rollout clone of it, all three
+  // reading the source's bodies.
   auto source = progen::build_chstone_like("gsm");
   passes::apply_pass_sequence(*source, {38, 30, 31, 7, 28});
   const std::vector<std::uint32_t> ids = ids_and_bounds(*source);

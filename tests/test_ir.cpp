@@ -731,6 +731,14 @@ void fold_module(const Module& m, PrintDigests& digests) {
   ++digests.modules;
 }
 
+/// Every global and function of `m` sits at its index(), which the
+/// passes that erase them (-globaldce, -constmerge, the inliner,
+/// -strip-dead-prototypes) must renumber.
+void expect_indexed_by_position(const Module& m) {
+  for (std::size_t i = 0; i < m.global_count(); ++i) EXPECT_EQ(m.global(i)->index(), i);
+  for (std::size_t i = 0; i < m.function_count(); ++i) EXPECT_EQ(m.function(i)->index(), i);
+}
+
 /// Folds `program`, then each step of `sequences` seeded random 45-pass
 /// sequences the way an env step takes it: a lazy rollout clone of the
 /// previous step (folded before the pass, while it still reads through its
@@ -746,6 +754,7 @@ void fold_pass_sequences(const Module& program, std::uint64_t seed, int sequence
       ASSERT_TRUE(next->has_lazy_functions());
       fold_module(*next, digests);
       passes::apply_pass(*next, static_cast<int>(rng.uniform_int(0, passes::kNumPasses - 1)));
+      expect_indexed_by_position(*next);
       fold_module(*next, digests);
       current = std::move(next);
     }
