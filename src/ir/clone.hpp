@@ -1,8 +1,8 @@
 // Cloning: clone_blocks() through a CloneContext is the one path that copies
 // a function body, for whole-module clones (Function::materialize_body) and
-// for the inliner, partial inliner, loop unroller and loop unswitcher. A
-// module clone creates its globals and functions in its source's order, so
-// each copy has its source's index() and no map between them is kept.
+// for the inliner, partial inliner, loop rotation, unroller and unswitcher.
+// A module clone creates its globals and functions in its source's order,
+// so each copy is found by its source's index().
 #pragma once
 
 #include <memory>

@@ -104,6 +104,13 @@ TEST(HotPath, MeasuringRolloutCloneStaysLazy) {
             << src->name() << " " << clone->function(i)->name();
       }
     }
+    // Materialising the clone of a clone copies from the source and leaves
+    // the lazy clone between them untouched.
+    lazy_of_lazy->materialize_all();
+    EXPECT_EQ(serve::serialize_module(*lazy_of_lazy), blob) << src->name();
+    for (std::size_t i = 0; i < lazy->function_count(); ++i) {
+      EXPECT_TRUE(lazy->function(i)->has_lazy_body()) << src->name();
+    }
   }
 }
 
